@@ -34,7 +34,6 @@ from .controller import (
 )
 from .engine import Engine, EventKind, SplitMix64, TimedEvent
 from .netctl import (
-    BlockKind,
     FlowStats,
     NetworkController,
     OcsResourceModel,
@@ -59,7 +58,6 @@ from .topology import SegmentSpec, TimingParams, Topology, build_topology
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockKind",
     "CompletionReport",
     "ConfigureRequest",
     "DeviceController",

@@ -4,11 +4,12 @@ One controller drives up to six masters over a single event engine. The
 life of a request:
 
   RequestGenerated   at the network controller          (marker 1)
-  SouthboundArrived  +d_sb_ns at the device controller
-  OutputsStaged      +d_mm_ns (+drawn jitter) per targeted segment
-  MasterEmit         next PDO boundary of each master   (marker 2)
-  FrameAtDevice      +d_frame_head_ns + rank*d_hop_ns per device
-  DeviceLatched      +d_latch_ns, only when a word changes (marker 3)
+  SouthboundArrived  +d_sb_ns at the device controller; the writes are
+                     staged at +d_mm_ns (+drawn jitter) per targeted segment
+  MasterEmit         next PDO boundary of each master   (marker 2); the
+                     frame's pass down the chain is resolved here
+  DeviceLatched      +d_frame_head_ns + (p+1)*d_hop_ns + d_latch_ns for each
+                     device p whose word the frame changes (marker 3)
   RequestComplete    at the last target's latch time
 """
 
@@ -28,6 +29,7 @@ from .simulation import (
     DeviceState,
     MasterState,
     StagedWrite,
+    analytic_latency,
     boundary_at_or_after,
     next_pdo_boundary,
 )
@@ -132,9 +134,7 @@ class DeviceController:
 
         engine.on(EventKind.REQUEST_GENERATED, self._on_request_generated)
         engine.on(EventKind.SOUTHBOUND_ARRIVED, self._on_southbound_arrived)
-        engine.on(EventKind.OUTPUTS_STAGED, self._on_outputs_staged)
         engine.on(EventKind.MASTER_EMIT, self._on_master_emit)
-        engine.on(EventKind.FRAME_AT_DEVICE, self._on_frame_at_device)
         engine.on(EventKind.DEVICE_LATCHED, self._on_device_latched)
         engine.on(EventKind.REQUEST_COMPLETE, self._on_request_complete)
 
@@ -243,68 +243,57 @@ class DeviceController:
             )
             self._order += 1
             trace.segments[seg] = SegmentTrace(staged_ns=stage_ns, jitter_ns=jitter)
-            self.engine.schedule(
-                stage_ns,
-                EventKind.OUTPUTS_STAGED,
-                {"request_id": request.request_id, "segment": seg},
-            )
 
         self.traces[request.request_id] = trace
         return trace
-
-    def _on_outputs_staged(self, ev: TimedEvent) -> None:
-        # trace marker only: the staging itself happened in handle_configure
-        trace = self.traces[ev.payload["request_id"]]
-        assert trace.segments[ev.payload["segment"]].staged_ns == ev.time_ns
 
     def _on_master_emit(self, ev: TimedEvent) -> None:
         seg = ev.payload["segment"]
         master = self.masters[seg]
         boundary = ev.time_ns
+        before = bytes(master.image)  # the previous frame's image, zeros at first
         record = master.build_frame(boundary)
+        dgram = record.frame.datagrams[0]
+        # the LWR covers the whole image: every device increments it once
+        record.wkc = master.device_count
+        t = self.timing
+        hop = t.d_hop_ns
+        first_latch = boundary + t.d_frame_head_ns + hop + t.d_latch_ns
+        if dgram.data != before:
+            for p in range(master.device_count):
+                lo = p * OUTPUT_WORD_BYTES
+                old = before[lo:lo + OUTPUT_WORD_BYTES]
+                if dgram.data[lo:lo + OUTPUT_WORD_BYTES] == old:
+                    continue
+                new_word, _, _ = apply_datagram(
+                    int.from_bytes(old, "little"), dgram, SlaveMapping(logical_start=lo)
+                )
+                self.engine.schedule(
+                    first_latch + p * hop,
+                    EventKind.DEVICE_LATCHED,
+                    {"segment": seg, "position": p, "word": new_word},
+                )
         for rid in record.riders:
-            seg_trace = self.traces[rid].segments[seg]
+            trace = self.traces[rid]
+            seg_trace = trace.segments[seg]
             assert seg_trace.emit_ns is None
             seg_trace.emit_ns = boundary
-        head = self.timing.d_frame_head_ns
-        hop = self.timing.d_hop_ns
-        for p in range(master.device_count):
-            self.engine.schedule(
-                boundary + head + (p + 1) * hop,
-                EventKind.FRAME_AT_DEVICE,
-                {"segment": seg, "position": p, "record": record},
-            )
+            for target in trace.targets:
+                if target.segment == seg:
+                    key = (seg, target.device)
+                    trace.t_latched_ns[key] = first_latch + target.device * hop
+                    trace.pending.discard(key)
+            if not trace.pending:
+                self.engine.schedule(
+                    max(trace.t_latched_ns.values()),
+                    EventKind.REQUEST_COMPLETE,
+                    {"request_id": rid},
+                )
         self.engine.schedule(
             next_pdo_boundary(boundary, master.phase_ns, master.cycle_ns),
             EventKind.MASTER_EMIT,
             {"segment": seg},
         )
-
-    def _on_frame_at_device(self, ev: TimedEvent) -> None:
-        seg = ev.payload["segment"]
-        p = ev.payload["position"]
-        record = ev.payload["record"]
-        device = self.devices[(seg, p)]
-        dgram = record.frame.datagrams[0]
-        mapping = SlaveMapping(logical_start=p * OUTPUT_WORD_BYTES)
-        new_word, _, wkc_inc = apply_datagram(device.word, dgram, mapping)
-        record.wkc += wkc_inc
-        t_latch = ev.time_ns + self.timing.d_latch_ns
-        if new_word != device.word:
-            self.engine.schedule(
-                t_latch,
-                EventKind.DEVICE_LATCHED,
-                {"segment": seg, "position": p, "word": new_word},
-            )
-        for rid in record.riders:
-            trace = self.traces[rid]
-            if (seg, p) in trace.pending:
-                trace.t_latched_ns[(seg, p)] = t_latch
-                trace.pending.discard((seg, p))
-                if not trace.pending:
-                    self.engine.schedule(
-                        t_latch, EventKind.REQUEST_COMPLETE, {"request_id": rid}
-                    )
 
     def _on_device_latched(self, ev: TimedEvent) -> None:
         device = self.devices[(ev.payload["segment"], ev.payload["position"])]
@@ -340,16 +329,12 @@ class DeviceController:
         """Upper bound on one request's life from generation to completion."""
         t = self.timing
         worst_chain = max(seg.device_count for seg in self.topology.segments)
-        multi = t.d_mm_ns if self.topology.segment_count > 1 else 0
         return (
-            t.d_sb_ns
-            + multi
-            + t.d_jitter_max_ns
+            analytic_latency(
+                t, self.topology.segment_count, worst_chain, 0, t.d_jitter_max_ns
+            )
             + t.pdo_cycle_ns
             + max(seg.phase_ns for seg in self.topology.segments)
-            + t.d_frame_head_ns
-            + worst_chain * t.d_hop_ns
-            + t.d_latch_ns
         )
 
     def run_until_complete(self, request_id: int) -> CompletionReport:

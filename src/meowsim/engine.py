@@ -18,21 +18,9 @@ _U64 = (1 << 64) - 1
 class EventKind(Enum):
     REQUEST_GENERATED = "RequestGenerated"
     SOUTHBOUND_ARRIVED = "SouthboundArrived"
-    OUTPUTS_STAGED = "OutputsStaged"
     MASTER_EMIT = "MasterEmit"
-    FRAME_AT_DEVICE = "FrameAtDevice"
     DEVICE_LATCHED = "DeviceLatched"
     REQUEST_COMPLETE = "RequestComplete"
-
-
-# Markers used in trace output for the three measured instants of a request:
-# generated at the network controller, first bytes leave the master, outputs
-# latched at the device.
-EVENT_MARKERS = {
-    EventKind.REQUEST_GENERATED: "①",
-    EventKind.MASTER_EMIT: "②",
-    EventKind.DEVICE_LATCHED: "③",
-}
 
 
 @dataclass(frozen=True)

@@ -22,11 +22,6 @@ class PathState(Enum):
     RELEASED = "Released"
 
 
-class BlockKind(Enum):
-    WAVELENGTH_SWITCH = "WavelengthSwitch"
-    SPACE_SWITCH = "SpaceSwitch"
-
-
 @dataclass(frozen=True)
 class FlowStats:
     flow_id: str
@@ -103,13 +98,8 @@ class OcsResourceModel:
             raise ValueError("words_per_device must be in [1, 65535]")
         self.words_per_device = words_per_device
         self.free: dict[tuple[int, int], set[int]] = {}
-        self.block_kind: dict[tuple[int, int], BlockKind] = {}
         for s, d in topology.all_targets():
             self.free[(s, d)] = set(range(1, words_per_device + 1))
-            # alternate kinds along the chain: paired wavelength/space stages
-            self.block_kind[(s, d)] = (
-                BlockKind.WAVELENGTH_SWITCH if d % 2 == 0 else BlockKind.SPACE_SWITCH
-            )
 
     @property
     def total_words(self) -> int:

@@ -100,12 +100,12 @@ class StagedWrite:
 
 @dataclass
 class EmissionRecord:
-    """One cyclic frame in flight: shared by its per-device arrival events."""
+    """One cyclic frame: the image it carries and the requests riding it."""
 
     segment: int
     boundary_ns: int
     frame: EcatFrame
-    wkc: int = 0  # accumulated as devices process the frame
+    wkc: int = 0  # set when the frame is emitted: one per device it passes
     riders: tuple = ()  # request ids whose writes this frame carries
 
 

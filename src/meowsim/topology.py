@@ -101,10 +101,6 @@ class Topology:
     def segment_count(self) -> int:
         return len(self.segments)
 
-    @property
-    def total_devices(self) -> int:
-        return sum(seg.device_count for seg in self.segments)
-
     def device_count(self, segment: int) -> int:
         self.validate_segment(segment)
         return self.segments[segment].device_count
@@ -125,11 +121,6 @@ class Topology:
         """Byte offset of a device's output word in its segment's logical image."""
         self.validate_target(segment, device)
         return device * OUTPUT_WORD_BYTES
-
-    def image_size(self, segment: int) -> int:
-        """Size in bytes of one segment's process-data output image."""
-        self.validate_segment(segment)
-        return self.segments[segment].device_count * OUTPUT_WORD_BYTES
 
     def device_rank(self, segment: int, device: int) -> int:
         """1-based chain position used by the latency model (1 = nearest)."""

@@ -11,13 +11,15 @@
  7 wire-format conformance pinned byte vectors; 10^4 random frames survive
                            encode/decode; working counters 8 (LWR) / 24 (LRW)
  8 bit-exact reruns        both presets write byte-identical CSV, trace and
-                           stats files when run twice
+                           stats files when run twice, equal to the golden
+                           files under tests/data/golden/
  9 resource bookkeeping    10^4 allocate/release ops match a brute-force
                            free-word ledger, words conserved after each op
 10 cyclic emission         boundaries strictly periodic per master; PDO waits
                            inside [0, cycle) and uniform by KS at the 1% level
 """
 
+import os
 import random
 
 import pytest
@@ -49,6 +51,7 @@ from meowsim.simulation import analytic_latency
 from meowsim.stats import ks_critical_value, ks_statistic_uniform
 from meowsim.topology import SegmentSpec, TimingParams, Topology
 
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data", "golden")
 
 # -- shared runs --------------------------------------------------------------
 
@@ -225,6 +228,7 @@ def test_criterion_07_wire_format_conformance(criterion):
 def test_criterion_08_bit_exact_reruns(runs, criterion):
     compared = 0
     identical = True
+    golden_mismatches = []
     for name in PRESET_NAMES:
         first, second = runs[name]
         for kind in ("csv", "trace", "stats"):
@@ -232,12 +236,18 @@ def test_criterion_08_bit_exact_reruns(runs, criterion):
                 a = fh.read()
             with open(second.written[kind], "rb") as fh:
                 b = fh.read()
+            filename = os.path.basename(first.written[kind])
+            with open(os.path.join(GOLDEN_DIR, filename), "rb") as fh:
+                golden = fh.read()
+            if a != golden:
+                golden_mismatches.append(filename)
             compared += 1
             identical = identical and a == b and len(a) > 0
-    ok = identical and compared == 6
+    ok = identical and compared == 6 and not golden_mismatches
     record(
         criterion, 8, "bit-exact reruns", ok,
-        f"{compared} export files compared across reruns of both presets",
+        f"{compared} export files compared across reruns of both presets; "
+        f"golden mismatches: {', '.join(golden_mismatches) or 'none'}",
     )
 
 

@@ -2,6 +2,7 @@
 
 import json
 import re
+from collections import Counter
 
 import pytest
 
@@ -51,6 +52,27 @@ class TestRunScenario:
         # closed-form latency model; passing is the assertion
         run_scenario(exp1_small(), check_oracle=True)
         run_scenario(exp2_small(), check_oracle=True)
+
+    @pytest.mark.parametrize("preset, expected", [
+        ("exp1", {"RequestGenerated": 1000, "SouthboundArrived": 1000,
+                  "MasterEmit": 5003, "DeviceLatched": 8000, "RequestComplete": 1000}),
+        ("exp2", {"RequestGenerated": 1000, "SouthboundArrived": 1000,
+                  "MasterEmit": 16012, "DeviceLatched": 8000, "RequestComplete": 1000}),
+    ])
+    def test_event_counts_by_kind(self, monkeypatch, preset, expected):
+        # one MasterEmit per frame, one DeviceLatched per changed word: no
+        # per-device arrival fan-out and no marker-only events
+        counts = Counter()
+        run_until = Engine.run_until
+
+        def counting_run_until(engine, t_end):
+            events = run_until(engine, t_end)
+            counts.update(event.kind.value for event in events)
+            return events
+
+        monkeypatch.setattr(Engine, "run_until", counting_run_until)
+        run_scenario(load_preset(preset).with_changes(outputs=None))
+        assert dict(counts) == expected
 
     def test_oracle_check_can_be_skipped(self):
         a = run_scenario(exp1_small(10), check_oracle=True)

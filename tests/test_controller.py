@@ -138,6 +138,15 @@ class TestCoalescing:
         assert len(times) == 2
         assert times[0] < times[1]
 
+    def test_pulse_survives_latch_longer_than_cycle(self):
+        # each frame latches the word the frame before it carried, even
+        # while that frame's latch is still pending at the device
+        engine, ctrl = make(chain_topology(devices=1, d_latch_ns=40_000))
+        for rid, word, gen in ((1, 1, 0), (2, 0, 32_000), (3, 1, 64_000)):
+            ctrl.submit(req(rid, (0, 0, word)), t_generated_ns=gen)
+        ctrl.run_until_complete(3)
+        assert ctrl.devices[(0, 0)].activation_log == [(0, 148_900), (0, 212_900)]
+
 
 class TestMultiSegment:
     def test_exact_times_without_jitter(self):

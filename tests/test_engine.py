@@ -1,7 +1,9 @@
 """Event engine: ordering, clock, determinism, seeded RNG."""
 
+import inspect
 import json
 import os
+import re
 
 import pytest
 
@@ -9,6 +11,8 @@ from meowsim.engine import Engine, EventKind, SplitMix64
 from meowsim.errors import SchedulingInPast
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "rng_golden.json")
+README_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+HEX64 = re.compile(r"0x[0-9A-Fa-f]{16}")
 
 
 class TestScheduleAndRun:
@@ -84,6 +88,15 @@ class TestSplitMix64:
             rng = SplitMix64(int(seed_text))
             for lo, hi, expected in rows:
                 assert rng.uniform_draw(lo, hi) == expected
+
+    def test_readme_constants_are_the_code_constants(self):
+        with open(README_PATH, encoding="utf-8") as fh:
+            readme = fh.read()
+        determinism = readme.split("## Determinism", 1)[1].split("\n## ", 1)[0]
+        documented = set(HEX64.findall(determinism))
+        in_code = set(HEX64.findall(inspect.getsource(SplitMix64.next_u64)))
+        assert len(documented) == 3
+        assert documented == in_code
 
     def test_lo_equals_hi(self):
         rng = SplitMix64(42)

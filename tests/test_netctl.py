@@ -7,7 +7,6 @@ from meowsim.controller import DeviceController
 from meowsim.engine import Engine
 from meowsim.errors import NoCapacity, UnknownPath, WrongState
 from meowsim.netctl import (
-    BlockKind,
     FlowStats,
     NetworkController,
     OcsResourceModel,
@@ -100,16 +99,6 @@ class TestResourceModel:
         res = OcsResourceModel(mini_topology(), words_per_device=16)
         assert all(0 not in words for words in res.free.values())
         assert res.total_words == 32
-
-    def test_block_kinds_alternate_along_chain(self):
-        res = OcsResourceModel(mini_topology(devices=4))
-        kinds = [res.block_kind[(0, d)] for d in range(4)]
-        assert kinds == [
-            BlockKind.WAVELENGTH_SWITCH,
-            BlockKind.SPACE_SWITCH,
-            BlockKind.WAVELENGTH_SWITCH,
-            BlockKind.SPACE_SWITCH,
-        ]
 
     def test_double_free_caught(self):
         res = OcsResourceModel(mini_topology(), words_per_device=1)

@@ -84,11 +84,9 @@ class TestTopology:
             segments=(SegmentSpec(device_count=8), SegmentSpec(device_count=2)),
             timing=timing(),
         )
-        assert topo.total_devices == 10
         assert topo.device_count(1) == 2
         assert topo.logical_offset(0, 0) == 0
         assert topo.logical_offset(0, 7) == 14
-        assert topo.image_size(0) == 16
         assert topo.device_rank(0, 7) == 8
         assert list(topo.all_targets())[:3] == [(0, 0), (0, 1), (0, 2)]
 
