@@ -32,7 +32,7 @@ from .controller import (
     RequestTrace,
     Target,
 )
-from .engine import Engine, EventKind, SplitMix64, TimedEvent
+from .engine import Engine, EventKind, SplitMix64
 from .netctl import (
     FlowStats,
     NetworkController,
@@ -86,7 +86,6 @@ __all__ = [
     "SplitMix64",
     "SweepResult",
     "Target",
-    "TimedEvent",
     "TimingParams",
     "Topology",
     "analytic_latency",

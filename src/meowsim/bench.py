@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 from .controller import ConfigureRequest, DeviceController, RequestTrace, Target
 from .engine import Engine
-from .errors import IoFailure
+from .errors import IoFailure, SegmentCountExceeded
 from .scenario import ARRIVAL_GRID_NS, Scenario, load_preset
 from .simulation import analytic_latency, structural_worst_latency
 from .stats import RunStats, compute_stats, ns_to_us_str
-from .topology import SegmentSpec, Topology
+from .topology import MAX_SEGMENTS, SegmentSpec, Topology
 
 # Requests are spaced far enough apart that their pipelines never overlap;
 # each one still lands on an uncontrolled (seeded) phase within its cycle.
@@ -289,7 +289,13 @@ def racks_to_devices_per_segment(racks: int, masters: int) -> int:
     """Devices each master must chain to cover the racks (one OCS port per rack)."""
     if racks < 1 or masters < 1:
         raise ValueError("racks and masters must be positive")
-    return math.ceil(racks / masters)
+    if masters > MAX_SEGMENTS:
+        raise SegmentCountExceeded(
+            f"at most {MAX_SEGMENTS} masters per controller, got {masters}"
+        )
+    devices = math.ceil(racks / masters)
+    SegmentSpec(device_count=devices)  # raises if one datagram cannot carry the chain
+    return devices
 
 
 def extrapolate_worst(worst_base_ns: int, slope_ns: float, devices_per_segment: int):
@@ -307,16 +313,20 @@ def extrapolate_worst(worst_base_ns: int, slope_ns: float, devices_per_segment: 
     return int(value) if float(value).is_integer() else value
 
 
-def default_worst_base_ns() -> int:
-    """Structural worst of the multi-master preset, rounded to whole us."""
-    scenario = load_preset("exp2")
-    seg, dev = scenario.measurement
-    worst = structural_worst_latency(
-        scenario.topology.timing,
-        scenario.topology.segment_count,
-        scenario.topology.device_rank(seg, dev),
+def structural_worst_ns(scenario: Scenario) -> int:
+    """Structural worst configuration time of the scenario's measured device."""
+    topology = scenario.topology
+    return structural_worst_latency(
+        topology.timing,
+        topology.segment_count,
+        topology.device_rank(*scenario.measurement),
         ARRIVAL_GRID_NS,
     )
+
+
+def default_worst_base_ns() -> int:
+    """Structural worst of the multi-master preset, rounded to whole us."""
+    worst = structural_worst_ns(load_preset("exp2"))
     return ((worst + 500) // 1_000) * 1_000
 
 
@@ -352,17 +362,8 @@ def pdo_reduction_analysis(scenario_hi: Scenario, scenario_lo: Scenario,
     if strip(scenario_hi) != strip(scenario_lo):
         raise ValueError("scenarios must be identical except for pdo_cycle_ns")
 
-    def structural(s: Scenario) -> int:
-        seg, dev = s.measurement
-        return structural_worst_latency(
-            s.topology.timing,
-            s.topology.segment_count,
-            s.topology.device_rank(seg, dev),
-            ARRIVAL_GRID_NS,
-        )
-
-    hi_struct = structural(scenario_hi)
-    lo_struct = structural(scenario_lo)
+    hi_struct = structural_worst_ns(scenario_hi)
+    lo_struct = structural_worst_ns(scenario_lo)
     empirical_hi = empirical_lo = empirical_delta = None
     if run_empirical:
         empirical_hi = run_scenario(

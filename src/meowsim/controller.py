@@ -3,7 +3,7 @@
 One controller drives up to six masters over a single event engine. The
 life of a request:
 
-  RequestGenerated   at the network controller          (marker 1)
+  t_generated_ns     generated at the network controller (marker 1)
   SouthboundArrived  +d_sb_ns at the device controller; the writes are
                      staged at +d_mm_ns (+drawn jitter) per targeted segment
   MasterEmit         next PDO boundary of each master   (marker 2); the
@@ -11,16 +11,21 @@ life of a request:
   DeviceLatched      +d_frame_head_ns + (p+1)*d_hop_ns + d_latch_ns for each
                      device p whose word the frame changes (marker 3)
   RequestComplete    at the last target's latch time
+
+Events at one instant run in this order, so a write staged exactly on a
+boundary rides that boundary's frame. Only a request handed in after that
+frame was built waits for the next one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .engine import Engine, EventKind, TimedEvent
+from .engine import Engine, EventKind
 from .errors import (
     DuplicateRequestId,
     NotYetComplete,
+    SchedulingInPast,
     TooManySegments,
     UnknownRequest,
     UnknownTarget,
@@ -34,7 +39,7 @@ from .simulation import (
     next_pdo_boundary,
 )
 from .codec import SlaveMapping, apply_datagram
-from .topology import MAX_SEGMENTS, OUTPUT_WORD_BYTES, Topology
+from .topology import MAX_SEGMENTS, OUTPUT_WORD_BYTES, Topology, require_int
 
 
 @dataclass(frozen=True)
@@ -44,6 +49,8 @@ class Target:
     word: int
 
     def __post_init__(self):
+        for name in ("segment", "device", "word"):
+            require_int(name, getattr(self, name))
         if not 0 <= self.word <= 0xFFFF:
             raise ValueError(f"output word must fit 16 bits, got {self.word:#x}")
 
@@ -54,6 +61,7 @@ class ConfigureRequest:
     targets: tuple[Target, ...]
 
     def __post_init__(self):
+        require_int("request_id", self.request_id)
         targets = tuple(self.targets)
         object.__setattr__(self, "targets", targets)
         if not targets:
@@ -132,7 +140,6 @@ class DeviceController:
         self._order = 0
         self._started = False
 
-        engine.on(EventKind.REQUEST_GENERATED, self._on_request_generated)
         engine.on(EventKind.SOUTHBOUND_ARRIVED, self._on_southbound_arrived)
         engine.on(EventKind.MASTER_EMIT, self._on_master_emit)
         engine.on(EventKind.DEVICE_LATCHED, self._on_device_latched)
@@ -147,17 +154,22 @@ class DeviceController:
         self._started = True
         for m in self.masters:
             first = boundary_at_or_after(self.engine.now, m.phase_ns, m.cycle_ns)
-            self.engine.schedule(first, EventKind.MASTER_EMIT, {"segment": m.segment})
+            self.engine.schedule(first, EventKind.MASTER_EMIT, m.segment)
 
     def submit(self, request: ConfigureRequest, t_generated_ns: int) -> None:
-        """Schedule a request's generation at the network controller side."""
+        """Send a request generated at t_generated_ns down the southbound."""
         self.validate_request(request)
         if request.request_id in self.traces:
             raise DuplicateRequestId(f"request {request.request_id} already submitted")
+        if t_generated_ns < self.engine.now:
+            raise SchedulingInPast(
+                f"cannot generate a request at {t_generated_ns}, clock is {self.engine.now}"
+            )
         self.engine.schedule(
+            t_generated_ns + self.timing.d_sb_ns,
+            EventKind.SOUTHBOUND_ARRIVED,
+            request,
             t_generated_ns,
-            EventKind.REQUEST_GENERATED,
-            {"request": request, "t_generated_ns": t_generated_ns},
         )
 
     def validate_request(self, request: ConfigureRequest) -> None:
@@ -175,17 +187,8 @@ class DeviceController:
 
     # -- event handlers ---------------------------------------------------
 
-    def _on_request_generated(self, ev: TimedEvent) -> None:
-        self.engine.schedule(
-            ev.time_ns + self.timing.d_sb_ns,
-            EventKind.SOUTHBOUND_ARRIVED,
-            ev.payload,
-        )
-
-    def _on_southbound_arrived(self, ev: TimedEvent) -> None:
-        self.handle_configure(
-            ev.payload["request"], ev.time_ns, ev.payload.get("t_generated_ns")
-        )
+    def _on_southbound_arrived(self, request: ConfigureRequest, t_generated_ns: int) -> None:
+        self.handle_configure(request, self.engine.now, t_generated_ns)
 
     def handle_configure(
         self,
@@ -247,10 +250,9 @@ class DeviceController:
         self.traces[request.request_id] = trace
         return trace
 
-    def _on_master_emit(self, ev: TimedEvent) -> None:
-        seg = ev.payload["segment"]
+    def _on_master_emit(self, seg: int) -> None:
         master = self.masters[seg]
-        boundary = ev.time_ns
+        boundary = self.engine.now
         before = bytes(master.image)  # the previous frame's image, zeros at first
         record = master.build_frame(boundary)
         dgram = record.frame.datagrams[0]
@@ -269,9 +271,7 @@ class DeviceController:
                     int.from_bytes(old, "little"), dgram, SlaveMapping(logical_start=lo)
                 )
                 self.engine.schedule(
-                    first_latch + p * hop,
-                    EventKind.DEVICE_LATCHED,
-                    {"segment": seg, "position": p, "word": new_word},
+                    first_latch + p * hop, EventKind.DEVICE_LATCHED, seg, p, new_word
                 )
         for rid in record.riders:
             trace = self.traces[rid]
@@ -285,22 +285,19 @@ class DeviceController:
                     trace.pending.discard(key)
             if not trace.pending:
                 self.engine.schedule(
-                    max(trace.t_latched_ns.values()),
-                    EventKind.REQUEST_COMPLETE,
-                    {"request_id": rid},
+                    max(trace.t_latched_ns.values()), EventKind.REQUEST_COMPLETE, rid
                 )
         self.engine.schedule(
             next_pdo_boundary(boundary, master.phase_ns, master.cycle_ns),
             EventKind.MASTER_EMIT,
-            {"segment": seg},
+            seg,
         )
 
-    def _on_device_latched(self, ev: TimedEvent) -> None:
-        device = self.devices[(ev.payload["segment"], ev.payload["position"])]
-        device.latch(ev.payload["word"], ev.time_ns)
+    def _on_device_latched(self, seg: int, position: int, word: int) -> None:
+        self.devices[(seg, position)].latch(word, self.engine.now)
 
-    def _on_request_complete(self, ev: TimedEvent) -> None:
-        trace = self.traces[ev.payload["request_id"]]
+    def _on_request_complete(self, request_id: int) -> None:
+        trace = self.traces[request_id]
         trace.config_time_ns = max(trace.t_latched_ns.values()) - trace.t_generated_ns
         trace.complete = True
         trace.check_ordering()

@@ -7,7 +7,6 @@ run side by side (parameter sweeps); they share nothing.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import SchedulingInPast
@@ -16,19 +15,15 @@ _U64 = (1 << 64) - 1
 
 
 class EventKind(Enum):
-    REQUEST_GENERATED = "RequestGenerated"
+    """Event kinds in lifecycle order, which is also same-instant run order."""
+
     SOUTHBOUND_ARRIVED = "SouthboundArrived"
     MASTER_EMIT = "MasterEmit"
     DEVICE_LATCHED = "DeviceLatched"
     REQUEST_COMPLETE = "RequestComplete"
 
 
-@dataclass(frozen=True)
-class TimedEvent:
-    time_ns: int
-    seq: int
-    kind: EventKind
-    payload: dict = field(compare=False)
+_RANK = {kind: rank for rank, kind in enumerate(EventKind)}
 
 
 class SplitMix64:
@@ -67,11 +62,15 @@ class SplitMix64:
 
 
 class Engine:
-    """Virtual-time event loop with stable FIFO ordering within a timestamp."""
+    """Virtual-time event loop.
+
+    Events at one instant run in EventKind order; events of one kind at
+    one instant run in the order they were scheduled.
+    """
 
     def __init__(self, seed: int = 0):
         self.rng = SplitMix64(seed)
-        self._heap: list[tuple[int, int, TimedEvent]] = []
+        self._heap: list[tuple] = []  # (time_ns, rank, seq, kind, args)
         self._seq = 0
         self._clock = 0
         self._handlers: dict[EventKind, callable] = {}
@@ -81,34 +80,32 @@ class Engine:
         return self._clock
 
     def on(self, kind: EventKind, handler) -> None:
-        """Register the single handler for an event kind."""
+        """Register the single handler for an event kind; it gets the args."""
         self._handlers[kind] = handler
 
-    def schedule(self, time_ns: int, kind: EventKind, payload: dict | None = None) -> TimedEvent:
+    def schedule(self, time_ns: int, kind: EventKind, *args) -> None:
         if time_ns < self._clock:
             raise SchedulingInPast(
                 f"cannot schedule {kind.value} at {time_ns}, clock is {self._clock}"
             )
-        event = TimedEvent(time_ns=time_ns, seq=self._seq, kind=kind, payload=payload or {})
+        heapq.heappush(self._heap, (time_ns, _RANK[kind], self._seq, kind, args))
         self._seq += 1
-        heapq.heappush(self._heap, (time_ns, event.seq, event))
-        return event
 
-    def run_until(self, t_end: int) -> list[TimedEvent]:
+    def run_until(self, t_end: int) -> int:
         """Process every event with time <= t_end; clock ends at >= t_end.
 
-        Returns the processed events in execution order.
+        Returns how many events were processed.
         """
         if t_end < self._clock:
             raise SchedulingInPast(f"cannot run to {t_end}, clock is {self._clock}")
-        processed = []
-        while self._heap and self._heap[0][0] <= t_end:
-            _, _, event = heapq.heappop(self._heap)
-            self._clock = event.time_ns
-            handler = self._handlers.get(event.kind)
+        heap = self._heap
+        processed = 0
+        while heap and heap[0][0] <= t_end:
+            self._clock, _, _, kind, args = heapq.heappop(heap)
+            handler = self._handlers.get(kind)
             if handler is not None:
-                handler(event)
-            processed.append(event)
+                handler(*args)
+            processed += 1
         self._clock = max(self._clock, t_end)
         return processed
 

@@ -15,6 +15,10 @@ class EmptySegment(MeowError):
     """A segment spec with zero devices."""
 
 
+class SegmentTooLong(MeowError):
+    """A segment with more devices than one cyclic datagram can carry."""
+
+
 class NegativeTiming(MeowError):
     """A timing parameter or phase below zero."""
 

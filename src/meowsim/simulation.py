@@ -153,14 +153,9 @@ class MasterState:
         riders = tuple(self.riders_by_boundary.pop(boundary_ns, ()))
         assert all(b > boundary_ns for b in self.riders_by_boundary), \
             "rider left behind a past boundary"
-        frame = EcatFrame.from_datagrams([
-            EcatDatagram(
-                cmd=EcatCmd.LWR,
-                idx=self.emit_count % 256,
-                address=0,
-                data=bytes(self.image),
-            )
-        ])
+        frame = EcatFrame((
+            EcatDatagram(cmd=EcatCmd.LWR, idx=self.emit_count % 256, data=bytes(self.image)),
+        ))
         self.emit_count += 1
         record = EmissionRecord(
             segment=self.segment, boundary_ns=boundary_ns, frame=frame, riders=riders

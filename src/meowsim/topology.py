@@ -9,16 +9,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass, asdict
 
+from .codec import MAX_DATA_LEN
 from .errors import (
     EmptySegment,
     IndexOutOfRange,
     NegativeTiming,
     SegmentCountExceeded,
+    SegmentTooLong,
 )
 
 MAX_SEGMENTS = 6
 OUTPUT_WORD_BYTES = 2  # one 16-bit digital-output word per device
+# each cycle's one LWR datagram carries the whole chain's output image
+MAX_SEGMENT_DEVICES = MAX_DATA_LEN // OUTPUT_WORD_BYTES
 MAX_PDO_CYCLE_NS = 100_000
+
+
+def require_int(name: str, value) -> None:
+    """Reject anything but a real int (bools and floats included)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -52,8 +62,7 @@ class TimingParams:
             "d_frame_head_ns", "d_hop_ns", "d_latch_ns", "link_mbps",
         ):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
+            require_int(name, value)
             if value < 0:
                 raise NegativeTiming(f"{name} must be >= 0, got {value}")
         if not 0 < self.pdo_cycle_ns <= MAX_PDO_CYCLE_NS:
@@ -70,12 +79,14 @@ class SegmentSpec:
     phase_ns: int = 0  # PDO boundary phase offset of this segment's master
 
     def __post_init__(self):
-        if not isinstance(self.device_count, int) or isinstance(self.device_count, bool):
-            raise TypeError(f"device_count must be an integer, got {self.device_count!r}")
+        require_int("device_count", self.device_count)
         if self.device_count < 1:
             raise EmptySegment(f"segment needs at least one device, got {self.device_count}")
-        if not isinstance(self.phase_ns, int) or isinstance(self.phase_ns, bool):
-            raise TypeError(f"phase_ns must be an integer, got {self.phase_ns!r}")
+        if self.device_count > MAX_SEGMENT_DEVICES:
+            raise SegmentTooLong(
+                f"at most {MAX_SEGMENT_DEVICES} devices per segment, got {self.device_count}"
+            )
+        require_int("phase_ns", self.phase_ns)
         if self.phase_ns < 0:
             raise NegativeTiming(f"phase_ns must be >= 0, got {self.phase_ns}")
 

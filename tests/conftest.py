@@ -1,11 +1,16 @@
-"""Shared pytest wiring: acceptance-criterion lines survive output capture.
+"""Shared pytest wiring.
 
-Each acceptance test records exactly one PASS/FAIL line. The lines are
-printed immediately (visible with -s or on failure) and repeated in the
-terminal summary, which pytest never captures.
+Acceptance-criterion lines survive output capture: each acceptance test
+records exactly one PASS/FAIL line. The lines are printed immediately
+(visible with -s or on failure) and repeated in the terminal summary,
+which pytest never captures.
+
+The dispatches fixture observes every event any engine runs.
 """
 
 import pytest
+
+from meowsim.engine import Engine
 
 ACCEPTANCE_LINES = []
 
@@ -16,6 +21,26 @@ def criterion():
         ACCEPTANCE_LINES.append(line)
         print(line)
     return _record
+
+
+@pytest.fixture
+def dispatches(monkeypatch):
+    """Every event dispatched while the test runs, as (time_ns, kind, args).
+
+    Each handler is wrapped when it is registered through Engine.on, so
+    only engines built inside the test are observed.
+    """
+    seen = []
+    register = Engine.on
+
+    def recording_on(engine, kind, handler):
+        def record(*args):
+            seen.append((engine.now, kind, args))
+            handler(*args)
+        register(engine, kind, record)
+
+    monkeypatch.setattr(Engine, "on", recording_on)
+    return seen
 
 
 def pytest_terminal_summary(terminalreporter):

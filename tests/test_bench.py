@@ -23,7 +23,7 @@ from meowsim.bench import (
 )
 from meowsim.controller import DeviceController
 from meowsim.engine import Engine
-from meowsim.errors import IoFailure
+from meowsim.errors import IoFailure, MeowError
 from meowsim.scenario import Scenario, load_preset
 from meowsim.stats import compute_stats, us_str_to_ns
 from meowsim.topology import SegmentSpec, TimingParams, Topology
@@ -52,27 +52,23 @@ class TestRunScenario:
         # closed-form latency model; passing is the assertion
         run_scenario(exp1_small(), check_oracle=True)
         run_scenario(exp2_small(), check_oracle=True)
+        # the longest legal cycle: arrivals tie with boundaries, and each
+        # such write rides its boundary (zero wait), never a cycle late
+        run_scenario(with_pdo_cycle(exp1_small(400), 100_000), check_oracle=True)
 
     @pytest.mark.parametrize("preset, expected", [
-        ("exp1", {"RequestGenerated": 1000, "SouthboundArrived": 1000,
-                  "MasterEmit": 5003, "DeviceLatched": 8000, "RequestComplete": 1000}),
-        ("exp2", {"RequestGenerated": 1000, "SouthboundArrived": 1000,
-                  "MasterEmit": 16012, "DeviceLatched": 8000, "RequestComplete": 1000}),
+        ("exp1", {"SouthboundArrived": 1000, "MasterEmit": 5003,
+                  "DeviceLatched": 8000, "RequestComplete": 1000}),
+        ("exp2", {"SouthboundArrived": 1000, "MasterEmit": 16012,
+                  "DeviceLatched": 8000, "RequestComplete": 1000}),
     ])
-    def test_event_counts_by_kind(self, monkeypatch, preset, expected):
+    def test_event_counts_by_kind(self, dispatches, preset, expected):
         # one MasterEmit per frame, one DeviceLatched per changed word: no
-        # per-device arrival fan-out and no marker-only events
-        counts = Counter()
-        run_until = Engine.run_until
-
-        def counting_run_until(engine, t_end):
-            events = run_until(engine, t_end)
-            counts.update(event.kind.value for event in events)
-            return events
-
-        monkeypatch.setattr(Engine, "run_until", counting_run_until)
+        # per-device arrival fan-out and no marker-only or relay events
         run_scenario(load_preset(preset).with_changes(outputs=None))
+        counts = Counter(kind.value for _, kind, _ in dispatches)
         assert dict(counts) == expected
+        assert sum(counts.values()) == {"exp1": 15_003, "exp2": 26_012}[preset]
 
     def test_oracle_check_can_be_skipped(self):
         a = run_scenario(exp1_small(10), check_oracle=True)
@@ -253,6 +249,13 @@ class TestExtrapolation:
             extrapolate_worst(187_000, -1.0, 10)
         with pytest.raises(ValueError):
             extrapolate_worst(187_000, 900.0, 0)
+
+    def test_fabric_must_be_one_controller_can_drive(self):
+        assert racks_to_devices_per_segment(743, 1) == 743
+        with pytest.raises(MeowError, match="743"):
+            racks_to_devices_per_segment(744, 1)
+        with pytest.raises(MeowError, match="masters"):
+            racks_to_devices_per_segment(1_000, 7)
 
     def test_default_worst_base(self):
         assert default_worst_base_ns() == 187_000

@@ -120,6 +120,14 @@ class TestExtrapolate:
     def test_invalid_masters(self, capsys):
         assert main(["extrapolate", "--racks", "1000", "--masters", "0"]) == 2
 
+    def test_more_masters_than_one_controller_drives(self, capsys):
+        assert main(["extrapolate", "--racks", "1000", "--masters", "7"]) == 2
+        assert "SegmentCountExceeded" in capsys.readouterr().err
+
+    def test_chain_longer_than_one_datagram_carries(self, capsys):
+        assert main(["extrapolate", "--racks", "1000", "--masters", "1"]) == 2
+        assert "SegmentTooLong" in capsys.readouterr().err
+
 
 class TestPdoCompare:
     def test_structural_only(self, exp2_file, capsys):

@@ -69,21 +69,21 @@ class TestSingleSegmentPipeline:
         assert [b - a for a, b in zip(latches, latches[1:])] == [900] * 7
         assert report.config_time_ns == latches[-1] == 116_000
 
-    def test_emission_is_periodic(self):
+    def test_emission_is_periodic(self, dispatches):
         engine, ctrl = make(chain_topology())
         ctrl.start()
         ctrl.submit(req(1, (0, 0, 1)), t_generated_ns=0)
-        events = engine.run_until(10 * 32_000)
-        emits = [e.time_ns for e in events if e.kind is EventKind.MASTER_EMIT]
+        engine.run_until(10 * 32_000)
+        emits = [t for t, kind, _ in dispatches if kind is EventKind.MASTER_EMIT]
         assert emits[0] == 0
         assert all(b - a == 32_000 for a, b in zip(emits, emits[1:]))
         assert all(t % 32_000 == 0 for t in emits)
 
-    def test_emission_phase_offset(self):
+    def test_emission_phase_offset(self, dispatches):
         engine, ctrl = make(chain_topology(devices=1, phase_ns=16_000))
         ctrl.start()
-        events = engine.run_until(100_000)
-        emits = [e.time_ns for e in events if e.kind is EventKind.MASTER_EMIT]
+        engine.run_until(100_000)
+        emits = [t for t, kind, _ in dispatches if kind is EventKind.MASTER_EMIT]
         assert emits == [16_000, 48_000, 80_000]
 
     def test_frame_wkc_counts_every_device(self):
@@ -190,7 +190,8 @@ class TestMultiSegment:
 
 class TestBoundaryCoincidence:
     """Staging at the very instant of a boundary: ride if the frame has not
-    been snapshotted yet, otherwise wait a full extra cycle."""
+    been built yet, otherwise wait a full extra cycle. Queued events at one
+    instant run in lifecycle order, so a queued arrival always rides."""
 
     def topology(self):
         # cycle longer than the southbound delay so arrival can tie with
@@ -204,13 +205,22 @@ class TestBoundaryCoincidence:
         assert report.t_master_emit_ns == {0: 80_000}
         assert report.config_time_ns == 70_000 + 0 + 12_000 + 900 + 800
 
-    def test_waits_full_cycle_when_frame_already_left(self):
+    def test_rides_when_emission_scheduled_first(self):
         engine, ctrl = make(self.topology())
-        ctrl.start()  # emission chain exists first, so its event wins the tie
+        ctrl.start()  # the 80000 emission is queued before the arrival
         ctrl.submit(req(1, (0, 0, 1)), t_generated_ns=10_000)
         report = ctrl.run_until_complete(1)
+        assert report.t_master_emit_ns == {0: 80_000}
+        assert report.config_time_ns == 70_000 + 0 + 12_000 + 900 + 800
+
+    def test_waits_full_cycle_when_frame_already_built(self):
+        engine, ctrl = make(self.topology())
+        ctrl.start()
+        engine.run_until(80_000)  # the 80000 frame is built and on the wire
+        ctrl.handle_configure(req(1, (0, 0, 1)), t_arrival_ns=80_000)
+        report = ctrl.run_until_complete(1)
         assert report.t_master_emit_ns == {0: 160_000}
-        assert report.config_time_ns == 70_000 + 80_000 + 12_000 + 900 + 800
+        assert report.config_time_ns == 163_700
 
 
 class TestValidationAndErrors:

@@ -18,39 +18,49 @@ HEX64 = re.compile(r"0x[0-9A-Fa-f]{16}")
 class TestScheduleAndRun:
     def test_empty_queue_advances_clock(self):
         engine = Engine()
-        assert engine.run_until(1000) == []
+        assert engine.run_until(1000) == 0
         assert engine.now == 1000
 
     def test_time_order(self):
         engine = Engine()
         seen = []
-        engine.on(EventKind.MASTER_EMIT, lambda ev: seen.append(ev.time_ns))
+        engine.on(EventKind.MASTER_EMIT, lambda: seen.append(engine.now))
         for t in (30, 10, 20):
             engine.schedule(t, EventKind.MASTER_EMIT)
-        processed = engine.run_until(20)
+        assert engine.run_until(20) == 2
         assert seen == [10, 20]
-        assert len(processed) == 2
         assert engine.pending_count() == 1
 
     def test_fifo_within_timestamp(self):
         engine = Engine()
         seen = []
-        engine.on(EventKind.MASTER_EMIT, lambda ev: seen.append(ev.payload["tag"]))
-        engine.schedule(100, EventKind.MASTER_EMIT, {"tag": "A"})
-        engine.schedule(100, EventKind.MASTER_EMIT, {"tag": "B"})
+        engine.on(EventKind.MASTER_EMIT, lambda *args: seen.append(args))
+        engine.schedule(100, EventKind.MASTER_EMIT, "A", 1)
+        engine.schedule(100, EventKind.MASTER_EMIT, "B", 2)
         engine.run_until(100)
-        assert seen == ["A", "B"]
+        assert seen == [("A", 1), ("B", 2)]
+
+    def test_same_instant_runs_in_lifecycle_order(self):
+        engine = Engine()
+        seen = []
+        for kind in EventKind:
+            engine.on(kind, lambda kind=kind: seen.append(kind))
+        for kind in reversed(EventKind):
+            engine.schedule(100, kind)
+        engine.schedule(99, EventKind.REQUEST_COMPLETE)
+        assert engine.run_until(100) == 5
+        assert seen == [EventKind.REQUEST_COMPLETE, *EventKind]
 
     def test_schedule_at_now_runs_after_queued(self):
         engine = Engine()
         seen = []
 
-        def first(ev):
+        def first():
             seen.append("first")
-            engine.schedule(ev.time_ns, EventKind.DEVICE_LATCHED, {})
+            engine.schedule(engine.now, EventKind.DEVICE_LATCHED)
 
         engine.on(EventKind.MASTER_EMIT, first)
-        engine.on(EventKind.DEVICE_LATCHED, lambda ev: seen.append("second"))
+        engine.on(EventKind.DEVICE_LATCHED, lambda: seen.append("second"))
         engine.schedule(50, EventKind.MASTER_EMIT)
         engine.run_until(50)
         assert seen == ["first", "second"]
@@ -64,7 +74,7 @@ class TestScheduleAndRun:
     def test_clock_monotone_over_processing(self):
         engine = Engine()
         times = []
-        engine.on(EventKind.MASTER_EMIT, lambda ev: times.append(engine.now))
+        engine.on(EventKind.MASTER_EMIT, lambda: times.append(engine.now))
         for t in (5, 1, 9, 9, 2):
             engine.schedule(t, EventKind.MASTER_EMIT)
         engine.run_until(10)

@@ -5,6 +5,7 @@ import socket
 
 import pytest
 
+from meowsim.simulation import analytic_latency
 from meowsim.southbound import SouthboundServer, SouthboundSession, _parse_outputs
 from meowsim.topology import SegmentSpec, TimingParams, Topology
 
@@ -119,6 +120,33 @@ class TestSession:
         session = SouthboundSession(topology())
         (reply,) = session.handle_line(configure_line(4, [(0, 0, "0x10000")]))
         assert json.loads(reply)["code"] == "BadMessage"
+
+    @pytest.mark.parametrize("message", [
+        {"type": "configure", "request_id": 5,
+         "targets": [{"segment": 0, "device": 0.5, "outputs": 1}]},
+        {"type": "configure", "request_id": 5,
+         "targets": [{"segment": 0, "device": True, "outputs": 1}]},
+        {"type": "configure", "request_id": 5,
+         "targets": [{"segment": 0.0, "device": 0, "outputs": 1}]},
+        {"type": "configure", "request_id": [1],
+         "targets": [{"segment": 0, "device": 0, "outputs": 1}]},
+        {"type": "configure",
+         "targets": [{"segment": 0, "device": 0, "outputs": 1}]},
+    ], ids=["fractional-device", "bool-device", "float-segment",
+            "list-request-id", "missing-request-id"])
+    def test_bad_field_types_rejected_and_session_survives(self, message):
+        session = SouthboundSession(topology())
+        (reply,) = session.handle_line(json.dumps(message))
+        assert json.loads(reply)["code"] == "BadMessage"
+        # the shared simulation keeps running: a valid request still
+        # completes at the oracle's latency for its boundary wait
+        ack, done = (json.loads(r) for r in
+                     session.handle_line(configure_line(6, [(0, 7, 1)])))
+        assert ack["type"] == "ack"
+        trace = done["trace"]
+        wait = trace["t_master_emit_ns"]["0"] - (trace["t_generated_ns"] + 70_000)
+        timing = session.controller.timing
+        assert trace["config_time_ns"] == analytic_latency(timing, 1, 8, wait)
 
     def test_simulated_clock_advances_across_requests(self):
         session = SouthboundSession(topology())

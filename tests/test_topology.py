@@ -2,12 +2,16 @@
 
 import pytest
 
+from meowsim.controller import ConfigureRequest, DeviceController, Target
+from meowsim.engine import Engine
 from meowsim.errors import (
     EmptySegment,
     IndexOutOfRange,
+    MeowError,
     NegativeTiming,
     SegmentCountExceeded,
 )
+from meowsim.simulation import analytic_latency
 from meowsim.topology import (
     MAX_SEGMENTS,
     SegmentSpec,
@@ -63,6 +67,25 @@ class TestSegmentSpec:
     def test_negative_phase(self):
         with pytest.raises(NegativeTiming):
             SegmentSpec(device_count=1, phase_ns=-1)
+
+    def test_longest_chain_one_datagram_carries(self):
+        # 743 two-byte words fill the 1486-byte datagram data limit
+        topo = build_topology({
+            "segments": [{"device_count": 743}],
+            "timing": {"pdo_cycle_ns": 32_000},
+        })
+        engine = Engine()
+        ctrl = DeviceController(engine, topo)
+        ctrl.submit(ConfigureRequest(1, (Target(0, 742, 1),)), t_generated_ns=0)
+        report = ctrl.run_until_complete(1)
+        assert report.config_time_ns == analytic_latency(topo.timing, 1, 743, 26_000)
+
+    def test_chain_past_datagram_limit_rejected_at_load(self):
+        with pytest.raises(MeowError, match="743"):
+            build_topology({
+                "segments": [{"device_count": 744}],
+                "timing": {"pdo_cycle_ns": 32_000},
+            })
 
 
 class TestTopology:
