@@ -33,13 +33,11 @@ from .errors import (
 from .simulation import (
     DeviceState,
     MasterState,
-    StagedWrite,
     analytic_latency,
     boundary_at_or_after,
     next_pdo_boundary,
 )
-from .codec import SlaveMapping, apply_datagram
-from .topology import MAX_SEGMENTS, OUTPUT_WORD_BYTES, Topology, require_int
+from .topology import MAX_SEGMENTS, Topology, require_int
 
 
 @dataclass(frozen=True)
@@ -91,7 +89,6 @@ class RequestTrace:
     targets: tuple[Target, ...]
     segments: dict[int, SegmentTrace] = field(default_factory=dict)
     t_latched_ns: dict[tuple[int, int], int] = field(default_factory=dict)
-    pending: set = field(default_factory=set)
     complete: bool = False
     config_time_ns: int | None = None
 
@@ -137,7 +134,6 @@ class DeviceController:
         }
         self.traces: dict[int, RequestTrace] = {}
         self.completion_callbacks = []
-        self._order = 0
         self._started = False
 
         engine.on(EventKind.SOUTHBOUND_ARRIVED, self._on_southbound_arrived)
@@ -209,7 +205,6 @@ class DeviceController:
             request_id=request.request_id,
             t_generated_ns=t_generated_ns,
             targets=request.targets,
-            pending={(t.segment, t.device) for t in request.targets},
         )
 
         multi = self.timing.d_mm_ns if self.topology.segment_count > 1 else 0
@@ -217,34 +212,8 @@ class DeviceController:
         for seg in request.segments:
             jitter = self.engine.rng.uniform_draw(0, self.timing.d_jitter_max_ns)
             stage_ns = t_arrival_ns + multi + jitter
-            master = self.masters[seg]
-            writes = tuple(
-                (
-                    self.topology.logical_offset(t.segment, t.device),
-                    t.word.to_bytes(OUTPUT_WORD_BYTES, "little"),
-                )
-                for t in sorted(
-                    (t for t in request.targets if t.segment == seg),
-                    key=lambda t: t.device,
-                )
-            )
-            pickup = boundary_at_or_after(stage_ns, master.phase_ns, master.cycle_ns)
-            last = master.last_emission
-            if last is not None and last.boundary_ns >= pickup:
-                # this boundary's frame is already on the wire: ride the next
-                pickup = next_pdo_boundary(
-                    last.boundary_ns, master.phase_ns, master.cycle_ns
-                )
-            master.stage(
-                StagedWrite(
-                    stage_ns=stage_ns,
-                    order=self._order,
-                    request_id=request.request_id,
-                    writes=writes,
-                    pickup_ns=pickup,
-                )
-            )
-            self._order += 1
+            writes = tuple((t.device, t.word) for t in request.targets if t.segment == seg)
+            self.masters[seg].stage(stage_ns, request.request_id, writes)
             trace.segments[seg] = SegmentTrace(staged_ns=stage_ns, jitter_ns=jitter)
 
         self.traces[request.request_id] = trace
@@ -253,27 +222,13 @@ class DeviceController:
     def _on_master_emit(self, seg: int) -> None:
         master = self.masters[seg]
         boundary = self.engine.now
-        before = bytes(master.image)  # the previous frame's image, zeros at first
-        record = master.build_frame(boundary)
-        dgram = record.frame.datagrams[0]
-        # the LWR covers the whole image: every device increments it once
-        record.wkc = master.device_count
+        frame = master.build_frame(boundary)
         t = self.timing
         hop = t.d_hop_ns
         first_latch = boundary + t.d_frame_head_ns + hop + t.d_latch_ns
-        if dgram.data != before:
-            for p in range(master.device_count):
-                lo = p * OUTPUT_WORD_BYTES
-                old = before[lo:lo + OUTPUT_WORD_BYTES]
-                if dgram.data[lo:lo + OUTPUT_WORD_BYTES] == old:
-                    continue
-                new_word, _, _ = apply_datagram(
-                    int.from_bytes(old, "little"), dgram, SlaveMapping(logical_start=lo)
-                )
-                self.engine.schedule(
-                    first_latch + p * hop, EventKind.DEVICE_LATCHED, seg, p, new_word
-                )
-        for rid in record.riders:
+        for p, word in frame.changed:
+            self.engine.schedule(first_latch + p * hop, EventKind.DEVICE_LATCHED, seg, p, word)
+        for rid in frame.riders:
             trace = self.traces[rid]
             seg_trace = trace.segments[seg]
             assert seg_trace.emit_ns is None
@@ -282,8 +237,7 @@ class DeviceController:
                 if target.segment == seg:
                     key = (seg, target.device)
                     trace.t_latched_ns[key] = first_latch + target.device * hop
-                    trace.pending.discard(key)
-            if not trace.pending:
+            if all(st.emit_ns is not None for st in trace.segments.values()):
                 self.engine.schedule(
                     max(trace.t_latched_ns.values()), EventKind.REQUEST_COMPLETE, rid
                 )
@@ -335,18 +289,22 @@ class DeviceController:
         )
 
     def run_until_complete(self, request_id: int) -> CompletionReport:
-        """Drive the engine until the given request finishes."""
-        if request_id not in self.traces:
-            # not yet arrived southbound: run ahead in cycle steps until it is
-            deadline = self.engine.now + 4 * self.timing.pdo_cycle_ns + self.request_span_ns()
-            while request_id not in self.traces and self.engine.now < deadline:
-                self.engine.run_until(self.engine.now + self.timing.pdo_cycle_ns)
-            if request_id not in self.traces:
-                raise UnknownRequest(f"no request {request_id}")
-        trace = self.traces[request_id]
-        deadline = self.engine.now + self.request_span_ns() + 4 * self.timing.pdo_cycle_ns
-        while not trace.complete and self.engine.now < deadline:
-            self.engine.run_until(self.engine.now + self.timing.pdo_cycle_ns)
-        if not trace.complete:
-            raise NotYetComplete(f"request {request_id} missed its latency bound")
-        return self.completion_report(request_id)
+        """Drive the engine one event instant at a time until the request finishes.
+
+        The clock stops at the completion instant, so a request handed in
+        next can still ride the following boundary's frame.
+        """
+        # room for the request to arrive southbound, then to complete
+        slack = self.request_span_ns() + 4 * self.timing.pdo_cycle_ns
+        deadline = self.engine.now + 2 * slack
+        while True:
+            trace = self.traces.get(request_id)
+            if trace is not None and trace.complete:
+                return self.completion_report(request_id)
+            t = self.engine.next_time_ns()
+            if t is None or t > deadline:
+                break
+            self.engine.run_until(t)
+        if trace is None:
+            raise UnknownRequest(f"no request {request_id}")
+        raise NotYetComplete(f"request {request_id} missed its latency bound")

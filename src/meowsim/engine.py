@@ -109,5 +109,6 @@ class Engine:
         self._clock = max(self._clock, t_end)
         return processed
 
-    def pending_count(self) -> int:
-        return len(self._heap)
+    def next_time_ns(self) -> int | None:
+        """Time of the earliest queued event; None when nothing is queued."""
+        return self._heap[0][0] if self._heap else None

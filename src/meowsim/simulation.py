@@ -7,10 +7,10 @@ tests hold them to exact integer equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import itemgetter
+from typing import NamedTuple
 
-from .codec import EcatCmd, EcatDatagram, EcatFrame
-from .topology import OUTPUT_WORD_BYTES, TimingParams
+from .topology import TimingParams
 
 
 def next_pdo_boundary(t: int, phase_ns: int, cycle_ns: int) -> int:
@@ -87,81 +87,57 @@ def structural_worst_latency(timing: TimingParams, n_segments: int, device_rank:
     )
 
 
-@dataclass(frozen=True)
-class StagedWrite:
-    """One request's pending writes for one master, awaiting frame pickup."""
+class Frame(NamedTuple):
+    """What one cycle's frame does: the requests it carries, the words it changes."""
 
-    stage_ns: int
-    order: int  # controller-wide arrival order, the FIFO tie-break
-    request_id: int
-    writes: tuple  # ((byte offset, little-endian word bytes), ...)
-    pickup_ns: int  # the boundary whose frame carries these writes
-
-
-@dataclass
-class EmissionRecord:
-    """One cyclic frame: the image it carries and the requests riding it."""
-
-    segment: int
-    boundary_ns: int
-    frame: EcatFrame
-    wkc: int = 0  # set when the frame is emitted: one per device it passes
-    riders: tuple = ()  # request ids whose writes this frame carries
+    riders: tuple  # request ids, in staging order
+    changed: tuple  # ((device, new word), ...) in ascending device order
 
 
 class MasterState:
-    """One EtherCAT master: staged output image plus pending writes.
+    """One EtherCAT master: its chain's output words and the writes staged for them.
 
-    Writes are buffered in arrival order and folded into the image when a
-    boundary's frame is built (last writer wins per output word), so
-    requests arriving between staging and emission coalesce into the same
-    cyclic frame.
+    Writes are keyed by the boundary whose frame picks them up and folded
+    into the words when that frame is built (last writer wins per word, in
+    staging-time order), so requests staged within one cycle coalesce into
+    the same cyclic frame.
     """
 
     def __init__(self, segment: int, phase_ns: int, cycle_ns: int, device_count: int):
         self.segment = segment
         self.phase_ns = phase_ns
         self.cycle_ns = cycle_ns
-        self.device_count = device_count
-        self.image = bytearray(device_count * OUTPUT_WORD_BYTES)
-        self.pending: list[StagedWrite] = []
-        self.riders_by_boundary: dict[int, list[int]] = {}
-        self.emit_count = 0
-        self.last_emission: EmissionRecord | None = None
+        self.words = [0] * device_count
+        # {pickup_ns: [(stage_ns, request_id, ((device, word), ...)), ...]}
+        self.staged: dict[int, list[tuple]] = {}
+        self.built_ns = -1  # boundary of the last frame built, -1 before the first
 
-    def stage(self, staged: StagedWrite) -> None:
-        for offset, word_bytes in staged.writes:
-            if not 0 <= offset <= len(self.image) - len(word_bytes):
-                raise ValueError(f"write at offset {offset} outside segment image")
-        self.pending.append(staged)
-        self.riders_by_boundary.setdefault(staged.pickup_ns, []).append(
-            staged.request_id
-        )
+    def stage(self, stage_ns: int, request_id: int, writes: tuple) -> None:
+        """Stage ((device, word), ...) on the frame that picks them up."""
+        for device, _ in writes:
+            if not 0 <= device < len(self.words):
+                raise ValueError(f"write to device {device} outside segment")
+        pickup = boundary_at_or_after(stage_ns, self.phase_ns, self.cycle_ns)
+        if self.built_ns >= pickup:
+            # this boundary's frame is already on the wire: ride the next
+            pickup = next_pdo_boundary(self.built_ns, self.phase_ns, self.cycle_ns)
+        self.staged.setdefault(pickup, []).append((stage_ns, request_id, writes))
 
-    def build_frame(self, boundary_ns: int) -> EmissionRecord:
-        """Fold due writes into the image and snapshot the cycle's frame."""
-        due = sorted(
-            (s for s in self.pending if s.stage_ns <= boundary_ns),
-            key=lambda s: (s.stage_ns, s.order),
-        )
-        if due:
-            self.pending = [s for s in self.pending if s.stage_ns > boundary_ns]
-        for staged in due:
-            assert staged.pickup_ns == boundary_ns, "staged write missed its boundary"
-            for offset, word_bytes in staged.writes:
-                self.image[offset:offset + len(word_bytes)] = word_bytes
-        riders = tuple(self.riders_by_boundary.pop(boundary_ns, ()))
-        assert all(b > boundary_ns for b in self.riders_by_boundary), \
-            "rider left behind a past boundary"
-        frame = EcatFrame((
-            EcatDatagram(cmd=EcatCmd.LWR, idx=self.emit_count % 256, data=bytes(self.image)),
-        ))
-        self.emit_count += 1
-        record = EmissionRecord(
-            segment=self.segment, boundary_ns=boundary_ns, frame=frame, riders=riders
-        )
-        self.last_emission = record
-        return record
+    def build_frame(self, boundary_ns: int) -> Frame:
+        """Fold the writes due at this boundary into the words."""
+        self.built_ns = boundary_ns
+        due = self.staged.pop(boundary_ns, ())
+        assert all(b > boundary_ns for b in self.staged), "staged write missed its boundary"
+        latest = {}
+        for _, _, writes in sorted(due, key=itemgetter(0)):
+            latest.update(writes)
+        changed = []
+        for device in sorted(latest):
+            word = latest[device]
+            if word != self.words[device]:
+                self.words[device] = word
+                changed.append((device, word))
+        return Frame(riders=tuple(rid for _, rid, _ in due), changed=tuple(changed))
 
 
 class DeviceState:

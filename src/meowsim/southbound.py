@@ -60,7 +60,7 @@ class SouthboundSession:
     def _handle(self, line: str):
         try:
             message = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             return [self._error(None, "BadMessage", f"not valid JSON: {exc}")]
         if not isinstance(message, dict):
             return [self._error(None, "BadMessage", "message must be an object")]

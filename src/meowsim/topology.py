@@ -107,14 +107,16 @@ class Topology:
             raise SegmentCountExceeded(
                 f"at most {MAX_SEGMENTS} segments per controller, got {len(segments)}"
             )
+        for i, seg in enumerate(segments):
+            if seg.phase_ns >= self.timing.pdo_cycle_ns:
+                raise ValueError(
+                    f"segment {i} phase_ns must be below pdo_cycle_ns "
+                    f"{self.timing.pdo_cycle_ns}, got {seg.phase_ns}"
+                )
 
     @property
     def segment_count(self) -> int:
         return len(self.segments)
-
-    def device_count(self, segment: int) -> int:
-        self.validate_segment(segment)
-        return self.segments[segment].device_count
 
     def validate_segment(self, segment: int) -> None:
         if not 0 <= segment < len(self.segments):
@@ -127,11 +129,6 @@ class Topology:
                 f"device {device} not in segment {segment} "
                 f"(has {self.segments[segment].device_count})"
             )
-
-    def logical_offset(self, segment: int, device: int) -> int:
-        """Byte offset of a device's output word in its segment's logical image."""
-        self.validate_target(segment, device)
-        return device * OUTPUT_WORD_BYTES
 
     def device_rank(self, segment: int, device: int) -> int:
         """1-based chain position used by the latency model (1 = nearest)."""

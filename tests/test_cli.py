@@ -76,6 +76,17 @@ class TestRun:
         assert "invalid scenario JSON" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("flags", [[], ["--no-oracle-check"]],
+                             ids=["oracle-check", "no-oracle-check"])
+    def test_phase_of_a_cycle_or_more_rejected_at_load(self, tmp_path, capsys, flags):
+        doc = scenario_doc([8], 32_000)
+        doc["topology"]["segments"][0]["phase_ns"] = 200_000
+        path = tmp_path / "phase.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["run", str(path), *flags]) == 2
+        assert "phase_ns" in capsys.readouterr().err
+
+
 class TestSweep:
     def test_slope_and_csv(self, exp1_file, tmp_path, capsys):
         csv_path = tmp_path / "sweep.csv"

@@ -86,14 +86,15 @@ class TestSingleSegmentPipeline:
         emits = [t for t, kind, _ in dispatches if kind is EventKind.MASTER_EMIT]
         assert emits == [16_000, 48_000, 80_000]
 
-    def test_frame_wkc_counts_every_device(self):
+    def test_frame_wkc_counts_every_device(self, dispatches):
         engine, ctrl = make(chain_topology())
         ctrl.submit(req(1, *[(0, d, 0xFFFF) for d in range(8)]), t_generated_ns=0)
         engine.run_until(116_000)  # past the carrying frame's last device visit
-        record = ctrl.masters[0].last_emission
-        assert record.boundary_ns == 96_000
-        assert record.riders == (1,)
-        assert record.wkc == 8  # one increment per written device
+        assert ctrl.traces[1].t_master_emit_ns == {0: 96_000}
+        # one latch per written device, as the frame's working counter counts
+        latched = [args for _, kind, args in dispatches if kind is EventKind.DEVICE_LATCHED]
+        assert latched == [(0, d, 0xFFFF) for d in range(8)]
+        assert ctrl.masters[0].words == [0xFFFF] * 8
 
 
 class TestCoalescing:
@@ -287,7 +288,7 @@ class TestValidationAndErrors:
         engine, ctrl = make(chain_topology())
         with pytest.raises(UnknownTarget):
             ctrl.handle_configure(req(1, (0, 99, 1)), t_arrival_ns=70_000)
-        assert ctrl.masters[0].pending == []
+        assert ctrl.masters[0].staged == {}
         assert 1 not in ctrl.traces
 
 

@@ -29,7 +29,7 @@ class TestScheduleAndRun:
             engine.schedule(t, EventKind.MASTER_EMIT)
         assert engine.run_until(20) == 2
         assert seen == [10, 20]
-        assert engine.pending_count() == 1
+        assert engine.next_time_ns() == 30
 
     def test_fifo_within_timestamp(self):
         engine = Engine()

@@ -2,11 +2,9 @@
 
 import pytest
 
-from meowsim.codec import EcatCmd
 from meowsim.simulation import (
     DeviceState,
     MasterState,
-    StagedWrite,
     analytic_latency,
     boundary_at_or_after,
     next_pdo_boundary,
@@ -93,59 +91,65 @@ class TestMasterState:
     def master(self):
         return MasterState(segment=0, phase_ns=0, cycle_ns=32_000, device_count=2)
 
-    def staged(self, stage_ns, order, rid, word, device=0, pickup=32_000):
-        return StagedWrite(
-            stage_ns=stage_ns,
-            order=order,
-            request_id=rid,
-            writes=((device * 2, word.to_bytes(2, "little")),),
-            pickup_ns=pickup,
-        )
-
     def test_image_snapshot(self):
         m = self.master()
-        m.stage(self.staged(10_000, 0, 1, 0xBEEF))
-        record = m.build_frame(32_000)
-        assert record.frame.datagrams[0].data == b"\xEF\xBE\x00\x00"
-        assert record.frame.datagrams[0].cmd is EcatCmd.LWR
-        assert record.riders == (1,)
+        m.stage(10_000, 1, ((0, 0xBEEF),))
+        frame = m.build_frame(32_000)
+        assert frame.riders == (1,)
+        assert frame.changed == ((0, 0xBEEF),)
+        assert m.words == [0xBEEF, 0]
+        # a word written again with its current value changes nothing
+        m.stage(40_000, 2, ((0, 0xBEEF),))
+        frame = m.build_frame(64_000)
+        assert frame.riders == (2,)
+        assert frame.changed == ()
 
     def test_last_writer_wins_coalescing(self):
         m = self.master()
-        m.stage(self.staged(10_000, 0, 1, 0x1111))
-        m.stage(self.staged(20_000, 1, 2, 0x2222))
-        record = m.build_frame(32_000)
-        assert record.frame.datagrams[0].data[:2] == b"\x22\x22"
-        assert record.riders == (1, 2)
+        m.stage(10_000, 1, ((0, 0x1111), (1, 0x0001)))
+        m.stage(20_000, 2, ((0, 0x2222),))
+        frame = m.build_frame(32_000)
+        assert frame.changed == ((0, 0x2222), (1, 0x0001))
+        assert frame.riders == (1, 2)
 
     def test_coalescing_order_by_stage_time_not_insertion(self):
         m = self.master()
-        m.stage(self.staged(20_000, 0, 1, 0x1111))
-        m.stage(self.staged(10_000, 1, 2, 0x2222))
-        record = m.build_frame(32_000)
-        # the later-staged write (request 1) lands on top
-        assert record.frame.datagrams[0].data[:2] == b"\x11\x11"
+        m.stage(20_000, 1, ((0, 0x1111),))
+        m.stage(10_000, 2, ((0, 0x2222),))
+        m.stage(10_000, 3, ((1, 0x3333),))
+        m.stage(10_000, 4, ((1, 0x4444),))
+        frame = m.build_frame(32_000)
+        # the later-staged write (request 1) lands on top; equal staging
+        # times keep staging order (request 4 after request 3)
+        assert frame.changed == ((0, 0x1111), (1, 0x4444))
+        assert frame.riders == (1, 2, 3, 4)
 
     def test_future_writes_stay_pending(self):
         m = self.master()
-        m.stage(self.staged(40_000, 0, 1, 0x1111, pickup=64_000))
-        record = m.build_frame(32_000)
-        assert record.riders == ()
-        assert record.frame.datagrams[0].data == bytes(4)
-        assert len(m.pending) == 1
+        m.stage(40_000, 1, ((0, 0x1111),))
+        frame = m.build_frame(32_000)
+        assert frame.riders == frame.changed == ()
+        assert list(m.staged) == [64_000]
+        assert m.build_frame(64_000).riders == (1,)
+
+    def test_write_on_a_built_boundary_rides_the_next(self):
+        m = self.master()
+        m.build_frame(32_000)
+        m.stage(32_000, 1, ((0, 0x1111),))
+        assert m.build_frame(64_000).riders == (1,)
 
     def test_idle_frames_still_emitted(self):
         m = self.master()
         first = m.build_frame(32_000)
         second = m.build_frame(64_000)
-        assert first.riders == second.riders == ()
-        assert m.emit_count == 2
-        assert second.frame.datagrams[0].idx == 1
+        assert first == second == ((), ())
+        assert m.words == [0, 0]
 
     def test_write_outside_image_rejected(self):
         m = self.master()
         with pytest.raises(ValueError):
-            m.stage(self.staged(0, 0, 1, 0xFFFF, device=2))
+            m.stage(0, 1, ((2, 0xFFFF),))
+        assert m.staged == {}
 
 
 class TestDeviceState:

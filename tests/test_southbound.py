@@ -121,22 +121,23 @@ class TestSession:
         (reply,) = session.handle_line(configure_line(4, [(0, 0, "0x10000")]))
         assert json.loads(reply)["code"] == "BadMessage"
 
-    @pytest.mark.parametrize("message", [
-        {"type": "configure", "request_id": 5,
-         "targets": [{"segment": 0, "device": 0.5, "outputs": 1}]},
-        {"type": "configure", "request_id": 5,
-         "targets": [{"segment": 0, "device": True, "outputs": 1}]},
-        {"type": "configure", "request_id": 5,
-         "targets": [{"segment": 0.0, "device": 0, "outputs": 1}]},
-        {"type": "configure", "request_id": [1],
-         "targets": [{"segment": 0, "device": 0, "outputs": 1}]},
-        {"type": "configure",
-         "targets": [{"segment": 0, "device": 0, "outputs": 1}]},
+    @pytest.mark.parametrize("line", [
+        json.dumps({"type": "configure", "request_id": 5,
+                    "targets": [{"segment": 0, "device": 0.5, "outputs": 1}]}),
+        json.dumps({"type": "configure", "request_id": 5,
+                    "targets": [{"segment": 0, "device": True, "outputs": 1}]}),
+        json.dumps({"type": "configure", "request_id": 5,
+                    "targets": [{"segment": 0.0, "device": 0, "outputs": 1}]}),
+        json.dumps({"type": "configure", "request_id": [1],
+                    "targets": [{"segment": 0, "device": 0, "outputs": 1}]}),
+        json.dumps({"type": "configure",
+                    "targets": [{"segment": 0, "device": 0, "outputs": 1}]}),
+        "[" * 100_000,
     ], ids=["fractional-device", "bool-device", "float-segment",
-            "list-request-id", "missing-request-id"])
-    def test_bad_field_types_rejected_and_session_survives(self, message):
+            "list-request-id", "missing-request-id", "deeply-nested"])
+    def test_bad_field_types_rejected_and_session_survives(self, line):
         session = SouthboundSession(topology())
-        (reply,) = session.handle_line(json.dumps(message))
+        (reply,) = session.handle_line(line)
         assert json.loads(reply)["code"] == "BadMessage"
         # the shared simulation keeps running: a valid request still
         # completes at the oracle's latency for its boundary wait
@@ -147,6 +148,21 @@ class TestSession:
         wait = trace["t_master_emit_ns"]["0"] - (trace["t_generated_ns"] + 70_000)
         timing = session.controller.timing
         assert trace["config_time_ns"] == analytic_latency(timing, 1, 8, wait)
+
+    def test_zero_southbound_delay_waits_under_one_cycle(self):
+        # each request is generated where the previous one completed; with
+        # d_sb_ns = 0 it is handed in at once and must ride the next frame
+        timing = TimingParams(pdo_cycle_ns=32_000, d_sb_ns=0)
+        session = SouthboundSession(
+            Topology(segments=(SegmentSpec(device_count=2),), timing=timing)
+        )
+        for rid in range(20):
+            _, done = (json.loads(r) for r in
+                       session.handle_line(configure_line(rid, [(0, 1, rid % 2)])))
+            trace = done["trace"]
+            wait = trace["t_master_emit_ns"]["0"] - trace["t_generated_ns"]
+            assert 0 <= wait < timing.pdo_cycle_ns
+            assert trace["config_time_ns"] == analytic_latency(timing, 1, 2, wait)
 
     def test_simulated_clock_advances_across_requests(self):
         session = SouthboundSession(topology())

