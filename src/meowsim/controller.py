@@ -12,9 +12,10 @@ life of a request:
                      device p whose word the frame changes (marker 3)
   RequestComplete    at the last target's latch time
 
-Events at one instant run in this order, so a write staged exactly on a
-boundary rides that boundary's frame. Only a request handed in after that
-frame was built waits for the next one.
+At one instant, latches and completions run before arrivals, and arrivals
+before emissions (EventKind order), so a write staged exactly on a boundary
+rides that boundary's frame. Only a request handed in after that frame was
+built waits for the next one.
 """
 
 from __future__ import annotations
@@ -289,10 +290,11 @@ class DeviceController:
         )
 
     def run_until_complete(self, request_id: int) -> CompletionReport:
-        """Drive the engine one event instant at a time until the request finishes.
+        """Drive the engine one event at a time until the request finishes.
 
-        The clock stops at the completion instant, so a request handed in
-        next can still ride the following boundary's frame.
+        The engine stops right after the completion, before the arrivals
+        and frames of that instant run, so a request handed in next at that
+        instant still rides a frame emitted there.
         """
         # room for the request to arrive southbound, then to complete
         slack = self.request_span_ns() + 4 * self.timing.pdo_cycle_ns
@@ -304,7 +306,7 @@ class DeviceController:
             t = self.engine.next_time_ns()
             if t is None or t > deadline:
                 break
-            self.engine.run_until(t)
+            self.engine.step()
         if trace is None:
             raise UnknownRequest(f"no request {request_id}")
         raise NotYetComplete(f"request {request_id} missed its latency bound")

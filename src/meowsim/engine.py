@@ -15,12 +15,19 @@ _U64 = (1 << 64) - 1
 
 
 class EventKind(Enum):
-    """Event kinds in lifecycle order, which is also same-instant run order."""
+    """Event kinds in same-instant run order.
 
-    SOUTHBOUND_ARRIVED = "SouthboundArrived"
-    MASTER_EMIT = "MasterEmit"
+    What ends at an instant runs before what starts there: latches, then
+    completions, then southbound arrivals, then frame emissions. Arrivals
+    precede emissions so that a write staged on a boundary rides it;
+    completions precede both so that a caller stopped at a completion can
+    still hand in a request that rides the frame of that instant.
+    """
+
     DEVICE_LATCHED = "DeviceLatched"
     REQUEST_COMPLETE = "RequestComplete"
+    SOUTHBOUND_ARRIVED = "SouthboundArrived"
+    MASTER_EMIT = "MasterEmit"
 
 
 _RANK = {kind: rank for rank, kind in enumerate(EventKind)}
@@ -101,13 +108,17 @@ class Engine:
         heap = self._heap
         processed = 0
         while heap and heap[0][0] <= t_end:
-            self._clock, _, _, kind, args = heapq.heappop(heap)
-            handler = self._handlers.get(kind)
-            if handler is not None:
-                handler(*args)
+            self.step()
             processed += 1
         self._clock = max(self._clock, t_end)
         return processed
+
+    def step(self) -> None:
+        """Process the earliest queued event; the clock moves to its time."""
+        self._clock, _, _, kind, args = heapq.heappop(self._heap)
+        handler = self._handlers.get(kind)
+        if handler is not None:
+            handler(*args)
 
     def next_time_ns(self) -> int | None:
         """Time of the earliest queued event; None when nothing is queued."""

@@ -8,7 +8,9 @@ Errors:   {"type":"error","request_id":N,"code":"UnknownTarget","message":...}
 
 The same handler runs in-process (SouthboundSession.handle_line) or behind
 a TCP listener. Concurrent connections are serialized onto the single
-event engine; observable behavior equals some serial arrival order.
+event engine; observable behavior equals some serial arrival order. Over
+TCP the replies to one line leave in one write, so a client may pipeline
+lines and reads the replies back in line order.
 """
 
 from __future__ import annotations
@@ -53,14 +55,31 @@ class SouthboundSession:
         self._lock = threading.Lock()
 
     def handle_line(self, line: str) -> list[str]:
-        """Process one request line; returns the reply lines in order."""
+        """Process one request line; returns the reply lines in order.
+
+        Never raises: a failure the protocol has no code for is logged and
+        answered with an InternalError reply.
+        """
         with self._lock:
-            return [json.dumps(reply, sort_keys=True) for reply in self._handle(line)]
+            try:
+                return [json.dumps(reply, sort_keys=True) for reply in self._handle(line)]
+            except Exception as exc:  # one client's line must not stop the server
+                import logging  # here, not at the top: it adds ~9 ms to start-up
+
+                logging.getLogger(__name__).exception("southbound line failed: %.200r", line)
+                return [json.dumps(self._error(None, "InternalError", repr(exc)),
+                                   sort_keys=True)]
+
+    @classmethod
+    def bad_message(cls, reason: str) -> list[str]:
+        """The reply lines to a line that could not be read as text."""
+        return [json.dumps(cls._error(None, "BadMessage", reason), sort_keys=True)]
 
     def _handle(self, line: str):
         try:
             message = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError also covers integer literals too long to convert
             return [self._error(None, "BadMessage", f"not valid JSON: {exc}")]
         if not isinstance(message, dict):
             return [self._error(None, "BadMessage", "message must be an object")]
@@ -107,15 +126,24 @@ class SouthboundSession:
 
 
 class _LineHandler(socketserver.StreamRequestHandler):
+    # TCP_NODELAY: a reply must not wait for the client's delayed ACK of the
+    # previous one (Nagle, RFC 896)
+    disable_nagle_algorithm = True
+
     def handle(self):
         session = self.server.session
         for raw in self.rfile:
-            line = raw.decode("utf-8").strip()
-            if not line:
-                continue
-            for reply in session.handle_line(line):
-                self.wfile.write(reply.encode("utf-8") + b"\n")
-            self.wfile.flush()
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                replies = session.bad_message(f"not valid UTF-8: {exc}")
+            else:
+                if not line:
+                    continue
+                replies = session.handle_line(line)
+            # one write per line: wfile is unbuffered, so separate writes
+            # would leave as separate segments
+            self.wfile.write("".join(reply + "\n" for reply in replies).encode("utf-8"))
 
 
 class SouthboundServer(socketserver.ThreadingTCPServer):

@@ -191,8 +191,8 @@ class TestMultiSegment:
 
 class TestBoundaryCoincidence:
     """Staging at the very instant of a boundary: ride if the frame has not
-    been built yet, otherwise wait a full extra cycle. Queued events at one
-    instant run in lifecycle order, so a queued arrival always rides."""
+    been built yet, otherwise wait a full extra cycle. Queued arrivals at one
+    instant run before its emissions, so a queued arrival always rides."""
 
     def topology(self):
         # cycle longer than the southbound delay so arrival can tie with

@@ -51,6 +51,21 @@ class TestScheduleAndRun:
         assert engine.run_until(100) == 5
         assert seen == [EventKind.REQUEST_COMPLETE, *EventKind]
 
+    def test_step_runs_one_event_and_can_stop_mid_instant(self):
+        engine = Engine()
+        seen = []
+        for kind in EventKind:
+            engine.on(kind, lambda kind=kind: seen.append(kind))
+        engine.schedule(100, EventKind.MASTER_EMIT)
+        engine.schedule(100, EventKind.REQUEST_COMPLETE)
+        engine.step()
+        assert seen == [EventKind.REQUEST_COMPLETE]
+        assert (engine.now, engine.next_time_ns()) == (100, 100)
+        # an arrival handed in now still runs before the queued emission
+        engine.schedule(100, EventKind.SOUTHBOUND_ARRIVED)
+        assert engine.run_until(100) == 2
+        assert seen[1:] == [EventKind.SOUTHBOUND_ARRIVED, EventKind.MASTER_EMIT]
+
     def test_schedule_at_now_runs_after_queued(self):
         engine = Engine()
         seen = []

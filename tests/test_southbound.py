@@ -1,9 +1,13 @@
 """Line protocol: acks, completion replies, error codes, TCP front-end."""
 
+import contextlib
 import json
 import socket
+import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from meowsim.simulation import analytic_latency
 from meowsim.southbound import SouthboundServer, SouthboundSession, _parse_outputs
@@ -25,6 +29,18 @@ def configure_line(rid, targets):
             {"segment": s, "device": d, "outputs": w} for s, d, w in targets
         ],
     })
+
+
+def assert_completes_at_oracle_latency(session, rid):
+    """A configure on the session completes at the oracle's latency."""
+    ack, done = (json.loads(r) for r in
+                 session.handle_line(configure_line(rid, [(0, 7, 1)])))
+    assert ack == {"type": "ack", "request_id": rid}
+    trace = done["trace"]
+    timing = session.controller.timing
+    wait = trace["t_master_emit_ns"]["0"] - (trace["t_generated_ns"] + timing.d_sb_ns)
+    assert 0 <= wait < timing.pdo_cycle_ns
+    assert trace["config_time_ns"] == analytic_latency(timing, 1, 8, wait)
 
 
 class TestParseOutputs:
@@ -133,36 +149,54 @@ class TestSession:
         json.dumps({"type": "configure",
                     "targets": [{"segment": 0, "device": 0, "outputs": 1}]}),
         "[" * 100_000,
+        "1" * 5_000,
+        '{"type": "configure", "request_id": ' + "9" * 5_000 + ', "targets": []}',
     ], ids=["fractional-device", "bool-device", "float-segment",
-            "list-request-id", "missing-request-id", "deeply-nested"])
+            "list-request-id", "missing-request-id", "deeply-nested",
+            "long-integer-literal", "long-request-id"])
     def test_bad_field_types_rejected_and_session_survives(self, line):
         session = SouthboundSession(topology())
         (reply,) = session.handle_line(line)
         assert json.loads(reply)["code"] == "BadMessage"
         # the shared simulation keeps running: a valid request still
         # completes at the oracle's latency for its boundary wait
-        ack, done = (json.loads(r) for r in
-                     session.handle_line(configure_line(6, [(0, 7, 1)])))
-        assert ack["type"] == "ack"
-        trace = done["trace"]
-        wait = trace["t_master_emit_ns"]["0"] - (trace["t_generated_ns"] + 70_000)
-        timing = session.controller.timing
-        assert trace["config_time_ns"] == analytic_latency(timing, 1, 8, wait)
+        assert_completes_at_oracle_latency(session, 6)
+
+    def test_unexpected_failure_replies_internal_error(self, monkeypatch, caplog):
+        session = SouthboundSession(topology())
+
+        def broken(request_id):
+            raise RuntimeError("boom")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(session.controller, "run_until_complete", broken)
+            (reply,) = session.handle_line(configure_line(1, [(0, 7, 1)]))
+        err = json.loads(reply)
+        assert (err["type"], err["code"]) == ("error", "InternalError")
+        assert "boom" in err["message"]
+        assert "RuntimeError: boom" in caplog.text  # the traceback is logged
+        # the request was staged before the failure; it still runs to
+        # completion alongside the next one
+        assert_completes_at_oracle_latency(session, 2)
+        assert session.controller.traces[1].complete
 
     def test_zero_southbound_delay_waits_under_one_cycle(self):
         # each request is generated where the previous one completed; with
-        # d_sb_ns = 0 it is handed in at once and must ride the next frame
-        timing = TimingParams(pdo_cycle_ns=32_000, d_sb_ns=0)
-        session = SouthboundSession(
-            Topology(segments=(SegmentSpec(device_count=2),), timing=timing)
-        )
-        for rid in range(20):
-            _, done = (json.loads(r) for r in
-                       session.handle_line(configure_line(rid, [(0, 1, rid % 2)])))
-            trace = done["trace"]
-            wait = trace["t_master_emit_ns"]["0"] - trace["t_generated_ns"]
-            assert 0 <= wait < timing.pdo_cycle_ns
-            assert trace["config_time_ns"] == analytic_latency(timing, 1, 2, wait)
+        # d_sb_ns = 0 it is handed in at once and must ride the next frame.
+        # On the 1x1 chain, head + hop + latch is one cycle: every request
+        # completes exactly on a boundary, whose frame the next one rides.
+        for devices, d_latch_ns in ((2, 800), (1, 19_100)):
+            timing = TimingParams(pdo_cycle_ns=32_000, d_sb_ns=0, d_latch_ns=d_latch_ns)
+            session = SouthboundSession(
+                Topology(segments=(SegmentSpec(device_count=devices),), timing=timing)
+            )
+            for rid in range(20):
+                _, done = (json.loads(r) for r in session.handle_line(
+                    configure_line(rid, [(0, devices - 1, rid % 2)])))
+                trace = done["trace"]
+                wait = trace["t_master_emit_ns"]["0"] - trace["t_generated_ns"]
+                assert 0 <= wait < timing.pdo_cycle_ns
+                assert trace["config_time_ns"] == analytic_latency(timing, 1, devices, wait)
 
     def test_simulated_clock_advances_across_requests(self):
         session = SouthboundSession(topology())
@@ -170,6 +204,27 @@ class TestSession:
         t1 = session.engine.now
         session.handle_line(configure_line(2, [(0, 0, 2)]))
         assert session.engine.now > t1
+
+
+@contextlib.contextmanager
+def serving():
+    """A SouthboundServer on loopback; yields a function that connects.
+
+    Each connection is accepted with handle_request, so no serve_forever
+    loop has to be shut down (its poll interval is half a second); the two
+    tests above cover serve_forever.
+    """
+    server = SouthboundServer(("127.0.0.1", 0), topology(), seed=0)
+
+    def connect():
+        sock = socket.create_connection(server.bound_address, timeout=5)
+        server.handle_request()
+        return sock
+
+    try:
+        yield connect
+    finally:
+        server.server_close()
 
 
 class TestTcpServer:
@@ -214,3 +269,75 @@ class TestTcpServer:
             server.shutdown()
             server.server_close()
             thread.join(timeout=5)
+
+    def test_sequential_round_trips_are_not_held_by_delayed_ack(self):
+        # with the ack and the completion in two segments and Nagle on, each
+        # round trip waited ~40 ms for the client's delayed ACK
+        with serving() as connect, connect() as sock:
+            fh = sock.makefile("rb")
+            start = time.perf_counter()
+            for rid in range(30):
+                replies = self.roundtrip(fh, sock, configure_line(rid, [(0, rid % 8, rid)]))
+                assert [r["type"] for r in replies] == ["ack", "complete"]
+            assert time.perf_counter() - start < 0.5
+
+    def test_pipelined_lines_replied_in_order(self):
+        lines = [configure_line(rid, [(0, rid % 8, rid), (0, (rid + 3) % 8, 0xFFFF)])
+                 for rid in range(30)]
+        reference = SouthboundSession(topology(), seed=0)
+        expected = [(reply + "\n").encode("utf-8")
+                    for line in lines for reply in reference.handle_line(line)]
+        assert len(expected) == 60
+        with serving() as connect, connect() as sock:
+            fh = sock.makefile("rb")
+            sock.sendall(b"".join(line.encode("utf-8") + b"\n" for line in lines))
+            assert [fh.readline() for _ in expected] == expected
+
+    def test_invalid_utf8_line_gets_bad_message(self):
+        with serving() as connect, connect() as sock:
+            fh = sock.makefile("rb")
+            sock.sendall(b"\xff\xfe\n")
+            err = json.loads(fh.readline())
+            assert (err["code"], err["request_id"]) == ("BadMessage", None)
+            # the connection stays open
+            replies = self.roundtrip(fh, sock, configure_line(1, [(0, 7, 1)]))
+            assert replies[1]["config_time_us"] == 116.0
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=10,
+)
+FIELDS = st.integers(-2, 9) | JSON_VALUES
+CONFIGURES = st.fixed_dictionaries(
+    {"type": st.just("configure"), "request_id": FIELDS},
+    optional={
+        "targets": st.lists(
+            st.fixed_dictionaries(
+                {},
+                optional={"segment": FIELDS, "device": FIELDS,
+                          "outputs": st.integers(-1, 0x10000) | FIELDS},
+            ),
+            max_size=3,
+        ) | JSON_VALUES,
+    },
+)
+LINES = st.text() | JSON_VALUES.map(json.dumps) | CONFIGURES.map(json.dumps)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(LINES, max_size=6))
+def test_any_lines_leave_the_session_serving(lines):
+    """After any lines, valid or not, a valid configure still completes at
+    the oracle's latency."""
+    session = SouthboundSession(topology())
+    for line in lines:
+        for reply in map(json.loads, session.handle_line(line)):
+            assert reply["type"] in ("ack", "complete", "error")
+            assert reply.get("code") != "InternalError"
+    traces = session.controller.traces
+    assert all(trace.complete for trace in traces.values())
+    assert_completes_at_oracle_latency(session, max(traces, default=0) + 1)
