@@ -76,12 +76,13 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None,
     spacing = request_spacing_ns(controller)
     phase_slots = cycle // ARRIVAL_GRID_NS
 
+    patterns = [tuple(Target(s, d, word) for s, d in topology.all_targets())
+                for word in WORD_PATTERNS]
     submissions = []
     for k in range(scenario.num_requests):
         phase = ARRIVAL_GRID_NS * engine.rng.uniform_draw(0, phase_slots - 1)
         t_gen = k * spacing + phase
-        word = WORD_PATTERNS[k % len(WORD_PATTERNS)]
-        targets = tuple(Target(s, d, word) for s, d in topology.all_targets())
+        targets = patterns[k % len(patterns)]
         controller.submit(ConfigureRequest(request_id=k, targets=targets), t_gen)
         submissions.append((k, t_gen))
 

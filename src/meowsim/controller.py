@@ -3,19 +3,21 @@
 One controller drives up to six masters over a single event engine. The
 life of a request:
 
-  t_generated_ns     generated at the network controller (marker 1)
+  t_generated_ns     generated at the network controller (marker 1); submit
+                     checks the request once and records its trace
   SouthboundArrived  +d_sb_ns at the device controller; the writes are
                      staged at +d_mm_ns (+drawn jitter) per targeted segment
   MasterEmit         next PDO boundary of each master   (marker 2); the
-                     frame's pass down the chain is resolved here
-  DeviceLatched      +d_frame_head_ns + (p+1)*d_hop_ns + d_latch_ns for each
-                     device p whose word the frame changes (marker 3)
+                     frame's pass down the chain is resolved here, and each
+                     device p whose word the frame changes records its latch
+                     at +d_frame_head_ns + (p+1)*d_hop_ns + d_latch_ns
+                     (marker 3)
   RequestComplete    at the last target's latch time
 
-At one instant, latches and completions run before arrivals, and arrivals
-before emissions (EventKind order), so a write staged exactly on a boundary
-rides that boundary's frame. Only a request handed in after that frame was
-built waits for the next one.
+At one instant, completions run before arrivals, and arrivals before
+emissions (EventKind order), so a write staged exactly on a boundary rides
+that boundary's frame. Only a request handed in after that frame was built
+waits for the next one.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ class RequestTrace:
 
     request_id: int
     t_generated_ns: int
-    targets: tuple[Target, ...]
+    writes: dict[int, tuple]  # {segment: ((device, word), ...)}, ascending segments
     segments: dict[int, SegmentTrace] = field(default_factory=dict)
     t_latched_ns: dict[tuple[int, int], int] = field(default_factory=dict)
     complete: bool = False
@@ -137,9 +139,8 @@ class DeviceController:
         self.completion_callbacks = []
         self._started = False
 
-        engine.on(EventKind.SOUTHBOUND_ARRIVED, self._on_southbound_arrived)
+        engine.on(EventKind.SOUTHBOUND_ARRIVED, self._stage)
         engine.on(EventKind.MASTER_EMIT, self._on_master_emit)
-        engine.on(EventKind.DEVICE_LATCHED, self._on_device_latched)
         engine.on(EventKind.REQUEST_COMPLETE, self._on_request_complete)
 
     # -- submission ------------------------------------------------------
@@ -154,20 +155,14 @@ class DeviceController:
             self.engine.schedule(first, EventKind.MASTER_EMIT, m.segment)
 
     def submit(self, request: ConfigureRequest, t_generated_ns: int) -> None:
-        """Send a request generated at t_generated_ns down the southbound."""
-        self.validate_request(request)
-        if request.request_id in self.traces:
-            raise DuplicateRequestId(f"request {request.request_id} already submitted")
-        if t_generated_ns < self.engine.now:
-            raise SchedulingInPast(
-                f"cannot generate a request at {t_generated_ns}, clock is {self.engine.now}"
-            )
-        self.engine.schedule(
-            t_generated_ns + self.timing.d_sb_ns,
-            EventKind.SOUTHBOUND_ARRIVED,
-            request,
-            t_generated_ns,
-        )
+        """Send a request generated at t_generated_ns down the southbound.
+
+        The request is checked and recorded here, once; nothing is recorded
+        or scheduled when this raises.
+        """
+        trace = self._record(request, t_generated_ns, not_before_ns=self.engine.now)
+        t_arrival_ns = t_generated_ns + self.timing.d_sb_ns
+        self.engine.schedule(t_arrival_ns, EventKind.SOUTHBOUND_ARRIVED, trace, t_arrival_ns)
 
     def validate_request(self, request: ConfigureRequest) -> None:
         if len(request.segments) > MAX_SEGMENTS:
@@ -175,50 +170,49 @@ class DeviceController:
                 f"request spans {len(request.segments)} segments, max {MAX_SEGMENTS}"
             )
         for t in request.targets:
-            try:
-                self.topology.validate_target(t.segment, t.device)
-            except Exception as exc:
+            if (t.segment, t.device) not in self.devices:
                 raise UnknownTarget(
                     f"target segment {t.segment} device {t.device} not in topology"
-                ) from exc
+                )
+
+    def handle_configure(self, request: ConfigureRequest, t_arrival_ns: int,
+                         t_generated_ns: int | None = None) -> RequestTrace:
+        """Record a request and stage it at once; nothing is staged on error."""
+        if t_generated_ns is None:
+            t_generated_ns = t_arrival_ns - self.timing.d_sb_ns
+        trace = self._record(request, t_generated_ns)
+        self._stage(trace, t_arrival_ns)
+        return trace
+
+    def _record(self, request: ConfigureRequest, t_generated_ns: int,
+                not_before_ns: int | None = None) -> RequestTrace:
+        self.validate_request(request)
+        if request.request_id in self.traces:
+            raise DuplicateRequestId(f"request {request.request_id} already submitted")
+        if not_before_ns is not None and t_generated_ns < not_before_ns:
+            raise SchedulingInPast(
+                f"cannot generate a request at {t_generated_ns}, clock is {not_before_ns}"
+            )
+        writes = {}
+        for t in request.targets:
+            writes.setdefault(t.segment, []).append((t.device, t.word))
+        trace = RequestTrace(request.request_id, t_generated_ns,
+                             {seg: tuple(writes[seg]) for seg in sorted(writes)})
+        self.traces[request.request_id] = trace
+        return trace
 
     # -- event handlers ---------------------------------------------------
 
-    def _on_southbound_arrived(self, request: ConfigureRequest, t_generated_ns: int) -> None:
-        self.handle_configure(request, self.engine.now, t_generated_ns)
-
-    def handle_configure(
-        self,
-        request: ConfigureRequest,
-        t_arrival_ns: int,
-        t_generated_ns: int | None = None,
-    ) -> RequestTrace:
-        """Stage a request on its masters; nothing is staged on error."""
-        self.validate_request(request)
-        if request.request_id in self.traces:
-            raise DuplicateRequestId(f"request {request.request_id} already handled")
-        if not self._started:
-            self.start()
-        if t_generated_ns is None:
-            t_generated_ns = t_arrival_ns - self.timing.d_sb_ns
-
-        trace = RequestTrace(
-            request_id=request.request_id,
-            t_generated_ns=t_generated_ns,
-            targets=request.targets,
-        )
-
+    def _stage(self, trace: RequestTrace, t_arrival_ns: int) -> None:
+        """Stage a recorded request's writes on its masters (SouthboundArrived)."""
+        self.start()
         multi = self.timing.d_mm_ns if self.topology.segment_count > 1 else 0
         # dispatch order is fixed: lowest segment first
-        for seg in request.segments:
+        for seg, writes in trace.writes.items():
             jitter = self.engine.rng.uniform_draw(0, self.timing.d_jitter_max_ns)
             stage_ns = t_arrival_ns + multi + jitter
-            writes = tuple((t.device, t.word) for t in request.targets if t.segment == seg)
-            self.masters[seg].stage(stage_ns, request.request_id, writes)
+            self.masters[seg].stage(stage_ns, trace.request_id, writes)
             trace.segments[seg] = SegmentTrace(staged_ns=stage_ns, jitter_ns=jitter)
-
-        self.traces[request.request_id] = trace
-        return trace
 
     def _on_master_emit(self, seg: int) -> None:
         master = self.masters[seg]
@@ -228,16 +222,14 @@ class DeviceController:
         hop = t.d_hop_ns
         first_latch = boundary + t.d_frame_head_ns + hop + t.d_latch_ns
         for p, word in frame.changed:
-            self.engine.schedule(first_latch + p * hop, EventKind.DEVICE_LATCHED, seg, p, word)
+            self.devices[(seg, p)].latch(word, first_latch + p * hop)
         for rid in frame.riders:
             trace = self.traces[rid]
             seg_trace = trace.segments[seg]
             assert seg_trace.emit_ns is None
             seg_trace.emit_ns = boundary
-            for target in trace.targets:
-                if target.segment == seg:
-                    key = (seg, target.device)
-                    trace.t_latched_ns[key] = first_latch + target.device * hop
+            for device, _ in trace.writes[seg]:
+                trace.t_latched_ns[(seg, device)] = first_latch + device * hop
             if all(st.emit_ns is not None for st in trace.segments.values()):
                 self.engine.schedule(
                     max(trace.t_latched_ns.values()), EventKind.REQUEST_COMPLETE, rid
@@ -247,9 +239,6 @@ class DeviceController:
             EventKind.MASTER_EMIT,
             seg,
         )
-
-    def _on_device_latched(self, seg: int, position: int, word: int) -> None:
-        self.devices[(seg, position)].latch(word, self.engine.now)
 
     def _on_request_complete(self, request_id: int) -> None:
         trace = self.traces[request_id]

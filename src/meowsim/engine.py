@@ -17,14 +17,14 @@ _U64 = (1 << 64) - 1
 class EventKind(Enum):
     """Event kinds in same-instant run order.
 
-    What ends at an instant runs before what starts there: latches, then
-    completions, then southbound arrivals, then frame emissions. Arrivals
-    precede emissions so that a write staged on a boundary rides it;
-    completions precede both so that a caller stopped at a completion can
-    still hand in a request that rides the frame of that instant.
+    What ends at an instant runs before what starts there: completions,
+    then southbound arrivals, then frame emissions. Arrivals precede
+    emissions so that a write staged on a boundary rides it; completions
+    precede both so that a caller stopped at a completion can still hand in
+    a request that rides the frame of that instant. A device's latch is no
+    event: the controller records it when it builds the frame.
     """
 
-    DEVICE_LATCHED = "DeviceLatched"
     REQUEST_COMPLETE = "RequestComplete"
     SOUTHBOUND_ARRIVED = "SouthboundArrived"
     MASTER_EMIT = "MasterEmit"

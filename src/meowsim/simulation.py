@@ -141,19 +141,25 @@ class MasterState:
 
 
 class DeviceState:
-    """One slave: its 16-bit output word and the bit activation log."""
+    """One slave: the output words it latched, and when.
+
+    The controller records each latch when it builds the frame that carries
+    the word, so the history can hold latches still ahead of the clock.
+    """
 
     def __init__(self, segment: int, position: int):
         self.segment = segment
         self.position = position
-        self.word = 0
-        self.activation_log: list[tuple[int, int]] = []  # (bit index, assert time)
+        self.latches: list[tuple[int, int]] = []  # (latch time, new word), in time order
 
-    def latch(self, new_word: int, t_ns: int) -> list[int]:
-        """Apply a word at latch time; log rising bits; return them."""
-        risen = new_word & ~self.word
-        self.word = new_word
-        bits = [b for b in range(16) if risen & (1 << b)]
-        for b in bits:
-            self.activation_log.append((b, t_ns))
-        return bits
+    def latch(self, word: int, t_ns: int) -> None:
+        self.latches.append((t_ns, word))
+
+    @property
+    def activation_log(self) -> list[tuple[int, int]]:
+        """(bit index, assert time) of every rising bit, in latch order."""
+        log, previous = [], 0
+        for t_ns, word in self.latches:
+            log.extend((b, t_ns) for b in range(16) if (word & ~previous) >> b & 1)
+            previous = word
+        return log

@@ -117,6 +117,8 @@ class SouthboundSession:
 
     @staticmethod
     def _error(request_id, code: str, message: str) -> dict:
+        if not isinstance(request_id, int) or isinstance(request_id, bool):
+            request_id = None  # 1e400 or NaN would go out as non-standard JSON
         return {
             "type": "error",
             "request_id": request_id,

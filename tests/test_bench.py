@@ -22,7 +22,7 @@ from meowsim.bench import (
     with_pdo_cycle,
 )
 from meowsim.controller import DeviceController
-from meowsim.engine import Engine
+from meowsim.engine import Engine, EventKind
 from meowsim.errors import IoFailure, MeowError
 from meowsim.scenario import Scenario, load_preset
 from meowsim.stats import compute_stats, us_str_to_ns
@@ -58,17 +58,19 @@ class TestRunScenario:
 
     @pytest.mark.parametrize("preset, expected", [
         ("exp1", {"SouthboundArrived": 1000, "MasterEmit": 5003,
-                  "DeviceLatched": 8000, "RequestComplete": 1000}),
+                  "RequestComplete": 1000}),
         ("exp2", {"SouthboundArrived": 1000, "MasterEmit": 16012,
-                  "DeviceLatched": 8000, "RequestComplete": 1000}),
+                  "RequestComplete": 1000}),
     ])
     def test_event_counts_by_kind(self, dispatches, preset, expected):
-        # one MasterEmit per frame, one DeviceLatched per changed word: no
-        # per-device arrival fan-out and no marker-only or relay events
+        # one MasterEmit per frame, latches recorded as the frame is built:
+        # no per-device fan-out and no marker-only or relay events
         run_scenario(load_preset(preset).with_changes(outputs=None))
         counts = Counter(kind.value for _, kind, _ in dispatches)
         assert dict(counts) == expected
-        assert sum(counts.values()) == {"exp1": 15_003, "exp2": 26_012}[preset]
+        assert sum(counts.values()) == {"exp1": 7_003, "exp2": 18_012}[preset]
+        # every kind fires: a kind that never does is a dead or marker-only event
+        assert set(counts) == {kind.value for kind in EventKind}
 
     def test_oracle_check_can_be_skipped(self):
         a = run_scenario(exp1_small(10), check_oracle=True)

@@ -11,6 +11,7 @@ from meowsim.errors import (
     UnknownRequest,
     UnknownTarget,
 )
+from meowsim.simulation import analytic_latency
 from meowsim.topology import SegmentSpec, TimingParams, Topology
 
 
@@ -86,14 +87,14 @@ class TestSingleSegmentPipeline:
         emits = [t for t, kind, _ in dispatches if kind is EventKind.MASTER_EMIT]
         assert emits == [16_000, 48_000, 80_000]
 
-    def test_frame_wkc_counts_every_device(self, dispatches):
+    def test_frame_wkc_counts_every_device(self):
         engine, ctrl = make(chain_topology())
         ctrl.submit(req(1, *[(0, d, 0xFFFF) for d in range(8)]), t_generated_ns=0)
         engine.run_until(116_000)  # past the carrying frame's last device visit
         assert ctrl.traces[1].t_master_emit_ns == {0: 96_000}
         # one latch per written device, as the frame's working counter counts
-        latched = [args for _, kind, args in dispatches if kind is EventKind.DEVICE_LATCHED]
-        assert latched == [(0, d, 0xFFFF) for d in range(8)]
+        latched = [ctrl.devices[(0, d)].latches for d in range(8)]
+        assert latched == [[(109_700 + d * 900, 0xFFFF)] for d in range(8)]
         assert ctrl.masters[0].words == [0xFFFF] * 8
 
 
@@ -116,7 +117,7 @@ class TestCoalescing:
         ctrl.submit(req(2, (0, 0, 0x00F0)), t_generated_ns=1_000)
         ctrl.run_until_complete(2)
         dev = ctrl.devices[(0, 0)]
-        assert dev.word == 0x00F0  # staged later, lands on top
+        assert dev.latches[-1][1] == 0x00F0  # staged later, lands on top
         assert [bit for bit, _ in dev.activation_log] == [4, 5, 6, 7]
         assert ctrl.traces[1].complete  # still completes on its ridden frame
 
@@ -248,12 +249,19 @@ class TestValidationAndErrors:
         with pytest.raises(DuplicateRequestId):
             ctrl.submit(req(1, (0, 1, 1)), t_generated_ns=500_000)
 
-    def test_duplicate_in_flight_rejected_at_arrival(self):
+    def test_duplicate_in_flight_rejected_at_submit(self, dispatches):
         engine, ctrl = make(chain_topology())
         ctrl.submit(req(1, (0, 0, 1)), t_generated_ns=0)
-        ctrl.submit(req(1, (0, 1, 1)), t_generated_ns=100)
         with pytest.raises(DuplicateRequestId):
-            engine.run_until(300_000)
+            ctrl.submit(req(1, (0, 1, 1)), t_generated_ns=100)
+        report = ctrl.run_until_complete(1)
+        engine.run_until(300_000)
+        # the rejected submit scheduled nothing
+        arrivals = [t for t, kind, _ in dispatches if kind is EventKind.SOUTHBOUND_ARRIVED]
+        assert arrivals == [70_000]
+        # arrive 70000, boundary 96000: the first request keeps its latency
+        assert report.t_latched_ns == {(0, 0): 109_700}
+        assert report.config_time_ns == analytic_latency(ctrl.timing, 1, 1, 26_000)
 
     def test_report_for_unknown_request(self):
         engine, ctrl = make(chain_topology())

@@ -48,7 +48,7 @@ class TestScheduleAndRun:
         for kind in reversed(EventKind):
             engine.schedule(100, kind)
         engine.schedule(99, EventKind.REQUEST_COMPLETE)
-        assert engine.run_until(100) == 5
+        assert engine.run_until(100) == 4
         assert seen == [EventKind.REQUEST_COMPLETE, *EventKind]
 
     def test_step_runs_one_event_and_can_stop_mid_instant(self):
@@ -72,10 +72,10 @@ class TestScheduleAndRun:
 
         def first():
             seen.append("first")
-            engine.schedule(engine.now, EventKind.DEVICE_LATCHED)
+            engine.schedule(engine.now, EventKind.REQUEST_COMPLETE)
 
         engine.on(EventKind.MASTER_EMIT, first)
-        engine.on(EventKind.DEVICE_LATCHED, lambda: seen.append("second"))
+        engine.on(EventKind.REQUEST_COMPLETE, lambda: seen.append("second"))
         engine.schedule(50, EventKind.MASTER_EMIT)
         engine.run_until(50)
         assert seen == ["first", "second"]

@@ -155,19 +155,19 @@ class TestMasterState:
 class TestDeviceState:
     def test_rising_bits_logged(self):
         d = DeviceState(0, 0)
-        assert d.latch(0b0101, 90_000) == [0, 2]
+        d.latch(0b0101, 90_000)
         assert d.activation_log == [(0, 90_000), (2, 90_000)]
 
     def test_unchanged_word_no_entry(self):
         d = DeviceState(0, 0)
         d.latch(0b1, 100)
-        assert d.latch(0b1, 200) == []
+        d.latch(0b1, 200)
         assert d.activation_log == [(0, 100)]
 
     def test_falling_bits_not_logged(self):
         d = DeviceState(0, 0)
         d.latch(0b11, 100)
-        assert d.latch(0b10, 200) == []
+        d.latch(0b10, 200)
         assert d.activation_log == [(0, 100), (1, 100)]
 
     def test_per_bit_times_strictly_increase(self):

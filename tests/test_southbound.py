@@ -2,6 +2,7 @@
 
 import contextlib
 import json
+import math
 import socket
 import time
 
@@ -29,6 +30,13 @@ def configure_line(rid, targets):
             {"segment": s, "device": d, "outputs": w} for s, d, w in targets
         ],
     })
+
+
+def strict_json(reply: str):
+    """Parse a reply as strict JSON: the bare tokens NaN and Infinity fail."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(reply, parse_constant=reject)
 
 
 def assert_completes_at_oracle_latency(session, rid):
@@ -137,27 +145,32 @@ class TestSession:
         (reply,) = session.handle_line(configure_line(4, [(0, 0, "0x10000")]))
         assert json.loads(reply)["code"] == "BadMessage"
 
-    @pytest.mark.parametrize("line", [
-        json.dumps({"type": "configure", "request_id": 5,
-                    "targets": [{"segment": 0, "device": 0.5, "outputs": 1}]}),
-        json.dumps({"type": "configure", "request_id": 5,
-                    "targets": [{"segment": 0, "device": True, "outputs": 1}]}),
-        json.dumps({"type": "configure", "request_id": 5,
-                    "targets": [{"segment": 0.0, "device": 0, "outputs": 1}]}),
-        json.dumps({"type": "configure", "request_id": [1],
-                    "targets": [{"segment": 0, "device": 0, "outputs": 1}]}),
-        json.dumps({"type": "configure",
-                    "targets": [{"segment": 0, "device": 0, "outputs": 1}]}),
-        "[" * 100_000,
-        "1" * 5_000,
-        '{"type": "configure", "request_id": ' + "9" * 5_000 + ', "targets": []}',
+    @pytest.mark.parametrize("line, echoed_id", [
+        (json.dumps({"type": "configure", "request_id": 5,
+                     "targets": [{"segment": 0, "device": 0.5, "outputs": 1}]}), 5),
+        (json.dumps({"type": "configure", "request_id": 5,
+                     "targets": [{"segment": 0, "device": True, "outputs": 1}]}), 5),
+        (json.dumps({"type": "configure", "request_id": 5,
+                     "targets": [{"segment": 0.0, "device": 0, "outputs": 1}]}), 5),
+        (json.dumps({"type": "configure", "request_id": [1],
+                     "targets": [{"segment": 0, "device": 0, "outputs": 1}]}), None),
+        (json.dumps({"type": "configure",
+                     "targets": [{"segment": 0, "device": 0, "outputs": 1}]}), None),
+        ("[" * 100_000, None),
+        ("1" * 5_000, None),
+        ('{"type": "configure", "request_id": ' + "9" * 5_000 + ', "targets": []}', None),
+        ('{"type": "configure", "request_id": 1e400, "targets": []}', None),
+        ('{"type": "configure", "request_id": NaN, "targets": []}', None),
     ], ids=["fractional-device", "bool-device", "float-segment",
             "list-request-id", "missing-request-id", "deeply-nested",
-            "long-integer-literal", "long-request-id"])
-    def test_bad_field_types_rejected_and_session_survives(self, line):
+            "long-integer-literal", "long-request-id",
+            "nonfinite-request-id-1e400", "nonfinite-request-id-nan"])
+    def test_bad_field_types_rejected_and_session_survives(self, line, echoed_id):
         session = SouthboundSession(topology())
         (reply,) = session.handle_line(line)
-        assert json.loads(reply)["code"] == "BadMessage"
+        err = strict_json(reply)
+        # only an int request_id is echoed, so the reply stays strict JSON
+        assert (err["code"], err["request_id"]) == ("BadMessage", echoed_id)
         # the shared simulation keeps running: a valid request still
         # completes at the oracle's latency for its boundary wait
         assert_completes_at_oracle_latency(session, 6)
@@ -310,7 +323,10 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=8), inner, max_size=3),
     max_leaves=10,
 )
-FIELDS = st.integers(-2, 9) | JSON_VALUES
+# non-finite numbers are drawn on purpose: an echoed one would make a
+# reply that strict JSON parsers reject
+NONFINITE = st.sampled_from((math.inf, -math.inf, math.nan))
+FIELDS = st.integers(-2, 9) | NONFINITE | JSON_VALUES
 CONFIGURES = st.fixed_dictionaries(
     {"type": st.just("configure"), "request_id": FIELDS},
     optional={
@@ -335,7 +351,7 @@ def test_any_lines_leave_the_session_serving(lines):
     the oracle's latency."""
     session = SouthboundSession(topology())
     for line in lines:
-        for reply in map(json.loads, session.handle_line(line)):
+        for reply in map(strict_json, session.handle_line(line)):
             assert reply["type"] in ("ack", "complete", "error")
             assert reply.get("code") != "InternalError"
     traces = session.controller.traces
