@@ -38,7 +38,6 @@ from .simulation import (
     MasterState,
     analytic_latency,
     boundary_at_or_after,
-    next_pdo_boundary,
 )
 from .topology import MAX_SEGMENTS, Topology, require_int
 
@@ -146,7 +145,11 @@ class DeviceController:
     # -- submission ------------------------------------------------------
 
     def start(self) -> None:
-        """Begin cyclic emission on every master (idle frames included)."""
+        """Begin cyclic emission: one MasterEmit per master per PDO cycle.
+
+        Idle cycles stay events, so boundaries remain periodic, but a frame
+        with no riders latches nothing and costs one heap entry.
+        """
         if self._started:
             return
         self._started = True
@@ -217,7 +220,10 @@ class DeviceController:
     def _on_master_emit(self, seg: int) -> None:
         master = self.masters[seg]
         boundary = self.engine.now
+        self.engine.schedule(boundary + master.cycle_ns, EventKind.MASTER_EMIT, seg)
         frame = master.build_frame(boundary)
+        if not frame.riders:
+            return
         t = self.timing
         hop = t.d_hop_ns
         first_latch = boundary + t.d_frame_head_ns + hop + t.d_latch_ns
@@ -234,11 +240,6 @@ class DeviceController:
                 self.engine.schedule(
                     max(trace.t_latched_ns.values()), EventKind.REQUEST_COMPLETE, rid
                 )
-        self.engine.schedule(
-            next_pdo_boundary(boundary, master.phase_ns, master.cycle_ns),
-            EventKind.MASTER_EMIT,
-            seg,
-        )
 
     def _on_request_complete(self, request_id: int) -> None:
         trace = self.traces[request_id]
@@ -283,19 +284,18 @@ class DeviceController:
 
         The engine stops right after the completion, before the arrivals
         and frames of that instant run, so a request handed in next at that
-        instant still rides a frame emitted there.
+        instant still rides a frame emitted there. An id that was never
+        submitted raises UnknownRequest before any event runs.
         """
+        trace = self.traces.get(request_id)
+        if trace is None:
+            raise UnknownRequest(f"no request {request_id}")
         # room for the request to arrive southbound, then to complete
         slack = self.request_span_ns() + 4 * self.timing.pdo_cycle_ns
         deadline = self.engine.now + 2 * slack
-        while True:
-            trace = self.traces.get(request_id)
-            if trace is not None and trace.complete:
-                return self.completion_report(request_id)
+        while not trace.complete:
             t = self.engine.next_time_ns()
             if t is None or t > deadline:
-                break
+                raise NotYetComplete(f"request {request_id} missed its latency bound")
             self.engine.step()
-        if trace is None:
-            raise UnknownRequest(f"no request {request_id}")
-        raise NotYetComplete(f"request {request_id} missed its latency bound")
+        return self.completion_report(request_id)

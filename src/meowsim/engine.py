@@ -30,7 +30,8 @@ class EventKind(Enum):
     MASTER_EMIT = "MasterEmit"
 
 
-_RANK = {kind: rank for rank, kind in enumerate(EventKind)}
+for _rank, _kind in enumerate(EventKind):
+    _kind.rank = _rank  # position in the same-instant run order
 
 
 class SplitMix64:
@@ -72,30 +73,36 @@ class Engine:
     """Virtual-time event loop.
 
     Events at one instant run in EventKind order; events of one kind at
-    one instant run in the order they were scheduled.
+    one instant run in the order they were scheduled. Each queued event
+    carries its kind's rank, which both orders the heap and indexes the
+    handler list, so dispatch never hashes the EventKind.
     """
 
     def __init__(self, seed: int = 0):
         self.rng = SplitMix64(seed)
-        self._heap: list[tuple] = []  # (time_ns, rank, seq, kind, args)
+        self._heap: list[tuple] = []  # (time_ns, rank, seq, args)
         self._seq = 0
         self._clock = 0
-        self._handlers: dict[EventKind, callable] = {}
+        self._handlers: list = [None] * len(EventKind)  # indexed by rank
 
     @property
     def now(self) -> int:
         return self._clock
 
     def on(self, kind: EventKind, handler) -> None:
-        """Register the single handler for an event kind; it gets the args."""
-        self._handlers[kind] = handler
+        """Register the single handler for an event kind; it gets the args.
+
+        A later registration replaces the earlier one. An event of a kind
+        with no handler still runs: it moves the clock and does nothing.
+        """
+        self._handlers[kind.rank] = handler
 
     def schedule(self, time_ns: int, kind: EventKind, *args) -> None:
         if time_ns < self._clock:
             raise SchedulingInPast(
                 f"cannot schedule {kind.value} at {time_ns}, clock is {self._clock}"
             )
-        heapq.heappush(self._heap, (time_ns, _RANK[kind], self._seq, kind, args))
+        heapq.heappush(self._heap, (time_ns, kind.rank, self._seq, args))
         self._seq += 1
 
     def run_until(self, t_end: int) -> int:
@@ -115,8 +122,8 @@ class Engine:
 
     def step(self) -> None:
         """Process the earliest queued event; the clock moves to its time."""
-        self._clock, _, _, kind, args = heapq.heappop(self._heap)
-        handler = self._handlers.get(kind)
+        self._clock, rank, _, args = heapq.heappop(self._heap)
+        handler = self._handlers[rank]
         if handler is not None:
             handler(*args)
 

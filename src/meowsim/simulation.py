@@ -31,8 +31,8 @@ def boundary_at_or_after(t: int, phase_ns: int, cycle_ns: int) -> int:
     """First PDO boundary at or after t.
 
     This is the pickup rule for staged output data: writes landing exactly
-    on a boundary ride that boundary's frame. Masters self-schedule with
-    next_pdo_boundary instead, which is strictly after.
+    on a boundary ride that boundary's frame. A master schedules its next
+    emission one cycle after the boundary it emits on, strictly after.
     """
     return next_pdo_boundary(t - 1, phase_ns, cycle_ns)
 
@@ -94,6 +94,9 @@ class Frame(NamedTuple):
     changed: tuple  # ((device, new word), ...) in ascending device order
 
 
+_IDLE_FRAME = Frame(riders=(), changed=())
+
+
 class MasterState:
     """One EtherCAT master: its chain's output words and the writes staged for them.
 
@@ -124,10 +127,17 @@ class MasterState:
         self.staged.setdefault(pickup, []).append((stage_ns, request_id, writes))
 
     def build_frame(self, boundary_ns: int) -> Frame:
-        """Fold the writes due at this boundary into the words."""
+        """Fold the writes due at this boundary into the words.
+
+        A boundary with nothing due returns one shared empty Frame: the
+        master still emits, but no words are folded and nothing latches.
+        """
         self.built_ns = boundary_ns
-        due = self.staged.pop(boundary_ns, ())
-        assert all(b > boundary_ns for b in self.staged), "staged write missed its boundary"
+        due = self.staged.pop(boundary_ns, None)
+        assert not self.staged or min(self.staged) > boundary_ns, \
+            "staged write missed its boundary"
+        if due is None:
+            return _IDLE_FRAME
         latest = {}
         for _, _, writes in sorted(due, key=itemgetter(0)):
             latest.update(writes)

@@ -280,6 +280,19 @@ class TestValidationAndErrors:
         with pytest.raises(UnknownRequest):
             ctrl.run_until_complete(7)
 
+    def test_run_until_complete_unknown_request_runs_nothing(self, dispatches):
+        engine, ctrl = make(chain_topology())
+        ctrl.start()
+        ctrl.submit(req(1, (0, 0, 1)), t_generated_ns=0)
+        before = (engine.now, engine.next_time_ns())
+        with pytest.raises(UnknownRequest):
+            ctrl.run_until_complete(7)
+        assert (engine.now, engine.next_time_ns()) == before
+        assert dispatches == []
+        # the known request still rides its first boundary (arrive 70000, emit 96000)
+        report = ctrl.run_until_complete(1)
+        assert report.config_time_ns == analytic_latency(ctrl.timing, 1, 1, 26_000)
+
     def test_target_word_must_fit_16_bits(self):
         with pytest.raises(ValueError):
             Target(0, 0, 0x10000)

@@ -95,6 +95,24 @@ class TestScheduleAndRun:
         engine.run_until(10)
         assert times == sorted(times)
 
+    def test_event_without_handler_is_consumed(self):
+        engine = Engine()
+        engine.schedule(40, EventKind.SOUTHBOUND_ARRIVED, "no one listens")
+        engine.step()
+        assert (engine.now, engine.next_time_ns()) == (40, None)
+        engine.schedule(70, EventKind.REQUEST_COMPLETE)
+        assert engine.run_until(100) == 1
+        assert (engine.now, engine.next_time_ns()) == (100, None)
+
+    def test_second_registration_replaces_first(self):
+        engine = Engine()
+        seen = []
+        engine.on(EventKind.MASTER_EMIT, lambda: seen.append("first"))
+        engine.on(EventKind.MASTER_EMIT, lambda: seen.append("second"))
+        engine.schedule(10, EventKind.MASTER_EMIT)
+        assert engine.run_until(10) == 1
+        assert seen == ["second"]
+
 
 class TestSplitMix64:
     def golden(self):

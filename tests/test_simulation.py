@@ -145,6 +145,15 @@ class TestMasterState:
         assert first == second == ((), ())
         assert m.words == [0, 0]
 
+    @pytest.mark.parametrize("later_write", [False, True])
+    def test_skipped_boundary_with_staged_write_asserts(self, later_write):
+        m = self.master()
+        m.stage(10_000, 1, ((0, 0x1111),))  # due at 32_000
+        if later_write:
+            m.stage(40_000, 2, ((1, 0x2222),))  # due at 64_000
+        with pytest.raises(AssertionError, match="missed its boundary"):
+            m.build_frame(64_000)  # 32_000 was never built
+
     def test_write_outside_image_rejected(self):
         m = self.master()
         with pytest.raises(ValueError):
