@@ -26,7 +26,6 @@ from .codec import (
     encode_frame,
 )
 from .controller import (
-    CompletionReport,
     ConfigureRequest,
     DeviceController,
     RequestTrace,
@@ -58,7 +57,6 @@ from .topology import SegmentSpec, TimingParams, Topology, build_topology
 __version__ = "0.1.0"
 
 __all__ = [
-    "CompletionReport",
     "ConfigureRequest",
     "DeviceController",
     "DeviceState",

@@ -99,7 +99,7 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None,
         assert trace.complete, f"request {request_id} did not finish by the horizon"
         seg_trace = trace.segments[seg_m]
         t_emit = seg_trace.emit_ns
-        t_complete = trace.t_latched_ns[(seg_m, dev_m)]
+        t_complete = trace.latch_ns(seg_m, dev_m)
         config = t_complete - t_gen
         if check_oracle:
             assert (t_emit - phase_m) % cycle == 0, \

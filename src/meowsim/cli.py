@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from importlib import resources
 
@@ -14,11 +15,12 @@ from . import bench
 from .codec import check_conformance_vectors
 from .engine import Engine
 from .controller import DeviceController
-from .errors import MeowError
+from .errors import MeowError, WrongType
 from .netctl import FlowStats, NetworkController, OcsResourceModel, ProactiveRule
 from .scenario import resolve_scenario
 from .southbound import SouthboundServer
 from .stats import ns_to_us_str
+from .topology import require_dict
 
 
 def _print_stats(stats) -> None:
@@ -72,6 +74,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_extrapolate(args) -> int:
+    for flag, value in (("--worst-base-us", args.worst_base_us), ("--slope-ns", args.slope_ns)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{flag} must be a finite number, got {value}")
     devices = bench.racks_to_devices_per_segment(args.racks, args.masters)
     if args.worst_base_us is not None:
         base_ns = round(args.worst_base_us * 1000)
@@ -136,8 +141,24 @@ def _cmd_serve(args) -> int:
     return 0
 
 
+# JSON type of each command-file field
+_NETCTL_FIELDS = {"rule_id": str, "flow_id": str, "priority": int, "threshold_bps": int,
+                  "rate_bps": int, "path_id": int, "flows": list,
+                  **dict.fromkeys(("src_tor", "dst_tor", "service_tag"), (str, type(None)))}
+
+
+def _checked(name: str, raw) -> dict:
+    """raw, once it is an object whose known fields have their JSON types."""
+    require_dict(name, raw)
+    for key, value in raw.items():
+        kind = _NETCTL_FIELDS.get(key, object)
+        if not isinstance(value, kind) or kind is int and isinstance(value, bool):
+            raise WrongType(f"{key} has the wrong type: {value!r}")
+    return raw
+
+
 def _netctl_execute(controller: NetworkController, command: dict) -> dict:
-    verb = command.get("verb")
+    verb = _checked("command", command).get("verb")
     if verb == "add-rule":
         controller.add_rule(
             ProactiveRule(
@@ -158,7 +179,7 @@ def _netctl_execute(controller: NetworkController, command: dict) -> dict:
                 rate_bps=raw["rate_bps"],
                 service_tag=raw.get("service_tag"),
             )
-            for raw in command["flows"]
+            for raw in (_checked("flow", f) for f in command["flows"])
         ]
         return {"detected": controller.detect_flows(flows, command["threshold_bps"])}
     if verb == "allocate":
@@ -194,15 +215,15 @@ def _cmd_netctl(args) -> int:
             if not line or line.startswith("#"):
                 continue
             command = json.loads(line)
+            verb = command.get("verb") if isinstance(command, dict) else None
             try:
                 result = _netctl_execute(controller, command)
-                print(json.dumps({"ok": True, "verb": command.get("verb"),
-                                  **result}, sort_keys=True))
+                print(json.dumps({"ok": True, "verb": verb, **result}, sort_keys=True))
             except (MeowError, ValueError, KeyError) as exc:
                 failures += 1
                 print(json.dumps({
                     "ok": False,
-                    "verb": command.get("verb"),
+                    "verb": verb,
                     "error": type(exc).__name__,
                     "message": str(exc),
                 }, sort_keys=True))

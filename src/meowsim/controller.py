@@ -80,39 +80,45 @@ class SegmentTrace:
     staged_ns: int
     jitter_ns: int
     emit_ns: int | None = None
+    first_latch_ns: int | None = None  # device 0's latch time for the emitted frame
 
 
 @dataclass
 class RequestTrace:
-    """Per-request timing record; the markers 1/2/3 of the trace format."""
+    """The one record of a request; the markers 1/2/3 of the trace format."""
 
     request_id: int
     t_generated_ns: int
     writes: dict[int, tuple]  # {segment: ((device, word), ...)}, ascending segments
+    hop_ns: int
     segments: dict[int, SegmentTrace] = field(default_factory=dict)
-    t_latched_ns: dict[tuple[int, int], int] = field(default_factory=dict)
-    complete: bool = False
-    config_time_ns: int | None = None
+    config_time_ns: int | None = None  # set when the last target latches
+
+    @property
+    def complete(self) -> bool:
+        return self.config_time_ns is not None
 
     @property
     def t_master_emit_ns(self) -> dict[int, int]:
         return {s: st.emit_ns for s, st in self.segments.items()}
 
+    def latch_ns(self, segment: int, device: int) -> int:
+        """When the frame carrying this request reaches and latches the device."""
+        return self.segments[segment].first_latch_ns + device * self.hop_ns
+
+    @property
+    def t_latched_ns(self) -> dict[tuple[int, int], int]:
+        """{(segment, device): latch time} of every target whose frame has left."""
+        return {
+            (seg, device): self.latch_ns(seg, device)
+            for seg, st in self.segments.items() if st.first_latch_ns is not None
+            for device, _ in self.writes[seg]
+        }
+
     def check_ordering(self) -> None:
         for seg, st in self.segments.items():
             assert st.emit_ns is not None, f"segment {seg} never emitted"
-            assert self.t_generated_ns <= st.emit_ns
-        for (seg, _dev), t_latch in self.t_latched_ns.items():
-            assert self.segments[seg].emit_ns <= t_latch
-
-
-@dataclass(frozen=True)
-class CompletionReport:
-    request_id: int
-    t_generated_ns: int
-    t_master_emit_ns: dict[int, int]
-    t_latched_ns: dict[tuple[int, int], int]
-    config_time_ns: int
+            assert self.t_generated_ns <= st.emit_ns <= st.first_latch_ns
 
 
 class DeviceController:
@@ -123,17 +129,10 @@ class DeviceController:
         self.topology = topology
         self.timing = topology.timing
         self.masters = [
-            MasterState(
-                segment=s,
-                phase_ns=seg.phase_ns,
-                cycle_ns=topology.timing.pdo_cycle_ns,
-                device_count=seg.device_count,
-            )
+            MasterState(s, seg.phase_ns, topology.timing.pdo_cycle_ns, seg.device_count)
             for s, seg in enumerate(topology.segments)
         ]
-        self.devices = {
-            (s, d): DeviceState(s, d) for s, d in topology.all_targets()
-        }
+        self.devices = {(s, d): DeviceState(s, d) for s, d in topology.all_targets()}
         self.traces: dict[int, RequestTrace] = {}
         self.completion_callbacks = []
         self._started = False
@@ -163,46 +162,29 @@ class DeviceController:
         The request is checked and recorded here, once; nothing is recorded
         or scheduled when this raises.
         """
-        trace = self._record(request, t_generated_ns, not_before_ns=self.engine.now)
-        t_arrival_ns = t_generated_ns + self.timing.d_sb_ns
-        self.engine.schedule(t_arrival_ns, EventKind.SOUTHBOUND_ARRIVED, trace, t_arrival_ns)
-
-    def validate_request(self, request: ConfigureRequest) -> None:
         if len(request.segments) > MAX_SEGMENTS:
             raise TooManySegments(
                 f"request spans {len(request.segments)} segments, max {MAX_SEGMENTS}"
             )
+        writes = {}
         for t in request.targets:
             if (t.segment, t.device) not in self.devices:
                 raise UnknownTarget(
                     f"target segment {t.segment} device {t.device} not in topology"
                 )
-
-    def handle_configure(self, request: ConfigureRequest, t_arrival_ns: int,
-                         t_generated_ns: int | None = None) -> RequestTrace:
-        """Record a request and stage it at once; nothing is staged on error."""
-        if t_generated_ns is None:
-            t_generated_ns = t_arrival_ns - self.timing.d_sb_ns
-        trace = self._record(request, t_generated_ns)
-        self._stage(trace, t_arrival_ns)
-        return trace
-
-    def _record(self, request: ConfigureRequest, t_generated_ns: int,
-                not_before_ns: int | None = None) -> RequestTrace:
-        self.validate_request(request)
+            writes.setdefault(t.segment, []).append((t.device, t.word))
         if request.request_id in self.traces:
             raise DuplicateRequestId(f"request {request.request_id} already submitted")
-        if not_before_ns is not None and t_generated_ns < not_before_ns:
+        if t_generated_ns < self.engine.now:
             raise SchedulingInPast(
-                f"cannot generate a request at {t_generated_ns}, clock is {not_before_ns}"
+                f"cannot generate a request at {t_generated_ns}, clock is {self.engine.now}"
             )
-        writes = {}
-        for t in request.targets:
-            writes.setdefault(t.segment, []).append((t.device, t.word))
         trace = RequestTrace(request.request_id, t_generated_ns,
-                             {seg: tuple(writes[seg]) for seg in sorted(writes)})
+                             {seg: tuple(writes[seg]) for seg in sorted(writes)},
+                             self.timing.d_hop_ns)
         self.traces[request.request_id] = trace
-        return trace
+        t_arrival_ns = t_generated_ns + self.timing.d_sb_ns
+        self.engine.schedule(t_arrival_ns, EventKind.SOUTHBOUND_ARRIVED, trace, t_arrival_ns)
 
     # -- event handlers ---------------------------------------------------
 
@@ -234,38 +216,30 @@ class DeviceController:
             seg_trace = trace.segments[seg]
             assert seg_trace.emit_ns is None
             seg_trace.emit_ns = boundary
-            for device, _ in trace.writes[seg]:
-                trace.t_latched_ns[(seg, device)] = first_latch + device * hop
+            seg_trace.first_latch_ns = first_latch
             if all(st.emit_ns is not None for st in trace.segments.values()):
-                self.engine.schedule(
-                    max(trace.t_latched_ns.values()), EventKind.REQUEST_COMPLETE, rid
-                )
+                # devices are unique in a segment, so max(writes) is the deepest one
+                last_latch = max(trace.latch_ns(s, max(writes)[0])
+                                 for s, writes in trace.writes.items())
+                self.engine.schedule(last_latch, EventKind.REQUEST_COMPLETE, rid)
 
     def _on_request_complete(self, request_id: int) -> None:
         trace = self.traces[request_id]
-        trace.config_time_ns = max(trace.t_latched_ns.values()) - trace.t_generated_ns
-        trace.complete = True
+        trace.config_time_ns = self.engine.now - trace.t_generated_ns
         trace.check_ordering()
-        if self.completion_callbacks:
-            report = self.completion_report(trace.request_id)
-            for callback in self.completion_callbacks:
-                callback(report)
+        for callback in self.completion_callbacks:
+            callback(trace)
 
     # -- reporting ---------------------------------------------------------
 
-    def completion_report(self, request_id: int) -> CompletionReport:
-        if request_id not in self.traces:
+    def completion_report(self, request_id: int) -> RequestTrace:
+        """The trace of a finished request."""
+        trace = self.traces.get(request_id)
+        if trace is None:
             raise UnknownRequest(f"no request {request_id}")
-        trace = self.traces[request_id]
         if not trace.complete:
             raise NotYetComplete(f"request {request_id} still in flight")
-        return CompletionReport(
-            request_id=request_id,
-            t_generated_ns=trace.t_generated_ns,
-            t_master_emit_ns=dict(trace.t_master_emit_ns),
-            t_latched_ns=dict(trace.t_latched_ns),
-            config_time_ns=trace.config_time_ns,
-        )
+        return trace
 
     def request_span_ns(self) -> int:
         """Upper bound on one request's life from generation to completion."""
@@ -279,7 +253,7 @@ class DeviceController:
             + max(seg.phase_ns for seg in self.topology.segments)
         )
 
-    def run_until_complete(self, request_id: int) -> CompletionReport:
+    def run_until_complete(self, request_id: int) -> RequestTrace:
         """Drive the engine one event at a time until the request finishes.
 
         The engine stops right after the completion, before the arrivals
@@ -293,9 +267,9 @@ class DeviceController:
         # room for the request to arrive southbound, then to complete
         slack = self.request_span_ns() + 4 * self.timing.pdo_cycle_ns
         deadline = self.engine.now + 2 * slack
-        while not trace.complete:
+        while trace.config_time_ns is None:  # not the complete property: one call per event
             t = self.engine.next_time_ns()
             if t is None or t > deadline:
                 raise NotYetComplete(f"request {request_id} missed its latency bound")
             self.engine.step()
-        return self.completion_report(request_id)
+        return trace

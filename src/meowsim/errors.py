@@ -5,6 +5,10 @@ class MeowError(Exception):
     """Base class for all package-specific errors."""
 
 
+class WrongType(MeowError, TypeError):
+    """An input field holds a value of the wrong type, such as "32000" for an int."""
+
+
 # --- topology -----------------------------------------------------------
 
 class SegmentCountExceeded(MeowError):

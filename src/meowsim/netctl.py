@@ -238,14 +238,14 @@ class NetworkController:
     def release(self, path_id: int) -> None:
         release_path(self.table, self.resources, path_id)
 
-    def _on_completion(self, report) -> None:
-        path_id = self._request_to_path.get(report.request_id)
+    def _on_completion(self, trace) -> None:
+        path_id = self._request_to_path.get(trace.request_id)
         if path_id is None:
             return
         entry = self.table[path_id]
         assert entry.state is PathState.CONFIGURING
         entry.state = PathState.ACTIVE
-        entry.config_time_ns = report.config_time_ns
+        entry.config_time_ns = trace.config_time_ns
 
     # -- introspection -------------------------------------------------------
 

@@ -12,8 +12,8 @@ import json
 from dataclasses import dataclass, replace
 from importlib import resources
 
-from .errors import IoFailure
-from .topology import Topology, build_topology
+from .errors import IoFailure, WrongType
+from .topology import Topology, build_topology, require_dict, require_int
 
 # Arrival phases are drawn on this grid so every exported tenth-of-us value
 # is exact and the calibrated best-case times are reachable by seeded runs.
@@ -34,13 +34,15 @@ class Scenario:
     outputs: dict | None = None  # optional {"csv":..., "trace":..., "stats":...}
 
     def __post_init__(self):
+        require_int("num_requests", self.num_requests)
         if self.num_requests < 1:
             raise ValueError(f"num_requests must be >= 1, got {self.num_requests}")
         if self.arrival != ARRIVAL_UNIFORM_PHASE:
             raise ValueError(f"unknown arrival law {self.arrival!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise TypeError(f"seed must be an integer, got {self.seed!r}")
+        require_int("seed", self.seed)
         seg, dev = self.measurement
+        require_int("measurement segment", seg)
+        require_int("measurement device", dev)
         self.topology.validate_target(seg, dev)
         object.__setattr__(self, "measurement", (seg, dev))
         timing = self.topology.timing
@@ -58,6 +60,9 @@ class Scenario:
             unknown = set(self.outputs) - {"csv", "trace", "stats"}
             if unknown:
                 raise ValueError(f"unknown output keys: {sorted(unknown)}")
+            for kind, path in self.outputs.items():
+                if not isinstance(path, str):
+                    raise WrongType(f"output {kind} must be a path string, got {path!r}")
 
     # -- serialization -----------------------------------------------------
 
@@ -80,13 +85,16 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Scenario":
+        require_dict("scenario", doc)
         unknown = set(doc) - {"topology", "workload", "measurement", "outputs"}
         if unknown:
             raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
-        for key in ("topology", "workload", "measurement"):
-            if key not in doc:
+        for key in ("topology", "workload", "measurement", "outputs"):
+            if key in doc:
+                require_dict(key, doc[key])
+            elif key != "outputs":
                 raise ValueError(f"scenario needs {key!r}")
-        workload = dict(doc["workload"])
+        workload = doc["workload"]
         unknown = set(workload) - {"num_requests", "arrival", "seed"}
         if unknown:
             raise ValueError(f"unknown workload keys: {sorted(unknown)}")
@@ -101,7 +109,7 @@ class Scenario:
             num_requests=workload.get("num_requests", 1000),
             arrival=workload.get("arrival", ARRIVAL_UNIFORM_PHASE),
             seed=workload["seed"],
-            measurement=(measurement["segment"], measurement["device"]),
+            measurement=(measurement.get("segment"), measurement.get("device")),
             outputs=dict(doc["outputs"]) if "outputs" in doc else None,
         )
 

@@ -19,7 +19,7 @@ import json
 import socketserver
 import threading
 
-from .controller import ConfigureRequest, DeviceController, Target
+from .controller import ConfigureRequest, DeviceController, RequestTrace, Target
 from .engine import Engine
 from .errors import MeowError
 from .stats import ns_to_us_str
@@ -34,14 +34,14 @@ def _parse_outputs(value) -> int:
     raise ValueError(f"outputs must be an integer or hex string, got {value!r}")
 
 
-def _trace_dict(report) -> dict:
+def _trace_dict(trace: RequestTrace) -> dict:
     return {
-        "t_generated_ns": report.t_generated_ns,
-        "t_master_emit_ns": {str(s): t for s, t in sorted(report.t_master_emit_ns.items())},
+        "t_generated_ns": trace.t_generated_ns,
+        "t_master_emit_ns": {str(s): t for s, t in sorted(trace.t_master_emit_ns.items())},
         "t_latched_ns": {
-            f"{s}/{d}": t for (s, d), t in sorted(report.t_latched_ns.items())
+            f"{s}/{d}": t for (s, d), t in sorted(trace.t_latched_ns.items())
         },
-        "config_time_ns": report.config_time_ns,
+        "config_time_ns": trace.config_time_ns,
     }
 
 
@@ -106,12 +106,12 @@ class SouthboundSession:
             return [self._error(request_id, type(exc).__name__, str(exc))]
 
         ack = {"type": "ack", "request_id": request_id}
-        report = self.controller.run_until_complete(request_id)
+        trace = self.controller.run_until_complete(request_id)
         complete = {
             "type": "complete",
             "request_id": request_id,
-            "config_time_us": float(ns_to_us_str(report.config_time_ns)),
-            "trace": _trace_dict(report),
+            "config_time_us": float(ns_to_us_str(trace.config_time_ns)),
+            "trace": _trace_dict(trace),
         }
         return [ack, complete]
 

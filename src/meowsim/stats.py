@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 HISTOGRAM_BIN_NS = 1_000  # fixed 1 us bins
 
@@ -21,17 +21,9 @@ class RunStats:
     histogram: tuple[tuple[int, int], ...]  # (bin in us, count), sorted
 
     def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "min_ns": self.min_ns,
-            "max_ns": self.max_ns,
-            "mean_ns": self.mean_ns,
-            "stddev_ns": self.stddev_ns,
-            "p50_ns": self.p50_ns,
-            "p99_ns": self.p99_ns,
-            "jitter_ns": self.jitter_ns,
-            "histogram_us": [list(pair) for pair in self.histogram],
-        }
+        doc = asdict(self)
+        doc["histogram_us"] = [list(pair) for pair in doc.pop("histogram")]
+        return doc
 
 
 def percentile_nearest_rank(sorted_values, q: float) -> int:

@@ -16,6 +16,7 @@ from .errors import (
     NegativeTiming,
     SegmentCountExceeded,
     SegmentTooLong,
+    WrongType,
 )
 
 MAX_SEGMENTS = 6
@@ -28,7 +29,12 @@ MAX_PDO_CYCLE_NS = 100_000
 def require_int(name: str, value) -> None:
     """Reject anything but a real int (bools and floats included)."""
     if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
+        raise WrongType(f"{name} must be an integer, got {value!r}")
+
+
+def require_dict(name: str, value) -> None:
+    if not isinstance(value, dict):
+        raise WrongType(f"{name} must be an object, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -118,12 +124,9 @@ class Topology:
     def segment_count(self) -> int:
         return len(self.segments)
 
-    def validate_segment(self, segment: int) -> None:
+    def validate_target(self, segment: int, device: int) -> None:
         if not 0 <= segment < len(self.segments):
             raise IndexOutOfRange(f"segment {segment} not in topology")
-
-    def validate_target(self, segment: int, device: int) -> None:
-        self.validate_segment(segment)
         if not 0 <= device < self.segments[segment].device_count:
             raise IndexOutOfRange(
                 f"device {device} not in segment {segment} "
@@ -153,8 +156,7 @@ def build_topology(spec: dict) -> Topology:
 
     Unknown keys are rejected so config typos fail loudly.
     """
-    if not isinstance(spec, dict):
-        raise TypeError(f"topology spec must be a dict, got {type(spec).__name__}")
+    require_dict("topology", spec)
     unknown = set(spec) - {"segments", "timing"}
     if unknown:
         raise ValueError(f"unknown topology keys: {sorted(unknown)}")
@@ -162,10 +164,11 @@ def build_topology(spec: dict) -> Topology:
         raise ValueError("topology spec needs 'segments' and 'timing'")
 
     seg_fields = {"device_count", "phase_ns"}
+    if not isinstance(spec["segments"], list):
+        raise WrongType(f"segments must be a list, got {spec['segments']!r}")
     segments = []
     for i, raw in enumerate(spec["segments"]):
-        if not isinstance(raw, dict):
-            raise TypeError(f"segment {i} must be a dict")
+        require_dict(f"segment {i}", raw)
         unknown = set(raw) - seg_fields
         if unknown:
             raise ValueError(f"segment {i}: unknown keys {sorted(unknown)}")
@@ -173,8 +176,7 @@ def build_topology(spec: dict) -> Topology:
 
     timing_fields = {f for f in TimingParams.__dataclass_fields__}
     raw_timing = spec["timing"]
-    if not isinstance(raw_timing, dict):
-        raise TypeError("timing must be a dict")
+    require_dict("timing", raw_timing)
     unknown = set(raw_timing) - timing_fields
     if unknown:
         raise ValueError(f"unknown timing keys: {sorted(unknown)}")

@@ -86,6 +86,25 @@ class TestRun:
         assert main(["run", str(path), *flags]) == 2
         assert "phase_ns" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, edit", [
+        ("pdo_cycle_ns", lambda d: d["topology"]["timing"].update(pdo_cycle_ns="32000")),
+        ("num_requests", lambda d: d["workload"].update(num_requests="5")),
+        ("segment 0", lambda d: d["topology"]["segments"].__setitem__(0, [8, 0])),
+        ("workload", lambda d: d.update(workload=[1])),
+        ("measurement device", lambda d: d["measurement"].update(device=7.0)),
+    ], ids=["cycle-string", "requests-string", "segment-array", "workload-array",
+            "device-float"])
+    def test_wrong_json_type_rejected_at_load(self, tmp_path, capsys, field, edit):
+        doc = scenario_doc([8], 32_000)
+        edit(doc)
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("*.csv"))
+
 
 class TestSweep:
     def test_slope_and_csv(self, exp1_file, tmp_path, capsys):
@@ -138,6 +157,17 @@ class TestExtrapolate:
     def test_chain_longer_than_one_datagram_carries(self, capsys):
         assert main(["extrapolate", "--racks", "1000", "--masters", "1"]) == 2
         assert "SegmentTooLong" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--slope-ns", "inf"), ("--slope-ns", "nan"),
+        ("--worst-base-us", "nan"), ("--worst-base-us", "-inf"),
+    ])
+    def test_non_finite_flag_rejected(self, capsys, flag, value):
+        rc = main(["extrapolate", "--racks", "1000", "--masters", "4", f"{flag}={value}"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert err.startswith("error:") and flag in err
+        assert out == ""
 
 
 class TestPdoCompare:
@@ -216,6 +246,26 @@ class TestNetctl:
         assert [line["ok"] for line in lines] == [False, False]
         assert lines[0]["error"] == "UnknownPath"
         assert lines[1]["error"] == "ValueError"
+
+    def test_wrong_json_types_fail_one_command_each(self, tmp_path, capsys):
+        commands = self.write_commands(tmp_path, [
+            [],
+            {"verb": "inject-flows", "threshold_bps": "x", "flows": []},
+            {"verb": "inject-flows", "threshold_bps": 5, "flows": [
+                {"flow_id": "f", "src_tor": "a", "dst_tor": "b", "rate_bps": "9"}]},
+            {"verb": "allocate", "src_tor": "a", "dst_tor": "b"},
+            {"verb": "activate", "path_id": [1]},
+            {"verb": "activate", "path_id": 1},
+        ])
+        rc = main(["netctl", "exp1", commands])
+        out, err = capsys.readouterr()
+        lines = [json.loads(l) for l in out.splitlines()]
+        assert rc == 1
+        assert "Traceback" not in err
+        assert [line["ok"] for line in lines] == [False, False, False, True, False, True]
+        assert [line["error"] for line in lines if not line["ok"]] == ["WrongType"] * 4
+        assert lines[0]["verb"] is None
+        assert lines[5]["state"] == "Active"  # the commands after the failures still ran
 
     def test_comments_and_blanks_skipped(self, tmp_path, capsys):
         path = tmp_path / "commands.jsonl"

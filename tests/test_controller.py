@@ -55,9 +55,9 @@ class TestSingleSegmentPipeline:
     def test_single_device_on_boundary_rides(self):
         engine, ctrl = make(chain_topology(devices=1))
         # handed over exactly at a boundary with the frame not yet built
-        trace = ctrl.handle_configure(req(1, (0, 0, 0x0001)), t_arrival_ns=96_000)
-        assert trace.t_generated_ns == 26_000
+        ctrl.submit(req(1, (0, 0, 0x0001)), t_generated_ns=26_000)  # arrives at 96000
         report = ctrl.run_until_complete(1)
+        assert report.segments[0].staged_ns == 96_000
         assert report.t_master_emit_ns == {0: 96_000}  # zero boundary wait
         assert report.config_time_ns == 83_700
 
@@ -176,9 +176,9 @@ class TestMultiSegment:
         engine, ctrl = make(quad_topology(jitter_ns=7_000), seed=42)
         expected_rng = SplitMix64(42)
         expected = [expected_rng.uniform_draw(0, 7_000) for _ in range(3)]
-        trace = ctrl.handle_configure(
-            req(1, (3, 0, 1), (0, 0, 2), (2, 0, 3)), t_arrival_ns=70_000
-        )
+        ctrl.submit(req(1, (3, 0, 1), (0, 0, 2), (2, 0, 3)), t_generated_ns=0)
+        engine.run_until(70_000)  # southbound arrived and staged
+        trace = ctrl.traces[1]
         drawn = [trace.segments[s].jitter_ns for s in (0, 2, 3)]
         assert drawn == expected
         for s in (0, 2, 3):
@@ -186,8 +186,9 @@ class TestMultiSegment:
 
     def test_dispatch_overhead_charged_even_for_one_target(self):
         engine, ctrl = make(quad_topology(jitter_ns=0))
-        trace = ctrl.handle_configure(req(1, (1, 0, 1)), t_arrival_ns=70_000)
-        assert trace.segments[1].staged_ns == 85_400
+        ctrl.submit(req(1, (1, 0, 1)), t_generated_ns=0)
+        engine.run_until(70_000)  # southbound arrived and staged
+        assert ctrl.traces[1].segments[1].staged_ns == 85_400
 
 
 class TestBoundaryCoincidence:
@@ -216,13 +217,14 @@ class TestBoundaryCoincidence:
         assert report.config_time_ns == 70_000 + 0 + 12_000 + 900 + 800
 
     def test_waits_full_cycle_when_frame_already_built(self):
-        engine, ctrl = make(self.topology())
+        # no southbound delay, so the request arrives at the instant it is handed in
+        engine, ctrl = make(chain_topology(devices=1, cycle_ns=80_000, d_sb_ns=0))
         ctrl.start()
         engine.run_until(80_000)  # the 80000 frame is built and on the wire
-        ctrl.handle_configure(req(1, (0, 0, 1)), t_arrival_ns=80_000)
+        ctrl.submit(req(1, (0, 0, 1)), t_generated_ns=80_000)
         report = ctrl.run_until_complete(1)
         assert report.t_master_emit_ns == {0: 160_000}
-        assert report.config_time_ns == 163_700
+        assert report.config_time_ns == 160_000 + 12_000 + 900 + 800 - 80_000
 
 
 class TestValidationAndErrors:
@@ -308,7 +310,8 @@ class TestValidationAndErrors:
     def test_failed_validation_stages_nothing(self):
         engine, ctrl = make(chain_topology())
         with pytest.raises(UnknownTarget):
-            ctrl.handle_configure(req(1, (0, 99, 1)), t_arrival_ns=70_000)
+            ctrl.submit(req(1, (0, 99, 1)), t_generated_ns=0)
+        assert engine.next_time_ns() is None  # no arrival left to stage it
         assert ctrl.masters[0].staged == {}
         assert 1 not in ctrl.traces
 
@@ -330,3 +333,44 @@ class TestReporting:
         ctrl.submit(req(1, *[(0, d, 0xFFFF) for d in range(8)]), t_generated_ns=0)
         report = ctrl.run_until_complete(1)
         assert report.config_time_ns <= span
+
+    def test_one_record_per_request(self):
+        engine, ctrl = make(chain_topology())
+        seen = []
+        ctrl.completion_callbacks.append(seen.append)
+        ctrl.submit(req(1, (0, 7, 1)), t_generated_ns=0)
+        trace = ctrl.traces[1]
+        assert ctrl.run_until_complete(1) is trace
+        assert ctrl.completion_report(1) is trace
+        assert seen == [trace] and seen[0] is trace
+
+    def test_in_flight_after_every_segment_emitted(self):
+        engine, ctrl = make(quad_topology(jitter_ns=0))
+        ctrl.submit(req(1, (0, 0, 1), (2, 1, 2), (3, 0, 3)), t_generated_ns=0)
+        engine.run_until(174_599)  # every frame left at 160000; (2, 1) latches at 174600
+        trace = ctrl.traces[1]
+        assert trace.t_master_emit_ns == {0: 160_000, 2: 160_000, 3: 160_000}
+        assert not trace.complete
+        assert trace.config_time_ns is None
+        engine.run_until(174_600)
+        assert trace.complete
+        assert trace.config_time_ns == 174_600
+
+    def test_unchanged_word_is_in_trace_but_not_latched(self):
+        engine, ctrl = make(chain_topology())
+        ctrl.submit(req(1, (0, 0, 0x0001)), t_generated_ns=0)
+        ctrl.run_until_complete(1)
+        latches_before = list(ctrl.devices[(0, 0)].latches)
+        ctrl.submit(req(2, (0, 0, 0x0001)), t_generated_ns=200_000)
+        trace = ctrl.run_until_complete(2)
+        # arrive 270000, boundary 288000
+        assert trace.t_latched_ns == {(0, 0): 288_000 + 12_000 + 900 + 800}
+        assert ctrl.devices[(0, 0)].latches == latches_before
+
+    def test_completes_at_deepest_device_not_last_listed(self):
+        engine, ctrl = make(chain_topology())
+        ctrl.submit(req(1, (0, 7, 1), (0, 0, 1)), t_generated_ns=0)
+        trace = ctrl.run_until_complete(1)
+        assert trace.t_latched_ns == {(0, 7): 116_000, (0, 0): 109_700}
+        assert trace.config_time_ns == 116_000
+        assert engine.now == 116_000
