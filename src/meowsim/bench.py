@@ -70,7 +70,6 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None,
     timing = topology.timing
     engine = Engine(seed=scenario.seed)
     controller = DeviceController(engine, topology)
-    controller.start()
 
     cycle = timing.pdo_cycle_ns
     spacing = request_spacing_ns(controller)

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from importlib import resources
 
@@ -21,6 +20,10 @@ from .scenario import resolve_scenario
 from .southbound import SouthboundServer
 from .stats import ns_to_us_str
 from .topology import require_dict
+
+# extrapolate's --worst-base-us (us) and --slope-ns (ns) stop here: no
+# deployment comes near it, and below it every prediction is an exact float
+EXTRAPOLATE_FLAG_MAX = 1e12
 
 
 def _print_stats(stats) -> None:
@@ -75,8 +78,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_extrapolate(args) -> int:
     for flag, value in (("--worst-base-us", args.worst_base_us), ("--slope-ns", args.slope_ns)):
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{flag} must be a finite number, got {value}")
+        if value is not None and not abs(value) <= EXTRAPOLATE_FLAG_MAX:  # NaN fails too
+            raise ValueError(
+                f"{flag} must be a finite number of at most {EXTRAPOLATE_FLAG_MAX:g}, got {value}"
+            )
     devices = bench.racks_to_devices_per_segment(args.racks, args.masters)
     if args.worst_base_us is not None:
         base_ns = round(args.worst_base_us * 1000)
@@ -204,7 +209,6 @@ def _cmd_netctl(args) -> int:
     scenario = resolve_scenario(args.scenario)
     engine = Engine(seed=scenario.seed)
     device_controller = DeviceController(engine, scenario.topology)
-    device_controller.start()
     resources_model = OcsResourceModel(scenario.topology,
                                        words_per_device=args.words_per_device)
     controller = NetworkController(resources_model, device_controller)
@@ -214,12 +218,13 @@ def _cmd_netctl(args) -> int:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            command = json.loads(line)
-            verb = command.get("verb") if isinstance(command, dict) else None
+            verb = None
             try:
+                command = json.loads(line)  # a line that is not JSON fails alone
+                verb = command.get("verb") if isinstance(command, dict) else None
                 result = _netctl_execute(controller, command)
                 print(json.dumps({"ok": True, "verb": verb, **result}, sort_keys=True))
-            except (MeowError, ValueError, KeyError) as exc:
+            except (MeowError, ValueError, KeyError, RecursionError) as exc:
                 failures += 1
                 print(json.dumps({
                     "ok": False,

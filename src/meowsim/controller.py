@@ -7,17 +7,23 @@ life of a request:
                      checks the request once and records its trace
   SouthboundArrived  +d_sb_ns at the device controller; the writes are
                      staged at +d_mm_ns (+drawn jitter) per targeted segment
-  MasterEmit         next PDO boundary of each master   (marker 2); the
+  MasterEmit         next PDO boundary of each targeted master (marker 2),
+                     scheduled by the first write staged for it; the
                      frame's pass down the chain is resolved here, and each
                      device p whose word the frame changes records its latch
                      at +d_frame_head_ns + (p+1)*d_hop_ns + d_latch_ns
                      (marker 3)
   RequestComplete    at the last target's latch time
 
-At one instant, completions run before arrivals, and arrivals before
-emissions (EventKind order), so a write staged exactly on a boundary rides
-that boundary's frame. Only a request handed in after that frame was built
-waits for the next one.
+A master emits only at boundaries with writes due: a frame at any other
+boundary carries and changes nothing, so it is no event. At one instant,
+completions run before arrivals, and arrivals before emissions (EventKind
+order), so a write staged exactly on a boundary rides that boundary's
+frame. Emissions at one instant run in segment order. Only a request handed
+in after that boundary's frame was built waits for the next one; a frame
+counts as built at a boundary once run_until has run through it (after
+start()), or once a master of the same phase and a higher segment emitted
+there, since the lower segment's frame would have gone first.
 """
 
 from __future__ import annotations
@@ -33,12 +39,7 @@ from .errors import (
     UnknownRequest,
     UnknownTarget,
 )
-from .simulation import (
-    DeviceState,
-    MasterState,
-    analytic_latency,
-    boundary_at_or_after,
-)
+from .simulation import DeviceState, MasterState, analytic_latency
 from .topology import MAX_SEGMENTS, Topology, require_int
 
 
@@ -144,17 +145,18 @@ class DeviceController:
     # -- submission ------------------------------------------------------
 
     def start(self) -> None:
-        """Begin cyclic emission: one MasterEmit per master per PDO cycle.
+        """Begin cyclic emission at each master's first boundary at or after now.
 
-        Idle cycles stay events, so boundaries remain periodic, but a frame
-        with no riders latches nothing and costs one heap entry.
+        This schedules nothing, since a master emits only where writes are
+        due. It marks that no frame from now on was built yet, even where
+        run_until already ran through now. The first arrival calls it, so
+        a controller never started begins emitting there.
         """
         if self._started:
             return
         self._started = True
-        for m in self.masters:
-            first = boundary_at_or_after(self.engine.now, m.phase_ns, m.cycle_ns)
-            self.engine.schedule(first, EventKind.MASTER_EMIT, m.segment)
+        engine = self.engine
+        engine.settled_ns = min(engine.settled_ns, engine.now - 1)
 
     def submit(self, request: ConfigureRequest, t_generated_ns: int) -> None:
         """Send a request generated at t_generated_ns down the southbound.
@@ -191,21 +193,25 @@ class DeviceController:
     def _stage(self, trace: RequestTrace, t_arrival_ns: int) -> None:
         """Stage a recorded request's writes on its masters (SouthboundArrived)."""
         self.start()
+        engine = self.engine
         multi = self.timing.d_mm_ns if self.topology.segment_count > 1 else 0
         # dispatch order is fixed: lowest segment first
         for seg, writes in trace.writes.items():
-            jitter = self.engine.rng.uniform_draw(0, self.timing.d_jitter_max_ns)
+            jitter = engine.rng.uniform_draw(0, self.timing.d_jitter_max_ns)
             stage_ns = t_arrival_ns + multi + jitter
-            self.masters[seg].stage(stage_ns, trace.request_id, writes)
+            pickup = self.masters[seg].stage(stage_ns, trace.request_id, writes,
+                                             engine.settled_ns)
+            if pickup is not None:
+                engine.schedule(pickup, EventKind.MASTER_EMIT, seg, order=seg)
             trace.segments[seg] = SegmentTrace(staged_ns=stage_ns, jitter_ns=jitter)
 
     def _on_master_emit(self, seg: int) -> None:
         master = self.masters[seg]
         boundary = self.engine.now
-        self.engine.schedule(boundary + master.cycle_ns, EventKind.MASTER_EMIT, seg)
         frame = master.build_frame(boundary)
-        if not frame.riders:
-            return
+        for lower in self.masters[:seg]:
+            if lower.phase_ns == master.phase_ns:  # its frame here went first
+                lower.built_ns = boundary
         t = self.timing
         hop = t.d_hop_ns
         first_latch = boundary + t.d_frame_head_ns + hop + t.d_latch_ns

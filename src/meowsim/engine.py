@@ -73,17 +73,23 @@ class Engine:
     """Virtual-time event loop.
 
     Events at one instant run in EventKind order; events of one kind at
-    one instant run in the order they were scheduled. Each queued event
-    carries its kind's rank, which both orders the heap and indexes the
-    handler list, so dispatch never hashes the EventKind.
+    one instant run in the order they were scheduled, or by ascending
+    `order` when they were scheduled with one. Each queued event carries
+    its kind's rank, which both orders the heap and indexes the handler
+    list, so dispatch never hashes the EventKind.
+
+    settled_ns is the instant the last run_until ran through (-1 before
+    the first): every event queued at or before it then has run. A caller
+    that begins periodic work at now lowers it below now.
     """
 
     def __init__(self, seed: int = 0):
         self.rng = SplitMix64(seed)
-        self._heap: list[tuple] = []  # (time_ns, rank, seq, args)
+        self._heap: list[tuple] = []  # (time_ns, rank, seq or order, args)
         self._seq = 0
         self._clock = 0
         self._handlers: list = [None] * len(EventKind)  # indexed by rank
+        self.settled_ns = -1
 
     @property
     def now(self) -> int:
@@ -97,16 +103,20 @@ class Engine:
         """
         self._handlers[kind.rank] = handler
 
-    def schedule(self, time_ns: int, kind: EventKind, *args) -> None:
+    def schedule(self, time_ns: int, kind: EventKind, *args, order: int | None = None) -> None:
+        """Queue an event; with order, it runs among its kind's events at
+        that instant by ascending order, which must then be unique there."""
         if time_ns < self._clock:
             raise SchedulingInPast(
                 f"cannot schedule {kind.value} at {time_ns}, clock is {self._clock}"
             )
-        heapq.heappush(self._heap, (time_ns, kind.rank, self._seq, args))
-        self._seq += 1
+        if order is None:
+            order = self._seq
+            self._seq += 1
+        heapq.heappush(self._heap, (time_ns, kind.rank, order, args))
 
     def run_until(self, t_end: int) -> int:
-        """Process every event with time <= t_end; clock ends at >= t_end.
+        """Process every event with time <= t_end; clock and settled_ns end at t_end.
 
         Returns how many events were processed.
         """
@@ -117,7 +127,7 @@ class Engine:
         while heap and heap[0][0] <= t_end:
             self.step()
             processed += 1
-        self._clock = max(self._clock, t_end)
+        self._clock = self.settled_ns = t_end
         return processed
 
     def step(self) -> None:

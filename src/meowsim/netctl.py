@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 
 from .controller import ConfigureRequest, DeviceController, Target
 from .errors import NoCapacity, UnknownPath, WrongState
@@ -195,12 +196,16 @@ class NetworkController:
         self.rules[rule.rule_id] = rule
 
     def detect_flows(self, stats, threshold_bps: int):
-        """Classify flows: proactive rule match first, rate threshold second."""
-        rules = list(self.rules.values())
+        """Classify flows: proactive rule match first, rate threshold second.
+
+        add_rule keeps priorities unique, so the first match in descending
+        priority is what match_proactive_rules would pick for each flow.
+        """
+        rules = sorted(self.rules.values(), key=attrgetter("priority"), reverse=True)
         reactive = set(detect_large_flow_reactive(stats, threshold_bps))
         report = []
         for flow in stats:
-            rule_id = match_proactive_rules(flow, rules)
+            rule_id = next((r.rule_id for r in rules if r.matches(flow)), None)
             if rule_id is not None:
                 report.append({"flow_id": flow.flow_id, "mode": "proactive",
                                "rule_id": rule_id})

@@ -31,8 +31,7 @@ def boundary_at_or_after(t: int, phase_ns: int, cycle_ns: int) -> int:
     """First PDO boundary at or after t.
 
     This is the pickup rule for staged output data: writes landing exactly
-    on a boundary ride that boundary's frame. A master schedules its next
-    emission one cycle after the boundary it emits on, strictly after.
+    on a boundary ride that boundary's frame.
     """
     return next_pdo_boundary(t - 1, phase_ns, cycle_ns)
 
@@ -94,16 +93,14 @@ class Frame(NamedTuple):
     changed: tuple  # ((device, new word), ...) in ascending device order
 
 
-_IDLE_FRAME = Frame(riders=(), changed=())
-
-
 class MasterState:
     """One EtherCAT master: its chain's output words and the writes staged for them.
 
     Writes are keyed by the boundary whose frame picks them up and folded
     into the words when that frame is built (last writer wins per word, in
     staging-time order), so requests staged within one cycle coalesce into
-    the same cyclic frame.
+    the same cyclic frame. The master emits only at boundaries with writes
+    due; a frame at any other boundary would carry and change nothing.
     """
 
     def __init__(self, segment: int, phase_ns: int, cycle_ns: int, device_count: int):
@@ -113,31 +110,40 @@ class MasterState:
         self.words = [0] * device_count
         # {pickup_ns: [(stage_ns, request_id, ((device, word), ...)), ...]}
         self.staged: dict[int, list[tuple]] = {}
-        self.built_ns = -1  # boundary of the last frame built, -1 before the first
+        self.built_ns = -1  # every frame at or before this instant is on the wire
 
-    def stage(self, stage_ns: int, request_id: int, writes: tuple) -> None:
-        """Stage ((device, word), ...) on the frame that picks them up."""
+    def stage(self, stage_ns: int, request_id: int, writes: tuple,
+              settled_ns: int = -1) -> int | None:
+        """Stage ((device, word), ...) on the frame that picks them up.
+
+        Frames at boundaries up to settled_ns also count as built. Returns
+        the pickup boundary when these are the first writes due there (the
+        master must emit at it), else None.
+        """
         for device, _ in writes:
             if not 0 <= device < len(self.words):
                 raise ValueError(f"write to device {device} outside segment")
         pickup = boundary_at_or_after(stage_ns, self.phase_ns, self.cycle_ns)
-        if self.built_ns >= pickup:
+        built = max(self.built_ns, settled_ns)
+        if built >= pickup:
             # this boundary's frame is already on the wire: ride the next
-            pickup = next_pdo_boundary(self.built_ns, self.phase_ns, self.cycle_ns)
-        self.staged.setdefault(pickup, []).append((stage_ns, request_id, writes))
+            pickup = next_pdo_boundary(built, self.phase_ns, self.cycle_ns)
+        due = self.staged.get(pickup)
+        if due is None:
+            self.staged[pickup] = [(stage_ns, request_id, writes)]
+            return pickup
+        due.append((stage_ns, request_id, writes))
+        return None
 
     def build_frame(self, boundary_ns: int) -> Frame:
         """Fold the writes due at this boundary into the words.
 
-        A boundary with nothing due returns one shared empty Frame: the
-        master still emits, but no words are folded and nothing latches.
+        A boundary with nothing due builds an empty frame.
         """
         self.built_ns = boundary_ns
-        due = self.staged.pop(boundary_ns, None)
+        due = self.staged.pop(boundary_ns, ())
         assert not self.staged or min(self.staged) > boundary_ns, \
             "staged write missed its boundary"
-        if due is None:
-            return _IDLE_FRAME
         latest = {}
         for _, _, writes in sorted(due, key=itemgetter(0)):
             latest.update(writes)

@@ -51,7 +51,6 @@ class SouthboundSession:
     def __init__(self, topology: Topology, seed: int = 0):
         self.engine = Engine(seed=seed)
         self.controller = DeviceController(self.engine, topology)
-        self.controller.start()
         self._lock = threading.Lock()
 
     def handle_line(self, line: str) -> list[str]:

@@ -15,8 +15,10 @@
                            files under tests/data/golden/
  9 resource bookkeeping    10^4 allocate/release ops match a brute-force
                            free-word ledger, words conserved after each op
-10 cyclic emission         boundaries strictly periodic per master; PDO waits
-                           inside [0, cycle) and uniform by KS at the 1% level
+10 cyclic emission         with a write due at each of 20 boundaries, every
+                           master emits once a cycle; every emission on a PDO
+                           boundary; PDO waits inside [0, cycle) and uniform
+                           by KS at the 1% level
 """
 
 import os
@@ -42,7 +44,7 @@ from meowsim.codec import (
     decode_frame,
     encode_frame,
 )
-from meowsim.controller import DeviceController
+from meowsim.controller import ConfigureRequest, DeviceController, Target
 from meowsim.engine import Engine, EventKind
 from meowsim.errors import NoCapacity
 from meowsim.netctl import NetworkController, OcsResourceModel, PathState
@@ -310,9 +312,13 @@ def test_criterion_10_cyclic_emission(runs, criterion, dispatches):
         dispatches.clear()
         engine = Engine(seed=0)
         controller = DeviceController(engine, topology)
-        controller.start()
         cycle = topology.timing.pdo_cycle_ns
-        engine.run_until(20 * cycle)
+        # masters emit only where writes are due: put one on every master at
+        # each of 20 consecutive boundaries (each stages within one cycle)
+        heads = tuple(Target(s, 0, 1) for s in range(topology.segment_count))
+        for k in range(20):
+            controller.submit(ConfigureRequest(request_id=k, targets=heads), k * cycle)
+        engine.run_until(40 * cycle)
         for segment in range(topology.segment_count):
             times = [
                 t for t, kind, args in dispatches
@@ -322,6 +328,14 @@ def test_criterion_10_cyclic_emission(runs, criterion, dispatches):
             periodic = periodic and all(
                 b - a == cycle for a, b in zip(times, times[1:])
             )
+
+    for result, _ in runs.values():
+        topology = result.scenario.topology
+        for trace in result.traces:
+            for s, seg_trace in trace.segments.items():
+                phase = topology.segments[s].phase_ns
+                periodic = periodic and (
+                    (seg_trace.emit_ns - phase) % topology.timing.pdo_cycle_ns == 0)
 
     exp1 = runs["exp1"][0]
     cycle1 = exp1.scenario.topology.timing.pdo_cycle_ns

@@ -57,20 +57,26 @@ class TestRunScenario:
         run_scenario(with_pdo_cycle(exp1_small(400), 100_000), check_oracle=True)
 
     @pytest.mark.parametrize("preset, expected", [
-        ("exp1", {"SouthboundArrived": 1000, "MasterEmit": 5003,
+        ("exp1", {"SouthboundArrived": 1000, "MasterEmit": 1000,
                   "RequestComplete": 1000}),
-        ("exp2", {"SouthboundArrived": 1000, "MasterEmit": 16012,
+        ("exp2", {"SouthboundArrived": 1000, "MasterEmit": 4000,
                   "RequestComplete": 1000}),
     ])
     def test_event_counts_by_kind(self, dispatches, preset, expected):
-        # one MasterEmit per frame, latches recorded as the frame is built:
-        # no per-device fan-out and no marker-only or relay events
-        run_scenario(load_preset(preset).with_changes(outputs=None))
+        # one MasterEmit per frame with riders, latches recorded as the frame
+        # is built: no idle frames, no per-device fan-out and no marker-only
+        # or relay events
+        result = run_scenario(load_preset(preset).with_changes(outputs=None))
         counts = Counter(kind.value for _, kind, _ in dispatches)
         assert dict(counts) == expected
-        assert sum(counts.values()) == {"exp1": 7_003, "exp2": 18_012}[preset]
+        assert sum(counts.values()) == {"exp1": 3_000, "exp2": 6_000}[preset]
         # every kind fires: a kind that never does is a dead or marker-only event
         assert set(counts) == {kind.value for kind in EventKind}
+        # every emission carries a rider, and every rider's emission is one
+        emits = [(t, args) for t, kind, args in dispatches if kind is EventKind.MASTER_EMIT]
+        ridden = {(st.emit_ns, (s,)) for trace in result.traces
+                  for s, st in trace.segments.items()}
+        assert len(set(emits)) == len(emits) and set(emits) == ridden
 
     def test_oracle_check_can_be_skipped(self):
         a = run_scenario(exp1_small(10), check_oracle=True)

@@ -169,6 +169,17 @@ class TestExtrapolate:
         assert err.startswith("error:") and flag in err
         assert out == ""
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--slope-ns", "1e308"), ("--worst-base-us", "1e306"),
+    ])
+    def test_flag_too_large_to_scale_rejected(self, capsys, flag, value):
+        # finite, but the prediction in ns would overflow to infinity
+        rc = main(["extrapolate", "--racks", "1000", "--masters", "4", f"{flag}={value}"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert err.startswith("error:") and flag in err and "Traceback" not in err
+        assert out == ""
+
 
 class TestPdoCompare:
     def test_structural_only(self, exp2_file, capsys):
@@ -266,6 +277,22 @@ class TestNetctl:
         assert [line["error"] for line in lines if not line["ok"]] == ["WrongType"] * 4
         assert lines[0]["verb"] is None
         assert lines[5]["state"] == "Active"  # the commands after the failures still ran
+
+    def test_line_that_is_not_json_fails_alone(self, tmp_path, capsys):
+        path = tmp_path / "commands.jsonl"
+        path.write_text(
+            "{oops\n" + "[" * 100_000 + "\n" + json.dumps({"verb": "dump-table"}) + "\n",
+            encoding="utf-8",
+        )
+        rc = main(["netctl", "exp1", str(path)])
+        out, err = capsys.readouterr()
+        lines = [json.loads(l) for l in out.splitlines()]
+        assert rc == 1
+        assert "Traceback" not in err
+        assert [line["ok"] for line in lines] == [False, False, True]
+        assert [line["error"] for line in lines[:2]] == ["JSONDecodeError", "RecursionError"]
+        assert lines[0]["verb"] is None
+        assert lines[2]["table"] == []
 
     def test_comments_and_blanks_skipped(self, tmp_path, capsys):
         path = tmp_path / "commands.jsonl"

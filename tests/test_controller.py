@@ -71,19 +71,21 @@ class TestSingleSegmentPipeline:
         assert report.config_time_ns == latches[-1] == 116_000
 
     def test_emission_is_periodic(self, dispatches):
+        # a write due at each of ten consecutive boundaries: one frame a cycle
         engine, ctrl = make(chain_topology())
         ctrl.start()
-        ctrl.submit(req(1, (0, 0, 1)), t_generated_ns=0)
-        engine.run_until(10 * 32_000)
+        for k in range(10):
+            ctrl.submit(req(k, (0, 0, k % 2)), t_generated_ns=k * 32_000)
+        engine.run_until(20 * 32_000)
         emits = [t for t, kind, _ in dispatches if kind is EventKind.MASTER_EMIT]
-        assert emits[0] == 0
-        assert all(b - a == 32_000 for a, b in zip(emits, emits[1:]))
-        assert all(t % 32_000 == 0 for t in emits)
+        assert emits == [96_000 + k * 32_000 for k in range(10)]
 
     def test_emission_phase_offset(self, dispatches):
-        engine, ctrl = make(chain_topology(devices=1, phase_ns=16_000))
+        engine, ctrl = make(chain_topology(devices=1, phase_ns=16_000, d_sb_ns=0))
         ctrl.start()
-        engine.run_until(100_000)
+        for k in range(3):
+            ctrl.submit(req(k, (0, 0, 1)), t_generated_ns=k * 32_000)
+        engine.run_until(200_000)  # the boundaries after 80_000 have nothing due
         emits = [t for t, kind, _ in dispatches if kind is EventKind.MASTER_EMIT]
         assert emits == [16_000, 48_000, 80_000]
 
@@ -225,6 +227,43 @@ class TestBoundaryCoincidence:
         report = ctrl.run_until_complete(1)
         assert report.t_master_emit_ns == {0: 160_000}
         assert report.config_time_ns == 160_000 + 12_000 + 900 + 800 - 80_000
+
+    def test_waits_when_lower_segment_already_emitted(self):
+        # zero latency: segment 0's frame completes request 1 before segment
+        # 1's frame runs, so run_until_complete stops between the two
+        engine, ctrl = make(self.zero_latency_pair())
+        ctrl.submit(req(1, (0, 0, 1)), t_generated_ns=80_000)
+        ctrl.submit(req(2, (1, 0, 1)), t_generated_ns=80_000)
+        ctrl.run_until_complete(1)
+        ctrl.submit(req(3, (0, 0, 2), (1, 0, 2)), t_generated_ns=80_000)
+        assert ctrl.run_until_complete(3).t_master_emit_ns == {0: 160_000, 1: 80_000}
+
+    def test_waits_when_higher_segment_already_emitted(self):
+        # segment 0 had nothing due at 80_000, but its frame there would have
+        # gone before segment 1's, so a write handed in after it waits
+        engine, ctrl = make(self.zero_latency_pair())
+        ctrl.submit(req(1, (1, 0, 1)), t_generated_ns=80_000)
+        ctrl.run_until_complete(1)
+        ctrl.submit(req(2, (0, 0, 1)), t_generated_ns=80_000)
+        assert ctrl.run_until_complete(2).t_master_emit_ns == {0: 160_000}
+
+    def test_same_instant_frames_run_in_segment_order(self):
+        engine, ctrl = make(quad_topology())
+        seen = []
+        ctrl.completion_callbacks.append(lambda trace: seen.append(trace.request_id))
+        ctrl.submit(req(1, (3, 0, 1)), t_generated_ns=0)  # staged first
+        ctrl.submit(req(2, (0, 0, 1)), t_generated_ns=0)
+        engine.run_until(300_000)
+        assert ctrl.traces[1].config_time_ns == ctrl.traces[2].config_time_ns
+        assert seen == [2, 1]
+
+    @staticmethod
+    def zero_latency_pair():
+        return Topology(
+            segments=(SegmentSpec(device_count=1), SegmentSpec(device_count=1)),
+            timing=TimingParams(pdo_cycle_ns=80_000, d_sb_ns=0, d_frame_head_ns=0,
+                                d_hop_ns=0, d_latch_ns=0),
+        )
 
 
 class TestValidationAndErrors:

@@ -40,6 +40,25 @@ class TestScheduleAndRun:
         engine.run_until(100)
         assert seen == [("A", 1), ("B", 2)]
 
+    def test_order_ranks_one_kind_within_timestamp(self):
+        engine = Engine()
+        seen = []
+        engine.on(EventKind.MASTER_EMIT, seen.append)
+        for segment in (3, 0, 2):
+            engine.schedule(100, EventKind.MASTER_EMIT, segment, order=segment)
+        engine.schedule(50, EventKind.MASTER_EMIT, 9, order=9)
+        engine.run_until(100)
+        assert seen == [9, 0, 2, 3]
+
+    def test_run_until_records_settled_instant(self):
+        engine = Engine()
+        assert engine.settled_ns == -1
+        engine.schedule(10, EventKind.MASTER_EMIT)
+        engine.step()  # stepping settles nothing
+        assert (engine.now, engine.settled_ns) == (10, -1)
+        engine.run_until(25)
+        assert (engine.now, engine.settled_ns) == (25, 25)
+
     def test_same_instant_runs_in_lifecycle_order(self):
         engine = Engine()
         seen = []

@@ -77,6 +77,37 @@ class TestFlowDetection:
             {"flow_id": "f3", "mode": "proactive", "rule_id": "storage"},
         ]
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rules=st.lists(
+            st.tuples(st.integers(0, 20), st.sampled_from([None, "t1", "t2"]),
+                      st.sampled_from([None, "t1", "t2"]),
+                      st.sampled_from([None, "storage", "web"])),
+            max_size=6, unique_by=lambda r: r[0]),
+        flows=st.lists(
+            st.tuples(st.sampled_from(["t1", "t2", "t3"]), st.sampled_from(["t1", "t2", "t3"]),
+                      st.integers(0, 10), st.sampled_from([None, "storage", "web"])),
+            max_size=8),
+        threshold=st.integers(1, 10),
+    )
+    def test_report_equals_per_flow_match(self, rules, flows, threshold):
+        nc = NetworkController(OcsResourceModel(mini_topology()))
+        for i, (priority, src, dst, tag) in enumerate(rules):
+            nc.add_rule(ProactiveRule(f"r{i}", priority, src, dst, tag))
+        stats = [FlowStats(f"f{i}", src, dst, rate, tag)
+                 for i, (src, dst, rate, tag) in enumerate(flows)]
+        reactive = detect_large_flow_reactive(stats, threshold)
+        expected = []
+        for flow in stats:
+            rule_id = match_proactive_rules(flow, nc.rules.values())
+            if rule_id is not None:
+                expected.append({"flow_id": flow.flow_id, "mode": "proactive",
+                                 "rule_id": rule_id})
+            elif flow.flow_id in reactive:
+                expected.append({"flow_id": flow.flow_id, "mode": "reactive",
+                                 "rule_id": None})
+        assert nc.detect_flows(stats, threshold) == expected
+
     def test_add_rule_uniqueness(self):
         nc = NetworkController(OcsResourceModel(mini_topology()))
         nc.add_rule(ProactiveRule("a", 1))
