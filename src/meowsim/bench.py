@@ -95,14 +95,15 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None,
     traces = []
     for request_id, t_gen in submissions:
         trace = controller.traces[request_id]
-        assert trace.complete, f"request {request_id} did not finish by the horizon"
+        if not trace.complete:
+            raise AssertionError(f"request {request_id} did not finish by the horizon")
         seg_trace = trace.segments[seg_m]
         t_emit = seg_trace.emit_ns
         t_complete = trace.latch_ns(seg_m, dev_m)
         config = t_complete - t_gen
         if check_oracle:
-            assert (t_emit - phase_m) % cycle == 0, \
-                f"request {request_id}: emit {t_emit} is not a PDO boundary"
+            if (t_emit - phase_m) % cycle:
+                raise AssertionError(f"request {request_id}: emit {t_emit} is not a PDO boundary")
             wait = t_emit - seg_trace.staged_ns
             expected = analytic_latency(
                 timing, topology.segment_count, rank, wait, seg_trace.jitter_ns

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import socket
 import sys
 from importlib import resources
 
@@ -14,7 +15,7 @@ from . import bench
 from .codec import check_conformance_vectors
 from .engine import Engine
 from .controller import DeviceController
-from .errors import MeowError, WrongType
+from .errors import IoFailure, MeowError, WrongType
 from .netctl import FlowStats, NetworkController, OcsResourceModel, ProactiveRule
 from .scenario import resolve_scenario
 from .southbound import SouthboundServer
@@ -68,10 +69,13 @@ def _cmd_sweep(args) -> int:
     print(f"slope {result.slope_ns_per_device:.1f} ns/device")
     print(f"fit at N=8: {result.predict_best_ns(8):.1f} ns")
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("devices,best_ns,worst_ns\n")
-            for point in result.points:
-                fh.write(f"{point.device_count},{point.best_ns},{point.worst_ns}\n")
+        try:
+            with open(args.csv, "w", encoding="utf-8") as fh:
+                fh.write("devices,best_ns,worst_ns\n")
+                for point in result.points:
+                    fh.write(f"{point.device_count},{point.best_ns},{point.worst_ns}\n")
+        except OSError as exc:
+            raise IoFailure(f"cannot write sweep CSV {args.csv}: {exc}") from exc
         print(f"wrote sweep  {args.csv}")
     return 0
 
@@ -128,12 +132,29 @@ def _cmd_codec(args) -> int:
     return 0
 
 
+def _parse_address(text: str) -> tuple[str, int]:
+    """HOST:PORT as a listen address; an empty host means 127.0.0.1."""
+    host, _, port = text.rpartition(":")
+    if not (port.isascii() and port.isdigit() and int(port) <= 0xFFFF):
+        raise ValueError(f"--southbound port must be an integer in 0..65535, got {port!r}")
+    if host.replace(".", "").isdigit():
+        # a dotted number is an IPv4 address or nothing: check it here, by
+        # the resolver's own rules, rather than let it go out as a DNS query
+        try:
+            socket.inet_aton(host)
+        except OSError:
+            raise ValueError(f"--southbound host {host!r} is not an IPv4 address") from None
+    return host or "127.0.0.1", int(port)
+
+
 def _cmd_serve(args) -> int:
     scenario = resolve_scenario(args.scenario)
-    host, _, port = args.southbound.rpartition(":")
+    address = _parse_address(args.southbound)
     seed = args.seed if args.seed is not None else scenario.seed
-    server = SouthboundServer((host or "127.0.0.1", int(port)), scenario.topology,
-                              seed=seed)
+    try:
+        server = SouthboundServer(address, scenario.topology, seed=seed)
+    except OSError as exc:  # an unknown host name, or a port in use
+        raise IoFailure(f"cannot listen on {args.southbound}: {exc}") from exc
     bound = server.bound_address
     print(f"southbound listening on {bound[0]}:{bound[1]}", flush=True)
     try:
@@ -213,7 +234,11 @@ def _cmd_netctl(args) -> int:
                                        words_per_device=args.words_per_device)
     controller = NetworkController(resources_model, device_controller)
     failures = 0
-    with open(args.commands, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(args.commands, "r", encoding="utf-8")
+    except OSError as exc:
+        raise IoFailure(f"cannot read commands {args.commands}: {exc}") from exc
+    with fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):

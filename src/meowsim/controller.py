@@ -9,10 +9,11 @@ life of a request:
                      staged at +d_mm_ns (+drawn jitter) per targeted segment
   MasterEmit         next PDO boundary of each targeted master (marker 2),
                      scheduled by the first write staged for it; the
-                     frame's pass down the chain is resolved here, and each
-                     device p whose word the frame changes records its latch
-                     at +d_frame_head_ns + (p+1)*d_hop_ns + d_latch_ns
-                     (marker 3)
+                     frame's pass down the chain is resolved here: a frame
+                     that changes words is logged once, with device 0's
+                     latch time, and each device p whose word it changes
+                     latches at +d_frame_head_ns + (p+1)*d_hop_ns +
+                     d_latch_ns (marker 3)
   RequestComplete    at the last target's latch time
 
 A master emits only at boundaries with writes due: a frame at any other
@@ -118,8 +119,13 @@ class RequestTrace:
 
     def check_ordering(self) -> None:
         for seg, st in self.segments.items():
-            assert st.emit_ns is not None, f"segment {seg} never emitted"
-            assert self.t_generated_ns <= st.emit_ns <= st.first_latch_ns
+            if st.emit_ns is None:
+                raise AssertionError(f"segment {seg} never emitted")
+            if not self.t_generated_ns <= st.emit_ns <= st.first_latch_ns:
+                raise AssertionError(
+                    f"segment {seg}: generated {self.t_generated_ns}, emitted "
+                    f"{st.emit_ns}, first latch {st.first_latch_ns} out of order"
+                )
 
 
 class DeviceController:
@@ -133,7 +139,10 @@ class DeviceController:
             MasterState(s, seg.phase_ns, topology.timing.pdo_cycle_ns, seg.device_count)
             for s, seg in enumerate(topology.segments)
         ]
-        self.devices = {(s, d): DeviceState(s, d) for s, d in topology.all_targets()}
+        self._device_counts = tuple(seg.device_count for seg in topology.segments)
+        # per segment, one (device 0's latch time, frame.changed) per frame
+        # that changed words, in emission order
+        self.frame_log: list[list[tuple[int, tuple]]] = [[] for _ in self.masters]
         self.traces: dict[int, RequestTrace] = {}
         self.completion_callbacks = []
         self._started = False
@@ -168,9 +177,10 @@ class DeviceController:
             raise TooManySegments(
                 f"request spans {len(request.segments)} segments, max {MAX_SEGMENTS}"
             )
+        counts = self._device_counts
         writes = {}
         for t in request.targets:
-            if (t.segment, t.device) not in self.devices:
+            if not (0 <= t.segment < len(counts) and 0 <= t.device < counts[t.segment]):
                 raise UnknownTarget(
                     f"target segment {t.segment} device {t.device} not in topology"
                 )
@@ -213,10 +223,9 @@ class DeviceController:
             if lower.phase_ns == master.phase_ns:  # its frame here went first
                 lower.built_ns = boundary
         t = self.timing
-        hop = t.d_hop_ns
-        first_latch = boundary + t.d_frame_head_ns + hop + t.d_latch_ns
-        for p, word in frame.changed:
-            self.devices[(seg, p)].latch(word, first_latch + p * hop)
+        first_latch = boundary + t.d_frame_head_ns + t.d_hop_ns + t.d_latch_ns
+        if frame.changed:
+            self.frame_log[seg].append((first_latch, frame.changed))
         for rid in frame.riders:
             trace = self.traces[rid]
             seg_trace = trace.segments[seg]
@@ -237,6 +246,22 @@ class DeviceController:
             callback(trace)
 
     # -- reporting ---------------------------------------------------------
+
+    @property
+    def devices(self) -> dict[tuple[int, int], DeviceState]:
+        """{(segment, device): DeviceState} of every device, replayed from frame_log.
+
+        A snapshot: each read builds new DeviceStates from the frames built
+        so far, and one fetched earlier does not grow. Latches are recorded
+        when a frame is built, so they can lie ahead of the clock.
+        """
+        devices = {(s, d): DeviceState(s, d) for s, d in self.topology.all_targets()}
+        hop = self.timing.d_hop_ns
+        for seg, log in enumerate(self.frame_log):
+            for first_latch, changed in log:
+                for p, word in changed:
+                    devices[(seg, p)].latch(word, first_latch + p * hop)
+        return devices
 
     def completion_report(self, request_id: int) -> RequestTrace:
         """The trace of a finished request."""

@@ -92,7 +92,7 @@ class NotYetComplete(MeowError):
 # --- bench ----------------------------------------------------------------
 
 class IoFailure(MeowError):
-    """Export file could not be written or read."""
+    """A file could not be read or written, or a socket could not listen."""
 
 
 # --- network controller -------------------------------------------------

@@ -118,7 +118,8 @@ class OcsResourceModel:
         self.free[(segment, device)].remove(word)
 
     def give_back(self, segment: int, device: int, word: int) -> None:
-        assert word not in self.free[(segment, device)], "double free"
+        if word in self.free[(segment, device)]:
+            raise AssertionError("double free")
         self.free[(segment, device)].add(word)
 
     def snapshot(self) -> dict:
@@ -274,13 +275,15 @@ class NetworkController:
             if entry.state is PathState.RELEASED:
                 continue
             for s, d, w in entry.hops:
-                assert w not in held.setdefault((s, d), set()), \
-                    f"word {w} on ({s},{d}) held twice"
+                if w in held.setdefault((s, d), set()):
+                    raise AssertionError(f"word {w} on ({s},{d}) held twice")
                 held[(s, d)].add(w)
         for key, free_words in self.resources.free.items():
             held_words = held.get(key, set())
-            assert not (free_words & held_words), \
-                f"{key}: words both free and held"
+            if free_words & held_words:
+                raise AssertionError(f"{key}: words both free and held")
             total = set(range(1, self.resources.words_per_device + 1))
-            assert free_words | held_words == total, \
-                f"{key}: words leaked ({sorted(total - free_words - held_words)})"
+            if free_words | held_words != total:
+                raise AssertionError(
+                    f"{key}: words leaked ({sorted(total - free_words - held_words)})"
+                )

@@ -142,8 +142,8 @@ class MasterState:
         """
         self.built_ns = boundary_ns
         due = self.staged.pop(boundary_ns, ())
-        assert not self.staged or min(self.staged) > boundary_ns, \
-            "staged write missed its boundary"
+        if self.staged and min(self.staged) <= boundary_ns:
+            raise AssertionError("staged write missed its boundary")
         latest = {}
         for _, _, writes in sorted(due, key=itemgetter(0)):
             latest.update(writes)
@@ -159,8 +159,10 @@ class MasterState:
 class DeviceState:
     """One slave: the output words it latched, and when.
 
-    The controller records each latch when it builds the frame that carries
-    the word, so the history can hold latches still ahead of the clock.
+    The controller keeps no DeviceState while it runs: it logs each frame
+    that changes words once, when it builds the frame, and
+    DeviceController.devices replays that log into DeviceStates on read.
+    The history can therefore hold latches still ahead of the clock.
     """
 
     def __init__(self, segment: int, position: int):

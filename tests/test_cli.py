@@ -124,6 +124,14 @@ class TestSweep:
         assert rc == 0
         assert out.startswith("devices,best_us,worst_us")
 
+    def test_unwritable_csv_rejected(self, exp1_file, tmp_path, capsys):
+        path = tmp_path / "no" / "such" / "x.csv"
+        rc = main(["sweep", "--scenario", exp1_file, "--devices", "1..2", "--csv", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: IoFailure: cannot write sweep CSV")
+        assert "Traceback" not in err
+
 
 class TestExtrapolate:
     def test_four_masters(self, capsys):
@@ -294,6 +302,15 @@ class TestNetctl:
         assert lines[0]["verb"] is None
         assert lines[2]["table"] == []
 
+    @pytest.mark.parametrize("missing", [True, False], ids=["missing", "directory"])
+    def test_unreadable_command_file_rejected(self, tmp_path, capsys, missing):
+        path = tmp_path / "absent.jsonl" if missing else tmp_path
+        rc = main(["netctl", "exp1", str(path)])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: IoFailure: cannot read commands")
+
     def test_comments_and_blanks_skipped(self, tmp_path, capsys):
         path = tmp_path / "commands.jsonl"
         path.write_text(
@@ -308,26 +325,44 @@ class TestNetctl:
 
 class TestServe:
     def test_end_to_end_over_tcp(self):
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "meowsim.cli", "serve",
              "--southbound", "127.0.0.1:0", "--scenario", "exp1"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, bufsize=1,
-        )
-        try:
-            banner = proc.stdout.readline().strip()
-            assert banner.startswith("southbound listening on 127.0.0.1:")
-            port = int(banner.rsplit(":", 1)[1])
-            with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
-                sock.sendall(json.dumps({
-                    "type": "configure", "request_id": 1,
-                    "targets": [{"segment": 0, "device": 7, "outputs": "0x0001"}],
-                }).encode("utf-8") + b"\n")
-                fh = sock.makefile("rb")
-                ack = json.loads(fh.readline())
-                done = json.loads(fh.readline())
-            assert ack == {"request_id": 1, "type": "ack"}
-            assert done["type"] == "complete"
-            assert done["config_time_us"] == 116.0
-        finally:
-            proc.terminate()
-            proc.wait(timeout=10)
+        ) as proc:
+            try:
+                banner = proc.stdout.readline().strip()
+                assert banner.startswith("southbound listening on 127.0.0.1:")
+                port = int(banner.rsplit(":", 1)[1])
+                with socket.create_connection(("127.0.0.1", port), timeout=10) as sock, \
+                        sock.makefile("rb") as fh:
+                    sock.sendall(json.dumps({
+                        "type": "configure", "request_id": 1,
+                        "targets": [{"segment": 0, "device": 7, "outputs": "0x0001"}],
+                    }).encode("utf-8") + b"\n")
+                    ack = json.loads(fh.readline())
+                    done = json.loads(fh.readline())
+                assert ack == {"request_id": 1, "type": "ack"}
+                assert done["type"] == "complete"
+                assert done["config_time_us"] == 116.0
+            finally:
+                proc.terminate()
+                proc.wait(timeout=10)
+
+    @pytest.mark.parametrize("address, message", [
+        ("127.0.0.1:99999", "port must be an integer in 0..65535"),
+        ("256.1.1.1:0", "'256.1.1.1' is not an IPv4 address"),
+    ], ids=["port-out-of-range", "bad-ipv4"])
+    def test_bad_address_rejected(self, capsys, address, message):
+        assert main(["serve", "--southbound", address]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
+    def test_port_in_use_rejected(self, capsys):
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            port = busy.getsockname()[1]
+            assert main(["serve", "--southbound", f"127.0.0.1:{port}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: IoFailure: cannot listen on 127.0.0.1:")

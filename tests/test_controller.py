@@ -2,6 +2,8 @@
 
 import pytest
 
+from meowsim import bench, simulation
+from meowsim.bench import run_scenario
 from meowsim.controller import ConfigureRequest, DeviceController, Target
 from meowsim.engine import Engine, EventKind, SplitMix64
 from meowsim.errors import (
@@ -11,6 +13,7 @@ from meowsim.errors import (
     UnknownRequest,
     UnknownTarget,
 )
+from meowsim.scenario import load_preset
 from meowsim.simulation import analytic_latency
 from meowsim.topology import SegmentSpec, TimingParams, Topology
 
@@ -277,6 +280,12 @@ class TestValidationAndErrors:
         with pytest.raises(UnknownTarget):
             ctrl.submit(req(1, (1, 0, 1)), t_generated_ns=0)
 
+    @pytest.mark.parametrize("segment, device", [(0, -1), (-1, 0)])
+    def test_negative_index_unknown(self, segment, device):
+        engine, ctrl = make(chain_topology())
+        with pytest.raises(UnknownTarget):
+            ctrl.submit(req(1, (segment, device, 1)), t_generated_ns=0)
+
     def test_too_many_segments_beats_unknown_target(self):
         engine, ctrl = make(chain_topology())
         wide = req(1, *[(s, 0, 1) for s in range(7)])
@@ -413,3 +422,61 @@ class TestReporting:
         assert trace.t_latched_ns == {(0, 7): 116_000, (0, 0): 109_700}
         assert trace.config_time_ns == 116_000
         assert engine.now == 116_000
+
+
+class TestFrameLog:
+    """One log entry per frame that changes words; devices are replayed from it."""
+
+    def run_recorded(self, monkeypatch, scenario):
+        controllers = []
+
+        class Recorded(DeviceController):
+            def __init__(self, *args):
+                super().__init__(*args)
+                controllers.append(self)
+
+        monkeypatch.setattr(bench, "DeviceController", Recorded)
+        run_scenario(scenario)
+        (ctrl,) = controllers
+        return ctrl
+
+    @pytest.mark.parametrize("preset, entries", [("exp1", 1_000), ("exp2", 4_000)])
+    def test_one_entry_per_frame_on_presets(self, monkeypatch, preset, entries):
+        ctrl = self.run_recorded(monkeypatch, load_preset(preset).with_changes(outputs=None))
+        assert sum(len(log) for log in ctrl.frame_log) == entries
+
+    def test_deployment_logs_frames_not_devices(self, monkeypatch):
+        exp2 = load_preset("exp2")
+        topology = Topology(segments=(SegmentSpec(device_count=250),) * 4,
+                            timing=exp2.topology.timing)
+        ctrl = self.run_recorded(monkeypatch, exp2.with_changes(
+            topology=topology, num_requests=20, measurement=(0, 249), outputs=None))
+        assert [len(log) for log in ctrl.frame_log] == [20] * 4
+        assert all(len(changed) == 250 for log in ctrl.frame_log for _, changed in log)
+
+    def test_construction_creates_no_device_state(self, monkeypatch):
+        created = []
+        init = simulation.DeviceState.__init__
+
+        def counting_init(self, *args):
+            created.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(simulation.DeviceState, "__init__", counting_init)
+        topology = Topology(segments=(SegmentSpec(device_count=743),) * 6,
+                            timing=TimingParams(pdo_cycle_ns=80_000))
+        engine, ctrl = make(topology)
+        ctrl.submit(req(1, (5, 742, 1)), t_generated_ns=0)
+        ctrl.run_until_complete(1)
+        assert created == []
+        assert len(ctrl.devices) == 6 * 743  # the view builds them on read
+
+    def test_devices_view_is_a_snapshot(self):
+        engine, ctrl = make(chain_topology())
+        ctrl.submit(req(1, (0, 0, 0x0001)), t_generated_ns=0)
+        ctrl.run_until_complete(1)
+        earlier = ctrl.devices[(0, 0)]
+        ctrl.submit(req(2, (0, 0, 0x0003)), t_generated_ns=200_000)
+        ctrl.run_until_complete(2)
+        assert earlier.latches == [(109_700, 0x0001)]
+        assert ctrl.devices[(0, 0)].latches == [(109_700, 0x0001), (301_700, 0x0003)]

@@ -1,5 +1,8 @@
 """Network controller: flow detection, OCS words, path lifecycle."""
 
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -270,6 +273,24 @@ class TestLifecycleWithSimulation:
         refill = nc.allocate("a", "again")
         assert refill.hops == ((0, 0, 1),)  # lowest word came back
         nc.check_conservation()
+
+    def test_corrupted_ledger_caught_under_optimize(self):
+        # -O strips assert statements; the ledger check must still raise
+        script = """if __debug__:
+    raise SystemExit("not running under -O")
+from meowsim.netctl import NetworkController, OcsResourceModel
+from meowsim.topology import SegmentSpec, TimingParams, Topology
+topo = Topology(segments=(SegmentSpec(device_count=2),),
+                timing=TimingParams(pdo_cycle_ns=32_000))
+nc = NetworkController(OcsResourceModel(topo, words_per_device=4))
+entry = nc.allocate("tor1", "tor2")
+nc.resources.free[(0, 0)].add(entry.hops[0][2])  # a held word also free
+nc.check_conservation()
+"""
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert "AssertionError: (0, 0): words both free and held" in proc.stderr
 
 
 class BookkeeperReference:
