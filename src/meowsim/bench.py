@@ -66,6 +66,7 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None,
     against the closed-form latency oracle (exact integer equality), with
     the PDO wait and dispatch jitter read back from the trace.
     """
+    paths = _export_paths(scenario, out_dir)  # checked before the work, not after it
     topology = scenario.topology
     timing = topology.timing
     engine = Engine(seed=scenario.seed)
@@ -127,25 +128,36 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None,
 
     stats = compute_stats([row.config_ns for row in rows])
     written = {}
-    if scenario.outputs:
-        base = out_dir or "."
-        paths = {
-            kind: os.path.join(base, rel) for kind, rel in scenario.outputs.items()
-        }
-        if "csv" in paths:
-            export_csv(rows, paths["csv"])
-            written["csv"] = paths["csv"]
-        if "trace" in paths:
-            export_trace(traces, stats, paths["trace"])
-            written["trace"] = paths["trace"]
-        if "stats" in paths:
-            export_stats(stats, paths["stats"])
-            written["stats"] = paths["stats"]
+    if "csv" in paths:
+        export_csv(rows, paths["csv"])
+        written["csv"] = paths["csv"]
+    if "trace" in paths:
+        export_trace(traces, stats, paths["trace"])
+        written["trace"] = paths["trace"]
+    if "stats" in paths:
+        export_stats(stats, paths["stats"])
+        written["stats"] = paths["stats"]
     return RunResult(scenario=scenario, stats=stats, rows=rows, traces=traces,
                      written=written)
 
 
 # -- exports ---------------------------------------------------------------
+
+def require_parent_dir(path: str, what: str) -> None:
+    """Raise IoFailure unless the directory path would be written into exists."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise IoFailure(f"cannot write {what} {path}: {parent} is not a directory")
+
+
+def _export_paths(scenario: Scenario, out_dir: str | None) -> dict:
+    """{kind: path} of the scenario's exports, each with a directory to go in."""
+    paths = {kind: os.path.join(out_dir or ".", rel)
+             for kind, rel in (scenario.outputs or {}).items()}
+    for kind, path in paths.items():
+        require_parent_dir(path, kind)
+    return paths
+
 
 CSV_COLUMNS = (
     "request_id", "t_gen_us", "t_emit_us", "t_complete_us",

@@ -20,7 +20,7 @@ from .netctl import FlowStats, NetworkController, OcsResourceModel, ProactiveRul
 from .scenario import resolve_scenario
 from .southbound import SouthboundServer
 from .stats import ns_to_us_str
-from .topology import require_dict
+from .topology import SegmentSpec, require_dict
 
 # extrapolate's --worst-base-us (us) and --slope-ns (ns) stop here: no
 # deployment comes near it, and below it every prediction is an exact float
@@ -49,16 +49,38 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _flag_ints(flag: str, parts, form: str, count: int | None = None) -> list[int]:
+    """parts of a flag value as integers, count of them if given.
+
+    Anything else raises a ValueError that names the flag and its form.
+    """
+    try:
+        values = [int(part) for part in parts]
+    except ValueError:
+        values = None
+    if values is None or count is not None and len(values) != count:
+        raise ValueError(f"{flag} must be {form}")
+    return values
+
+
 def _parse_counts(text: str):
+    """--devices as chain lengths; each must be a valid segment, checked before any run."""
+    form = f"LO..HI or a comma list of integers, got {text!r}"
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(part) for part in text.split(",") if part]
+        lo, hi = _flag_ints("--devices", text.split(".."), form, count=2)
+        counts = range(lo, hi + 1)
+    else:
+        counts = _flag_ints("--devices", (part for part in text.split(",") if part), form)
+    for n in counts:  # a range stops at its first bad count, however long it is
+        SegmentSpec(device_count=n)
+    return list(counts)
 
 
 def _cmd_sweep(args) -> int:
     base = resolve_scenario(args.scenario)
     counts = _parse_counts(args.devices)
+    if args.csv:
+        bench.require_parent_dir(args.csv, "sweep CSV")
     result = bench.sweep_devices(base, counts)
     print("devices,best_us,worst_us")
     for point in result.points:
@@ -103,7 +125,8 @@ def _cmd_extrapolate(args) -> int:
 
 def _cmd_pdo_compare(args) -> int:
     hi = resolve_scenario(args.scenario)
-    cycle_hi, cycle_lo = (int(c) for c in args.cycles.split(","))
+    cycle_hi, cycle_lo = _flag_ints("--cycles", args.cycles.split(","),
+                                    f"two integers HI,LO in ns, got {args.cycles!r}", count=2)
     hi = bench.with_pdo_cycle(hi, cycle_hi)
     lo = bench.with_pdo_cycle(hi, cycle_lo)
     comparison = bench.pdo_reduction_analysis(hi, lo, run_empirical=not args.no_empirical)
@@ -235,28 +258,30 @@ def _cmd_netctl(args) -> int:
     controller = NetworkController(resources_model, device_controller)
     failures = 0
     try:
-        fh = open(args.commands, "r", encoding="utf-8")
+        with open(args.commands, "rb") as fh:
+            # bytes, split as text mode would (\n, \r\n or \r), so that a
+            # line that is not UTF-8 fails alone when it is decoded below
+            lines = fh.read().splitlines()
     except OSError as exc:
         raise IoFailure(f"cannot read commands {args.commands}: {exc}") from exc
-    with fh:
-        for line in fh:
-            line = line.strip()
+    for line in lines:
+        verb = None
+        try:
+            line = line.decode("utf-8").strip()  # a line that is not UTF-8 fails alone
             if not line or line.startswith("#"):
                 continue
-            verb = None
-            try:
-                command = json.loads(line)  # a line that is not JSON fails alone
-                verb = command.get("verb") if isinstance(command, dict) else None
-                result = _netctl_execute(controller, command)
-                print(json.dumps({"ok": True, "verb": verb, **result}, sort_keys=True))
-            except (MeowError, ValueError, KeyError, RecursionError) as exc:
-                failures += 1
-                print(json.dumps({
-                    "ok": False,
-                    "verb": verb,
-                    "error": type(exc).__name__,
-                    "message": str(exc),
-                }, sort_keys=True))
+            command = json.loads(line)  # so does a line that is not JSON
+            verb = command.get("verb") if isinstance(command, dict) else None
+            result = _netctl_execute(controller, command)
+            print(json.dumps({"ok": True, "verb": verb, **result}, sort_keys=True))
+        except (MeowError, ValueError, KeyError, RecursionError) as exc:
+            failures += 1
+            print(json.dumps({
+                "ok": False,
+                "verb": verb,
+                "error": type(exc).__name__,
+                "message": str(exc),
+            }, sort_keys=True))
     controller.check_conservation()
     return 1 if failures else 0
 

@@ -146,6 +146,14 @@ class DeviceController:
         self.traces: dict[int, RequestTrace] = {}
         self.completion_callbacks = []
         self._started = False
+        # the topology is immutable, so the bound is worked out once
+        timing = topology.timing
+        self._request_span_ns = (
+            analytic_latency(timing, topology.segment_count, max(self._device_counts), 0,
+                             timing.d_jitter_max_ns)
+            + timing.pdo_cycle_ns
+            + max(seg.phase_ns for seg in topology.segments)
+        )
 
         engine.on(EventKind.SOUTHBOUND_ARRIVED, self._stage)
         engine.on(EventKind.MASTER_EMIT, self._on_master_emit)
@@ -274,15 +282,7 @@ class DeviceController:
 
     def request_span_ns(self) -> int:
         """Upper bound on one request's life from generation to completion."""
-        t = self.timing
-        worst_chain = max(seg.device_count for seg in self.topology.segments)
-        return (
-            analytic_latency(
-                t, self.topology.segment_count, worst_chain, 0, t.d_jitter_max_ns
-            )
-            + t.pdo_cycle_ns
-            + max(seg.phase_ns for seg in self.topology.segments)
-        )
+        return self._request_span_ns
 
     def run_until_complete(self, request_id: int) -> RequestTrace:
         """Drive the engine one event at a time until the request finishes.

@@ -54,6 +54,10 @@ class ProactiveRule:
         )
 
 
+# the flow fields a ProactiveRule can constrain; None in a rule matches anything
+_RULE_FIELDS = ("src_tor", "dst_tor", "service_tag")
+
+
 @dataclass
 class OpticalPathEntry:
     path_id: int
@@ -197,20 +201,39 @@ class NetworkController:
         self.rules[rule.rule_id] = rule
 
     def detect_flows(self, stats, threshold_bps: int):
-        """Classify flows: proactive rule match first, rate threshold second.
+        """Classify flows in one pass: proactive rule match first, rate threshold second.
 
-        add_rule keeps priorities unique, so the first match in descending
-        priority is what match_proactive_rules would pick for each flow.
+        The rules are indexed by shape, the fields a rule constrains, and
+        within a shape by the values it requires, so each flow costs one
+        dict lookup per shape. Each key keeps the rule that comes first in
+        descending priority, and a flow takes the first among its hits;
+        add_rule keeps priorities unique, so that is the rule
+        match_proactive_rules picks. stats may be a one-shot iterator.
         """
-        rules = sorted(self.rules.values(), key=attrgetter("priority"), reverse=True)
-        reactive = set(detect_large_flow_reactive(stats, threshold_bps))
+        if threshold_bps <= 0:
+            raise ValueError(f"threshold_bps must be positive, got {threshold_bps}")
+        ordered = sorted(self.rules.values(), key=attrgetter("priority"), reverse=True)
+        no_match = len(ordered)
+        match_all = no_match  # rank in ordered of the first rule constraining nothing
+        index: dict[tuple, dict] = {}  # shape -> {required values: rank in ordered}
+        for rank, rule in enumerate(ordered):
+            shape = tuple(f for f in _RULE_FIELDS if getattr(rule, f) is not None)
+            if shape:
+                index.setdefault(shape, {}).setdefault(attrgetter(*shape)(rule), rank)
+            else:
+                match_all = min(match_all, rank)
+        lookups = [(attrgetter(*shape), ranks) for shape, ranks in index.items()]
         report = []
         for flow in stats:
-            rule_id = next((r.rule_id for r in rules if r.matches(flow)), None)
-            if rule_id is not None:
+            best = match_all
+            for values_of, ranks in lookups:
+                rank = ranks.get(values_of(flow), no_match)
+                if rank < best:
+                    best = rank
+            if best < no_match:
                 report.append({"flow_id": flow.flow_id, "mode": "proactive",
-                               "rule_id": rule_id})
-            elif flow.flow_id in reactive:
+                               "rule_id": ordered[best].rule_id})
+            elif flow.rate_bps >= threshold_bps:
                 report.append({"flow_id": flow.flow_id, "mode": "reactive",
                                "rule_id": None})
         return report

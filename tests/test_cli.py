@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from meowsim import bench
 from meowsim.cli import _parse_counts, main
 
 
@@ -35,6 +36,14 @@ def exp2_file(tmp_path):
     path = tmp_path / "exp2_small.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
+
+
+@pytest.fixture
+def no_simulation(monkeypatch):
+    """Fail the test if a run starts: bad flags and paths are caught before it."""
+    def started(*args, **kwargs):
+        raise AssertionError("a simulation started")
+    monkeypatch.setattr(bench, "Engine", started)
 
 
 def test_parse_counts():
@@ -106,6 +115,20 @@ class TestRun:
         assert not list(tmp_path.glob("*.csv"))
 
 
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_bad_out_dir_rejected_before_simulation(self, tmp_path, capsys, no_simulation,
+                                                    kind):
+        out_dir = tmp_path / "absent"
+        if kind == "file":
+            out_dir.write_text("", encoding="utf-8")
+        rc = main(["run", "exp1", "--out-dir", str(out_dir)])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: IoFailure: cannot write")
+        assert f"{out_dir} is not a directory" in err
+
+
 class TestSweep:
     def test_slope_and_csv(self, exp1_file, tmp_path, capsys):
         csv_path = tmp_path / "sweep.csv"
@@ -131,6 +154,31 @@ class TestSweep:
         assert rc == 2
         assert err.startswith("error: IoFailure: cannot write sweep CSV")
         assert "Traceback" not in err
+
+
+    def test_missing_csv_dir_rejected_before_sweep(self, exp1_file, tmp_path, capsys,
+                                                   no_simulation):
+        path = tmp_path / "no" / "x.csv"
+        rc = main(["sweep", "--scenario", exp1_file, "--csv", str(path)])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: IoFailure: cannot write sweep CSV")
+
+    def test_too_long_chain_rejected_before_sweep(self, exp1_file, capsys, no_simulation):
+        rc = main(["sweep", "--scenario", exp1_file, "--devices", "740..744"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: SegmentTooLong:") and "744" in err
+
+    @pytest.mark.parametrize("devices", ["a..b", "1..", "1..2..3", "2,x"])
+    def test_malformed_devices_named(self, exp1_file, capsys, no_simulation, devices):
+        rc = main(["sweep", "--scenario", exp1_file, "--devices", devices])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: --devices must be LO..HI or a comma list")
 
 
 class TestExtrapolate:
@@ -205,6 +253,15 @@ class TestPdoCompare:
         assert rc == 0
         assert "structural delta 48.0 us" in out
         assert "empirical delta" in out
+
+
+    @pytest.mark.parametrize("cycles", ["1", "1,2,3", "a,b"])
+    def test_malformed_cycles_named(self, exp2_file, capsys, no_simulation, cycles):
+        rc = main(["pdo-compare", "--scenario", exp2_file, "--cycles", cycles])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: --cycles must be two integers HI,LO")
 
 
 class TestCodec:
@@ -301,6 +358,20 @@ class TestNetctl:
         assert [line["error"] for line in lines[:2]] == ["JSONDecodeError", "RecursionError"]
         assert lines[0]["verb"] is None
         assert lines[2]["table"] == []
+
+    def test_line_that_is_not_utf8_fails_alone(self, tmp_path, capsys):
+        path = tmp_path / "commands.jsonl"
+        dump = json.dumps({"verb": "dump-table"}).encode()
+        path.write_bytes(dump + b"\r\n\xff\xfe\r\n# \xff comment\r\n" + dump + b"\r\n")
+        rc = main(["netctl", "exp1", str(path)])
+        out, err = capsys.readouterr()
+        lines = [json.loads(l) for l in out.splitlines()]
+        assert rc == 1
+        assert err == ""
+        assert [line["ok"] for line in lines] == [True, False, False, True]
+        assert [line["error"] for line in lines[1:3]] == ["UnicodeDecodeError"] * 2
+        assert lines[1]["verb"] is None
+        assert lines[3]["table"] == []
 
     @pytest.mark.parametrize("missing", [True, False], ids=["missing", "directory"])
     def test_unreadable_command_file_rejected(self, tmp_path, capsys, missing):

@@ -382,6 +382,27 @@ class TestReporting:
         report = ctrl.run_until_complete(1)
         assert report.config_time_ns <= span
 
+    @pytest.mark.parametrize("name", ["exp1", "exp2", "4x250"])
+    def test_request_span_is_the_formula_worked_out_once(self, name, monkeypatch):
+        if name == "4x250":
+            topology = Topology(segments=(SegmentSpec(device_count=250),) * 4,
+                                timing=load_preset("exp2").topology.timing)
+        else:
+            topology = load_preset(name).topology
+        t = topology.timing
+        engine, ctrl = make(topology)
+        # nothing after construction works the bound out again
+        monkeypatch.setattr("meowsim.controller.analytic_latency", None)
+        multi = t.d_mm_ns if topology.segment_count > 1 else 0
+        worst_chain = max(seg.device_count for seg in topology.segments)
+        assert ctrl.request_span_ns() == (
+            t.d_sb_ns + multi + t.d_jitter_max_ns + t.d_frame_head_ns
+            + worst_chain * t.d_hop_ns + t.d_latch_ns
+            + t.pdo_cycle_ns + max(seg.phase_ns for seg in topology.segments)
+        )
+        ctrl.submit(req(1, (0, 0, 1)), t_generated_ns=0)
+        assert ctrl.run_until_complete(1).config_time_ns <= ctrl.request_span_ns()
+
     def test_one_record_per_request(self):
         engine, ctrl = make(chain_topology())
         seen = []

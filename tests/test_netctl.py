@@ -80,17 +80,19 @@ class TestFlowDetection:
             {"flow_id": "f3", "mode": "proactive", "rule_id": "storage"},
         ]
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(
+        # priorities in random insertion order; few field values, so that
+        # several rules share one shape (the fields they constrain) and key
         rules=st.lists(
-            st.tuples(st.integers(0, 20), st.sampled_from([None, "t1", "t2"]),
+            st.tuples(st.integers(0, 30), st.sampled_from([None, "t1", "t2"]),
                       st.sampled_from([None, "t1", "t2"]),
                       st.sampled_from([None, "storage", "web"])),
-            max_size=6, unique_by=lambda r: r[0]),
+            max_size=12, unique_by=lambda r: r[0]),
         flows=st.lists(
             st.tuples(st.sampled_from(["t1", "t2", "t3"]), st.sampled_from(["t1", "t2", "t3"]),
                       st.integers(0, 10), st.sampled_from([None, "storage", "web"])),
-            max_size=8),
+            max_size=40),
         threshold=st.integers(1, 10),
     )
     def test_report_equals_per_flow_match(self, rules, flows, threshold):
@@ -110,6 +112,59 @@ class TestFlowDetection:
                 expected.append({"flow_id": flow.flow_id, "mode": "reactive",
                                  "rule_id": None})
         assert nc.detect_flows(stats, threshold) == expected
+        assert nc.detect_flows(iter(stats), threshold) == expected
+
+    def test_iterator_input_reports_as_list(self):
+        nc = NetworkController(OcsResourceModel(mini_topology()))
+        nc.add_rule(ProactiveRule("storage", priority=2, service_tag="storage"))
+        stats = flows() + [FlowStats("a", "t1", "t2", 50)]
+        report = nc.detect_flows(stats, threshold_bps=10)
+        assert [r["flow_id"] for r in report] == ["f1", "f2", "f3", "a"]
+        assert nc.detect_flows(iter(stats), threshold_bps=10) == report
+        assert nc.detect_flows(iter([FlowStats("a", "t1", "t2", 50)]), 10) == [
+            {"flow_id": "a", "mode": "reactive", "rule_id": None}]
+
+    @pytest.mark.parametrize("threshold", [0, -1])
+    def test_threshold_checked_before_any_flow_is_read(self, threshold):
+        nc = NetworkController(OcsResourceModel(mini_topology()))
+        nc.add_rule(ProactiveRule("any", priority=1))
+        nc.add_rule(ProactiveRule("storage", priority=2, service_tag="storage"))
+        read = []
+
+        def stats():
+            for flow in flows():
+                read.append(flow)
+                yield flow
+
+        with pytest.raises(ValueError, match=f"threshold_bps must be positive, got {threshold}"):
+            nc.detect_flows(stats(), threshold)
+        assert read == []
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0), (1, 2, 0)])
+    def test_same_shape_and_key_highest_priority_wins(self, order):
+        rules = [ProactiveRule("low", 1, src_tor="tor1", dst_tor="tor2"),
+                 ProactiveRule("high", 9, src_tor="tor1", dst_tor="tor2"),
+                 ProactiveRule("mid", 5, src_tor="tor1", dst_tor="tor2")]
+        nc = NetworkController(OcsResourceModel(mini_topology()))
+        for i in order:
+            nc.add_rule(rules[i])
+        assert nc.detect_flows(flows(), threshold_bps=10**12) == [
+            {"flow_id": "f1", "mode": "proactive", "rule_id": "high"}]
+
+    def test_match_all_rule_loses_to_higher_priority_only(self):
+        nc = NetworkController(OcsResourceModel(mini_topology()))
+        nc.add_rule(ProactiveRule("any", priority=3))
+        nc.add_rule(ProactiveRule("tor1", priority=5, src_tor="tor1"))
+        nc.add_rule(ProactiveRule("storage", priority=1, service_tag="storage"))
+        assert [r["rule_id"] for r in nc.detect_flows(flows(), 10**12)] == [
+            "tor1", "tor1", "any"]
+
+    def test_each_flow_judged_by_its_own_rate(self):
+        # a repeated flow id does not carry one flow's rate over to another
+        nc = NetworkController(OcsResourceModel(mini_topology()))
+        stats = [FlowStats("x", "a", "b", 5), FlowStats("x", "a", "b", 50)]
+        assert nc.detect_flows(stats, threshold_bps=10) == [
+            {"flow_id": "x", "mode": "reactive", "rule_id": None}]
 
     def test_add_rule_uniqueness(self):
         nc = NetworkController(OcsResourceModel(mini_topology()))
