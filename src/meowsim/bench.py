@@ -265,8 +265,9 @@ def sweep_devices(base: Scenario, device_counts=range(1, 9)) -> SweepResult:
     if base.topology.segment_count != 1:
         raise ValueError("device sweep needs a single-segment scenario")
     counts = list(device_counts)
-    if not counts:
-        raise ValueError("no device counts to sweep")
+    if len(set(counts)) < 2:
+        raise ValueError(f"need at least two points to fit: two distinct device counts, "
+                         f"got {counts}")
     phase = base.topology.segments[0].phase_ns
     points = []
     for n in counts:
@@ -285,14 +286,11 @@ def sweep_devices(base: Scenario, device_counts=range(1, 9)) -> SweepResult:
 
 
 def _least_squares(pairs):
+    """Slope and intercept of the fit; pairs hold at least two distinct x."""
     n = len(pairs)
-    if n < 2:
-        raise ValueError("need at least two points to fit")
     mean_x = sum(x for x, _ in pairs) / n
     mean_y = sum(y for _, y in pairs) / n
     sxx = sum((x - mean_x) ** 2 for x, _ in pairs)
-    if sxx == 0:
-        raise ValueError("degenerate sweep: all device counts equal")
     sxy = sum((x - mean_x) * (y - mean_y) for x, y in pairs)
     slope = sxy / sxx
     return slope, mean_y - slope * mean_x

@@ -124,9 +124,11 @@ def _cmd_extrapolate(args) -> int:
 
 
 def _cmd_pdo_compare(args) -> int:
+    form = f"two integers HI,LO in ns with HI >= LO, got {args.cycles!r}"
+    cycle_hi, cycle_lo = _flag_ints("--cycles", args.cycles.split(","), form, count=2)
+    if cycle_hi < cycle_lo:
+        raise ValueError(f"--cycles must be {form}")
     hi = resolve_scenario(args.scenario)
-    cycle_hi, cycle_lo = _flag_ints("--cycles", args.cycles.split(","),
-                                    f"two integers HI,LO in ns, got {args.cycles!r}", count=2)
     hi = bench.with_pdo_cycle(hi, cycle_hi)
     lo = bench.with_pdo_cycle(hi, cycle_lo)
     comparison = bench.pdo_reduction_analysis(hi, lo, run_empirical=not args.no_empirical)

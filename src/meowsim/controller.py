@@ -18,13 +18,11 @@ life of a request:
 
 A master emits only at boundaries with writes due: a frame at any other
 boundary carries and changes nothing, so it is no event. At one instant,
-completions run before arrivals, and arrivals before emissions (EventKind
-order), so a write staged exactly on a boundary rides that boundary's
-frame. Emissions at one instant run in segment order. Only a request handed
-in after that boundary's frame was built waits for the next one; a frame
-counts as built at a boundary once run_until has run through it (after
-start()), or once a master of the same phase and a higher segment emitted
-there, since the lower segment's frame would have gone first.
+completions run before arrivals, and arrivals before emissions in segment
+order (EventKind order). One rule decides which frame a staged write rides:
+a master's frame at boundary B is on the wire once the engine has run past
+that frame's slot (B, MasterEmit, segment), whether or not it emitted there.
+A write staged at or before B rides B's frame unless that slot has run.
 """
 
 from __future__ import annotations
@@ -136,8 +134,8 @@ class DeviceController:
         self.topology = topology
         self.timing = topology.timing
         self.masters = [
-            MasterState(s, seg.phase_ns, topology.timing.pdo_cycle_ns, seg.device_count)
-            for s, seg in enumerate(topology.segments)
+            MasterState(seg.phase_ns, topology.timing.pdo_cycle_ns, seg.device_count)
+            for seg in topology.segments
         ]
         self._device_counts = tuple(seg.device_count for seg in topology.segments)
         # per segment, one (device 0's latch time, frame.changed) per frame
@@ -165,15 +163,14 @@ class DeviceController:
         """Begin cyclic emission at each master's first boundary at or after now.
 
         This schedules nothing, since a master emits only where writes are
-        due. It marks that no frame from now on was built yet, even where
-        run_until already ran through now. The first arrival calls it, so
-        a controller never started begins emitting there.
+        due. It rewinds the engine's cursor below now, so no frame from now
+        on counts as on the wire even where run_until ran through now. The
+        first arrival calls it.
         """
         if self._started:
             return
         self._started = True
-        engine = self.engine
-        engine.settled_ns = min(engine.settled_ns, engine.now - 1)
+        self.engine.rewind()
 
     def submit(self, request: ConfigureRequest, t_generated_ns: int) -> None:
         """Send a request generated at t_generated_ns down the southbound.
@@ -217,19 +214,15 @@ class DeviceController:
         for seg, writes in trace.writes.items():
             jitter = engine.rng.uniform_draw(0, self.timing.d_jitter_max_ns)
             stage_ns = t_arrival_ns + multi + jitter
-            pickup = self.masters[seg].stage(stage_ns, trace.request_id, writes,
-                                             engine.settled_ns)
+            built = engine.has_run(stage_ns, EventKind.MASTER_EMIT, seg)
+            pickup = self.masters[seg].stage(stage_ns, trace.request_id, writes, built)
             if pickup is not None:
                 engine.schedule(pickup, EventKind.MASTER_EMIT, seg, order=seg)
             trace.segments[seg] = SegmentTrace(staged_ns=stage_ns, jitter_ns=jitter)
 
     def _on_master_emit(self, seg: int) -> None:
-        master = self.masters[seg]
         boundary = self.engine.now
-        frame = master.build_frame(boundary)
-        for lower in self.masters[:seg]:
-            if lower.phase_ns == master.phase_ns:  # its frame here went first
-                lower.built_ns = boundary
+        frame = self.masters[seg].build_frame(boundary)
         t = self.timing
         first_latch = boundary + t.d_frame_head_ns + t.d_hop_ns + t.d_latch_ns
         if frame.changed:

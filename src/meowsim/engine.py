@@ -78,9 +78,9 @@ class Engine:
     its kind's rank, which both orders the heap and indexes the handler
     list, so dispatch never hashes the EventKind.
 
-    settled_ns is the instant the last run_until ran through (-1 before
-    the first): every event queued at or before it then has run. A caller
-    that begins periodic work at now lowers it below now.
+    A run-order cursor holds the latest slot (time, kind, order) run past:
+    step moves it to each event, run_until past every kind at its end, and
+    rewind back below now.
     """
 
     def __init__(self, seed: int = 0):
@@ -89,7 +89,7 @@ class Engine:
         self._seq = 0
         self._clock = 0
         self._handlers: list = [None] * len(EventKind)  # indexed by rank
-        self.settled_ns = -1
+        self._ran: tuple = ()  # the run-order cursor; () sorts before every slot
 
     @property
     def now(self) -> int:
@@ -116,7 +116,7 @@ class Engine:
         heapq.heappush(self._heap, (time_ns, kind.rank, order, args))
 
     def run_until(self, t_end: int) -> int:
-        """Process every event with time <= t_end; clock and settled_ns end at t_end.
+        """Process every event with time <= t_end; the clock ends at t_end, the cursor past it.
 
         Returns how many events were processed.
         """
@@ -127,15 +127,26 @@ class Engine:
         while heap and heap[0][0] <= t_end:
             self.step()
             processed += 1
-        self._clock = self.settled_ns = t_end
+        self._clock, self._ran = t_end, (t_end, len(EventKind))
         return processed
 
     def step(self) -> None:
-        """Process the earliest queued event; the clock moves to its time."""
-        self._clock, rank, _, args = heapq.heappop(self._heap)
+        """Process the earliest queued event; the clock and cursor move to it."""
+        event = heapq.heappop(self._heap)
+        if event > self._ran:  # an event queued at now may sort before its queuer's
+            self._ran = event
+        self._clock, rank, _, args = event
         handler = self._handlers[rank]
         if handler is not None:
             handler(*args)
+
+    def has_run(self, time_ns: int, kind: EventKind, order: int) -> bool:
+        """Whether the engine has run past the slot (time_ns, kind, order)."""
+        return (time_ns, kind.rank, order) <= self._ran
+
+    def rewind(self) -> None:
+        """Count no slot at or after now as run, even where run_until ran through now."""
+        self._ran = min(self._ran, (self._clock,))
 
     def next_time_ns(self) -> int | None:
         """Time of the earliest queued event; None when nothing is queued."""

@@ -103,31 +103,25 @@ class MasterState:
     due; a frame at any other boundary would carry and change nothing.
     """
 
-    def __init__(self, segment: int, phase_ns: int, cycle_ns: int, device_count: int):
-        self.segment = segment
+    def __init__(self, phase_ns: int, cycle_ns: int, device_count: int):
         self.phase_ns = phase_ns
         self.cycle_ns = cycle_ns
         self.words = [0] * device_count
         # {pickup_ns: [(stage_ns, request_id, ((device, word), ...)), ...]}
         self.staged: dict[int, list[tuple]] = {}
-        self.built_ns = -1  # every frame at or before this instant is on the wire
 
     def stage(self, stage_ns: int, request_id: int, writes: tuple,
-              settled_ns: int = -1) -> int | None:
+              built: bool = False) -> int | None:
         """Stage ((device, word), ...) on the frame that picks them up.
 
-        Frames at boundaries up to settled_ns also count as built. Returns
-        the pickup boundary when these are the first writes due there (the
-        master must emit at it), else None.
+        With built, a frame at stage_ns is already on the wire, so they ride
+        the next. Returns the pickup boundary when these are the first
+        writes due there (the master must emit at it), else None.
         """
         for device, _ in writes:
             if not 0 <= device < len(self.words):
                 raise ValueError(f"write to device {device} outside segment")
-        pickup = boundary_at_or_after(stage_ns, self.phase_ns, self.cycle_ns)
-        built = max(self.built_ns, settled_ns)
-        if built >= pickup:
-            # this boundary's frame is already on the wire: ride the next
-            pickup = next_pdo_boundary(built, self.phase_ns, self.cycle_ns)
+        pickup = boundary_at_or_after(stage_ns + built, self.phase_ns, self.cycle_ns)
         due = self.staged.get(pickup)
         if due is None:
             self.staged[pickup] = [(stage_ns, request_id, writes)]
@@ -140,7 +134,6 @@ class MasterState:
 
         A boundary with nothing due builds an empty frame.
         """
-        self.built_ns = boundary_ns
         due = self.staged.pop(boundary_ns, ())
         if self.staged and min(self.staged) <= boundary_ns:
             raise AssertionError("staged write missed its boundary")

@@ -43,7 +43,10 @@ def compute_stats(values_ns) -> RunStats:
         raise ValueError("no values to summarize")
     n = len(values)
     mean = sum(values) / n
-    variance = sum((v - mean) ** 2 for v in values) / n
+    squares = 0.0  # summed left to right: sum() of floats compensates from 3.12 on
+    for v in values:
+        squares += (v - mean) ** 2
+    variance = squares / n
     bins: dict[int, int] = {}
     for v in values:
         bins[v // HISTOGRAM_BIN_NS] = bins.get(v // HISTOGRAM_BIN_NS, 0) + 1

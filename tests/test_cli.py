@@ -180,6 +180,15 @@ class TestSweep:
         assert out == ""
         assert err.startswith("error: --devices must be LO..HI or a comma list")
 
+    @pytest.mark.parametrize("devices", ["5", "2,2", "3..3"])
+    def test_one_distinct_count_rejected_before_sweep(self, exp1_file, capsys, no_simulation,
+                                                      devices):
+        rc = main(["sweep", "--scenario", exp1_file, "--devices", devices])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: need at least two points to fit")
+
 
 class TestExtrapolate:
     def test_four_masters(self, capsys):
@@ -262,6 +271,13 @@ class TestPdoCompare:
         assert rc == 2
         assert out == ""
         assert err.startswith("error: --cycles must be two integers HI,LO")
+
+    def test_reversed_cycles_rejected_before_simulation(self, exp2_file, capsys, no_simulation):
+        rc = main(["pdo-compare", "--scenario", exp2_file, "--cycles", "32000,80000"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: --cycles must be two integers HI,LO in ns with HI >= LO")
 
 
 class TestCodec:

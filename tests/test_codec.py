@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meowsim.bench import run_scenario
 from meowsim.codec import (
     EcatCmd,
     EcatDatagram,
@@ -17,6 +18,8 @@ from meowsim.codec import (
     encode_frame,
     summarize_frame,
 )
+from meowsim.controller import ConfigureRequest, DeviceController, Target
+from meowsim.engine import Engine
 from meowsim.errors import (
     BadType,
     LengthMismatch,
@@ -25,6 +28,8 @@ from meowsim.errors import (
     UnknownCommand,
     UnsupportedCommand,
 )
+from meowsim.scenario import load_preset
+from meowsim.simulation import MasterState
 
 # Frozen wire-format oracles, derived by hand from the layout table:
 # header 0x100C = length 12 | type 1; NOP datagram is ten zero header bytes
@@ -265,3 +270,64 @@ class TestConformanceVectors:
         assert summarize_frame(frame) == (
             "LWR idx=0 addr=0x00000000 len=2 irq=0 data=efbe wkc=0"
         )
+
+
+class TestEventPathOnTheWire:
+    """Every frame with riders the event path builds, sent as one LWR datagram.
+
+    Each device applies the datagram at its logical offset; the words it
+    then holds must be the master's, and the words that moved the frame's
+    changed words.
+    """
+
+    @pytest.fixture
+    def sent(self, monkeypatch):
+        build_frame = MasterState.build_frame
+        held = {}  # master -> the words its devices hold, applied from the wire
+        sent = []
+
+        def build_and_send(master, boundary_ns):
+            frame = build_frame(master, boundary_ns)
+            if not frame.riders:
+                return frame
+            image = b"".join(word.to_bytes(2, "little") for word in master.words)
+            raw = encode_frame(EcatFrame.from_datagrams(
+                [EcatDatagram(cmd=EcatCmd.LWR, data=image)]))
+            (dgram,) = decode_frame(raw).datagrams
+            words = held.setdefault(master, [0] * len(master.words))
+            before, wkc = list(words), 0
+            for p, word in enumerate(before):
+                words[p], _, increment = apply_datagram(
+                    word, dgram, SlaveMapping(logical_start=2 * p))
+                wkc += increment
+            assert words == master.words
+            assert wkc == len(words)
+            assert tuple((p, w) for p, w in enumerate(words) if w != before[p]) == frame.changed
+            sent.append(boundary_ns)
+            return frame
+
+        monkeypatch.setattr(MasterState, "build_frame", build_and_send)
+        return sent
+
+    @pytest.mark.parametrize("preset, frames", [("exp1", 1_000), ("exp2", 4_000)])
+    def test_preset_runs(self, sent, preset, frames):
+        run_scenario(load_preset(preset).with_changes(outputs=None))
+        assert len(sent) == frames
+
+    def test_seeded_words_that_coalesce(self, sent):
+        # the presets write byte-symmetric words; these are not, and
+        # requests 50 us apart on an 80 us cycle share frames
+        topology = load_preset("exp2").topology
+        engine = Engine(seed=7)
+        controller = DeviceController(engine, topology)
+        rng = random.Random(7)
+        devices = list(topology.all_targets())
+        for k in range(200):
+            chosen = rng.sample(devices, rng.randint(1, len(devices)))
+            targets = tuple(Target(s, d, rng.getrandbits(16)) for s, d in chosen)
+            controller.submit(ConfigureRequest(k, targets), k * 50_000)
+        engine.run_until(200 * 50_000 + controller.request_span_ns())
+        traces = controller.traces.values()
+        assert all(trace.complete for trace in traces)
+        rides = [(s, seg.emit_ns) for trace in traces for s, seg in trace.segments.items()]
+        assert len(sent) == len(set(rides)) < len(rides)

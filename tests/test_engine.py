@@ -50,14 +50,29 @@ class TestScheduleAndRun:
         engine.run_until(100)
         assert seen == [9, 0, 2, 3]
 
-    def test_run_until_records_settled_instant(self):
+    def test_cursor_follows_step_and_run_until(self):
         engine = Engine()
-        assert engine.settled_ns == -1
-        engine.schedule(10, EventKind.MASTER_EMIT)
-        engine.step()  # stepping settles nothing
-        assert (engine.now, engine.settled_ns) == (10, -1)
-        engine.run_until(25)
-        assert (engine.now, engine.settled_ns) == (25, 25)
+        emit, complete = EventKind.MASTER_EMIT, EventKind.REQUEST_COMPLETE
+        assert not engine.has_run(0, complete, 0)
+
+        def emit_then_complete(segment):
+            # a completion queued at now sorts before the emission running
+            engine.schedule(engine.now, complete)
+
+        engine.on(emit, emit_then_complete)
+        engine.schedule(10, emit, 1, order=1)
+        engine.schedule(10, emit, 2, order=2)
+        engine.step()
+        assert engine.has_run(10, emit, 1) and not engine.has_run(10, emit, 2)
+        engine.step()  # the completion queued by segment 1 moves nothing back
+        assert engine.now == 10
+        assert engine.has_run(10, emit, 1) and not engine.has_run(10, emit, 2)
+        engine.step()
+        assert engine.has_run(10, emit, 2) and not engine.has_run(11, complete, 0)
+        assert engine.run_until(25) == 1  # segment 2's completion
+        assert engine.has_run(25, emit, 99) and not engine.has_run(26, complete, 0)
+        engine.rewind()
+        assert engine.has_run(24, emit, 99) and not engine.has_run(25, complete, 0)
 
     def test_same_instant_runs_in_lifecycle_order(self):
         engine = Engine()

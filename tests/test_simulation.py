@@ -89,7 +89,7 @@ class TestAnalyticLatency:
 
 class TestMasterState:
     def master(self):
-        return MasterState(segment=0, phase_ns=0, cycle_ns=32_000, device_count=2)
+        return MasterState(phase_ns=0, cycle_ns=32_000, device_count=2)
 
     def test_image_snapshot(self):
         m = self.master()
@@ -135,7 +135,7 @@ class TestMasterState:
     def test_write_on_a_built_boundary_rides_the_next(self):
         m = self.master()
         m.build_frame(32_000)
-        m.stage(32_000, 1, ((0, 0x1111),))
+        m.stage(32_000, 1, ((0, 0x1111),), built=True)
         assert m.build_frame(64_000).riders == (1,)
 
     def test_idle_frames_still_emitted(self):
