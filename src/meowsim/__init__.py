@@ -48,7 +48,6 @@ from .simulation import (
     MasterState,
     analytic_latency,
     boundary_at_or_after,
-    next_pdo_boundary,
 )
 from .southbound import SouthboundServer, SouthboundSession
 from .stats import RunStats, compute_stats
@@ -98,7 +97,6 @@ __all__ = [
     "load_preset",
     "load_scenario",
     "match_proactive_rules",
-    "next_pdo_boundary",
     "pdo_reduction_analysis",
     "resolve_scenario",
     "run_scenario",

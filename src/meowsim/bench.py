@@ -286,14 +286,18 @@ def sweep_devices(base: Scenario, device_counts=range(1, 9)) -> SweepResult:
 
 
 def _least_squares(pairs):
-    """Slope and intercept of the fit; pairs hold at least two distinct x."""
+    """Slope and intercept of the fit; pairs hold at least two distinct x.
+
+    The pairs are integers, so every sum is exact and each result is one
+    correctly rounded int / int division, the same on every Python version.
+    """
     n = len(pairs)
-    mean_x = sum(x for x, _ in pairs) / n
-    mean_y = sum(y for _, y in pairs) / n
-    sxx = sum((x - mean_x) ** 2 for x, _ in pairs)
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in pairs)
-    slope = sxy / sxx
-    return slope, mean_y - slope * mean_x
+    sx = sum(x for x, _ in pairs)
+    sy = sum(y for _, y in pairs)
+    sxx = sum(x * x for x, _ in pairs)
+    sxy = sum(x * y for x, y in pairs)
+    det = n * sxx - sx * sx
+    return (n * sxy - sx * sy) / det, (sy * sxx - sx * sxy) / det
 
 
 def racks_to_devices_per_segment(racks: int, masters: int) -> int:

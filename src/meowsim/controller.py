@@ -4,16 +4,19 @@ One controller drives up to six masters over a single event engine. The
 life of a request:
 
   t_generated_ns     generated at the network controller (marker 1); submit
-                     checks the request once and records its trace
-  SouthboundArrived  +d_sb_ns at the device controller; the writes are
-                     staged at +d_mm_ns (+drawn jitter) per targeted segment
+                     checks the request once, packs each segment's writes
+                     into a (mask, value) pair of process images and
+                     records its trace
+  SouthboundArrived  +d_sb_ns at the device controller; each segment's pair
+                     is staged at +d_mm_ns (+drawn jitter) on its master
   MasterEmit         next PDO boundary of each targeted master (marker 2),
                      scheduled by the first write staged for it; the
                      frame's pass down the chain is resolved here: a frame
-                     that changes words is logged once, with device 0's
-                     latch time, and each device p whose word it changes
-                     latches at +d_frame_head_ns + (p+1)*d_hop_ns +
-                     d_latch_ns (marker 3)
+                     that changes words is logged once, as device 0's
+                     latch time with the old and new image, and each
+                     device p whose word it changes latches at
+                     +d_frame_head_ns + (p+1)*d_hop_ns + d_latch_ns
+                     (marker 3)
   RequestComplete    at the last target's latch time
 
 A master emits only at boundaries with writes due: a frame at any other
@@ -27,6 +30,7 @@ A write staged at or before B rides B's frame unless that slot has run.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 
 from .engine import Engine, EventKind
@@ -38,7 +42,13 @@ from .errors import (
     UnknownRequest,
     UnknownTarget,
 )
-from .simulation import DeviceState, MasterState, analytic_latency
+from .simulation import (
+    DeviceState,
+    MasterState,
+    analytic_latency,
+    changed_words,
+    word_positions,
+)
 from .topology import MAX_SEGMENTS, Topology, require_int
 
 
@@ -49,8 +59,9 @@ class Target:
     word: int
 
     def __post_init__(self):
-        for name in ("segment", "device", "word"):
-            require_int(name, getattr(self, name))
+        require_int("segment", self.segment)
+        require_int("device", self.device)
+        require_int("word", self.word)
         if not 0 <= self.word <= 0xFFFF:
             raise ValueError(f"output word must fit 16 bits, got {self.word:#x}")
 
@@ -89,7 +100,7 @@ class RequestTrace:
 
     request_id: int
     t_generated_ns: int
-    writes: dict[int, tuple]  # {segment: ((device, word), ...)}, ascending segments
+    writes: dict[int, tuple[int, int]]  # {segment: (mask, value)}, ascending segments
     hop_ns: int
     segments: dict[int, SegmentTrace] = field(default_factory=dict)
     config_time_ns: int | None = None  # set when the last target latches
@@ -112,7 +123,7 @@ class RequestTrace:
         return {
             (seg, device): self.latch_ns(seg, device)
             for seg, st in self.segments.items() if st.first_latch_ns is not None
-            for device, _ in self.writes[seg]
+            for device in word_positions(self.writes[seg][0])
         }
 
     def check_ordering(self) -> None:
@@ -138,9 +149,11 @@ class DeviceController:
             for seg in topology.segments
         ]
         self._device_counts = tuple(seg.device_count for seg in topology.segments)
-        # per segment, one (device 0's latch time, frame.changed) per frame
-        # that changed words, in emission order
-        self.frame_log: list[list[tuple[int, tuple]]] = [[] for _ in self.masters]
+        # one little-endian word per device: packs a segment's word list into image bytes
+        self._image_structs = tuple(struct.Struct(f"<{n}H") for n in self._device_counts)
+        # per segment, one (device 0's latch time, old image, new image) per
+        # frame that changed words, in emission order
+        self.frame_log: list[list[tuple[int, int, int]]] = [[] for _ in self.masters]
         self.traces: dict[int, RequestTrace] = {}
         self.completion_callbacks = []
         self._started = False
@@ -176,28 +189,42 @@ class DeviceController:
         """Send a request generated at t_generated_ns down the southbound.
 
         The request is checked and recorded here, once; nothing is recorded
-        or scheduled when this raises.
+        or scheduled when this raises. Each targeted segment's writes are
+        packed into a (mask, value) pair of images for its master.
         """
         if len(request.segments) > MAX_SEGMENTS:
             raise TooManySegments(
                 f"request spans {len(request.segments)} segments, max {MAX_SEGMENTS}"
             )
         counts = self._device_counts
-        writes = {}
+        lanes = {}  # {segment: (mask words, value words)}
+        seg = None
         for t in request.targets:
-            if not (0 <= t.segment < len(counts) and 0 <= t.device < counts[t.segment]):
-                raise UnknownTarget(
-                    f"target segment {t.segment} device {t.device} not in topology"
-                )
-            writes.setdefault(t.segment, []).append((t.device, t.word))
+            if t.segment != seg:  # targets mostly come in runs of one segment
+                seg = t.segment
+                count = counts[seg] if 0 <= seg < len(counts) else 0
+                words = lanes.get(seg)
+                if words is None:
+                    words = lanes[seg] = ([0] * count, [0] * count)
+                mask_words, value_words = words
+            device = t.device
+            if not 0 <= device < count:
+                raise UnknownTarget(f"target segment {seg} device {device} not in topology")
+            mask_words[device] = 0xFFFF
+            value_words[device] = t.word
         if request.request_id in self.traces:
             raise DuplicateRequestId(f"request {request.request_id} already submitted")
         if t_generated_ns < self.engine.now:
             raise SchedulingInPast(
                 f"cannot generate a request at {t_generated_ns}, clock is {self.engine.now}"
             )
-        trace = RequestTrace(request.request_id, t_generated_ns,
-                             {seg: tuple(writes[seg]) for seg in sorted(writes)},
+        writes = {}
+        for seg in sorted(lanes):
+            pack = self._image_structs[seg].pack
+            mask_words, value_words = lanes[seg]
+            writes[seg] = (int.from_bytes(pack(*mask_words), "little"),
+                           int.from_bytes(pack(*value_words), "little"))
+        trace = RequestTrace(request.request_id, t_generated_ns, writes,
                              self.timing.d_hop_ns)
         self.traces[request.request_id] = trace
         t_arrival_ns = t_generated_ns + self.timing.d_sb_ns
@@ -211,11 +238,11 @@ class DeviceController:
         engine = self.engine
         multi = self.timing.d_mm_ns if self.topology.segment_count > 1 else 0
         # dispatch order is fixed: lowest segment first
-        for seg, writes in trace.writes.items():
+        for seg, (mask, value) in trace.writes.items():
             jitter = engine.rng.uniform_draw(0, self.timing.d_jitter_max_ns)
             stage_ns = t_arrival_ns + multi + jitter
             built = engine.has_run(stage_ns, EventKind.MASTER_EMIT, seg)
-            pickup = self.masters[seg].stage(stage_ns, trace.request_id, writes, built)
+            pickup = self.masters[seg].stage(stage_ns, trace.request_id, mask, value, built)
             if pickup is not None:
                 engine.schedule(pickup, EventKind.MASTER_EMIT, seg, order=seg)
             trace.segments[seg] = SegmentTrace(staged_ns=stage_ns, jitter_ns=jitter)
@@ -225,8 +252,8 @@ class DeviceController:
         frame = self.masters[seg].build_frame(boundary)
         t = self.timing
         first_latch = boundary + t.d_frame_head_ns + t.d_hop_ns + t.d_latch_ns
-        if frame.changed:
-            self.frame_log[seg].append((first_latch, frame.changed))
+        if frame.after != frame.before:
+            self.frame_log[seg].append((first_latch, frame.before, frame.after))
         for rid in frame.riders:
             trace = self.traces[rid]
             seg_trace = trace.segments[seg]
@@ -234,9 +261,9 @@ class DeviceController:
             seg_trace.emit_ns = boundary
             seg_trace.first_latch_ns = first_latch
             if all(st.emit_ns is not None for st in trace.segments.values()):
-                # devices are unique in a segment, so max(writes) is the deepest one
-                last_latch = max(trace.latch_ns(s, max(writes)[0])
-                                 for s, writes in trace.writes.items())
+                # the mask's highest set lane is the deepest targeted device
+                last_latch = max(trace.latch_ns(s, (mask.bit_length() - 1) // 16)
+                                 for s, (mask, _) in trace.writes.items())
                 self.engine.schedule(last_latch, EventKind.REQUEST_COMPLETE, rid)
 
     def _on_request_complete(self, request_id: int) -> None:
@@ -259,8 +286,8 @@ class DeviceController:
         devices = {(s, d): DeviceState(s, d) for s, d in self.topology.all_targets()}
         hop = self.timing.d_hop_ns
         for seg, log in enumerate(self.frame_log):
-            for first_latch, changed in log:
-                for p, word in changed:
+            for first_latch, before, after in log:
+                for p, word in changed_words(before, after):
                     devices[(seg, p)].latch(word, first_latch + p * hop)
         return devices
 

@@ -1,5 +1,10 @@
 """Cyclic EtherCAT machinery: PDO boundaries, master/device state, latency oracle.
 
+Each master holds its chain's output words as one packed process image, an
+int with device p's word at bits 16p..16p+15 (the byte layout of the
+chain's LWR datagram payload), and folds staged (mask, value) writes into
+it a frame at a time.
+
 The event-driven path (driven by the device controller) and the closed-form
 oracle in analytic_latency are two independent routes to the same number;
 tests hold them to exact integer equality.
@@ -13,27 +18,19 @@ from typing import NamedTuple
 from .topology import TimingParams
 
 
-def next_pdo_boundary(t: int, phase_ns: int, cycle_ns: int) -> int:
-    """First PDO boundary strictly after t.
-
-    Boundaries are phase_ns + k*cycle_ns for integer k >= 0. Data staged
-    exactly at a boundary therefore maps to the following boundary.
-    """
-    if cycle_ns <= 0:
-        raise ValueError(f"cycle_ns must be positive, got {cycle_ns}")
-    if t < phase_ns:
-        return phase_ns
-    k = (t - phase_ns) // cycle_ns + 1
-    return phase_ns + k * cycle_ns
-
-
 def boundary_at_or_after(t: int, phase_ns: int, cycle_ns: int) -> int:
     """First PDO boundary at or after t.
 
-    This is the pickup rule for staged output data: writes landing exactly
-    on a boundary ride that boundary's frame.
+    Boundaries are phase_ns + k*cycle_ns for integer k >= 0. This is the
+    pickup rule for staged output data: writes landing exactly on a
+    boundary ride that boundary's frame.
     """
-    return next_pdo_boundary(t - 1, phase_ns, cycle_ns)
+    if cycle_ns <= 0:
+        raise ValueError(f"cycle_ns must be positive, got {cycle_ns}")
+    if t <= phase_ns:
+        return phase_ns
+    k = (t - 1 - phase_ns) // cycle_ns + 1
+    return phase_ns + k * cycle_ns
 
 
 def analytic_latency(
@@ -86,67 +83,93 @@ def structural_worst_latency(timing: TimingParams, n_segments: int, device_rank:
     )
 
 
+def word_positions(image: int):
+    """Positions of the nonzero words of a packed image, in ascending order.
+
+    Device p's word sits at bits 16p..16p+15 of an image.
+    """
+    while image:
+        p = ((image & -image).bit_length() - 1) // 16
+        yield p
+        image &= ~(0xFFFF << 16 * p)
+
+
+def changed_words(before: int, after: int) -> tuple:
+    """((device, new word), ...) of the words that differ between two images."""
+    return tuple((p, after >> 16 * p & 0xFFFF) for p in word_positions(before ^ after))
+
+
 class Frame(NamedTuple):
-    """What one cycle's frame does: the requests it carries, the words it changes."""
+    """What one cycle's frame does: the requests it carries, the image it leaves."""
 
     riders: tuple  # request ids, in staging order
-    changed: tuple  # ((device, new word), ...) in ascending device order
+    before: int  # the master's image before this frame
+    after: int  # the image this frame writes down the chain
+
+    @property
+    def changed(self) -> tuple:
+        """((device, new word), ...) of the words this frame changes."""
+        return changed_words(self.before, self.after)
 
 
 class MasterState:
-    """One EtherCAT master: its chain's output words and the writes staged for them.
+    """One EtherCAT master: its chain's process image and the writes staged for it.
 
-    Writes are keyed by the boundary whose frame picks them up and folded
-    into the words when that frame is built (last writer wins per word, in
-    staging-time order), so requests staged within one cycle coalesce into
-    the same cyclic frame. The master emits only at boundaries with writes
-    due; a frame at any other boundary would carry and change nothing.
+    The image is one int with device p's output word at bits 16p..16p+15;
+    read as little-endian bytes, it is the payload of the chain's LWR
+    datagram. A write is a (mask, value) pair of images: mask holds 0xFFFF
+    in each written word, value the new words. Writes are keyed by the
+    boundary whose frame picks them up and folded into the image when that
+    frame is built (last writer wins per word, in staging-time order), so
+    requests staged within one cycle coalesce into the same cyclic frame.
+    The master emits only at boundaries with writes due; a frame at any
+    other boundary would carry and change nothing.
     """
 
     def __init__(self, phase_ns: int, cycle_ns: int, device_count: int):
         self.phase_ns = phase_ns
         self.cycle_ns = cycle_ns
-        self.words = [0] * device_count
-        # {pickup_ns: [(stage_ns, request_id, ((device, word), ...)), ...]}
+        self.device_count = device_count
+        self.image = 0
+        # {pickup_ns: [(stage_ns, request_id, mask, value), ...]}
         self.staged: dict[int, list[tuple]] = {}
 
-    def stage(self, stage_ns: int, request_id: int, writes: tuple,
-              built: bool = False) -> int | None:
-        """Stage ((device, word), ...) on the frame that picks them up.
+    @property
+    def words(self) -> list[int]:
+        """The output word of each device, in chain order."""
+        return [self.image >> 16 * p & 0xFFFF for p in range(self.device_count)]
 
-        With built, a frame at stage_ns is already on the wire, so they ride
-        the next. Returns the pickup boundary when these are the first
-        writes due there (the master must emit at it), else None.
+    def stage(self, stage_ns: int, request_id: int, mask: int, value: int,
+              built: bool = False) -> int | None:
+        """Stage a (mask, value) write on the frame that picks it up.
+
+        The caller keeps the write inside the image. With built, a frame at
+        stage_ns is already on the wire, so the write rides the next.
+        Returns the pickup boundary when this is the first write due there
+        (the master must emit at it), else None.
         """
-        for device, _ in writes:
-            if not 0 <= device < len(self.words):
-                raise ValueError(f"write to device {device} outside segment")
         pickup = boundary_at_or_after(stage_ns + built, self.phase_ns, self.cycle_ns)
+        write = (stage_ns, request_id, mask, value)
         due = self.staged.get(pickup)
         if due is None:
-            self.staged[pickup] = [(stage_ns, request_id, writes)]
+            self.staged[pickup] = [write]
             return pickup
-        due.append((stage_ns, request_id, writes))
+        due.append(write)
         return None
 
     def build_frame(self, boundary_ns: int) -> Frame:
-        """Fold the writes due at this boundary into the words.
+        """Fold the writes due at this boundary into the image.
 
         A boundary with nothing due builds an empty frame.
         """
         due = self.staged.pop(boundary_ns, ())
         if self.staged and min(self.staged) <= boundary_ns:
             raise AssertionError("staged write missed its boundary")
-        latest = {}
-        for _, _, writes in sorted(due, key=itemgetter(0)):
-            latest.update(writes)
-        changed = []
-        for device in sorted(latest):
-            word = latest[device]
-            if word != self.words[device]:
-                self.words[device] = word
-                changed.append((device, word))
-        return Frame(riders=tuple(rid for _, rid, _ in due), changed=tuple(changed))
+        before = image = self.image
+        for _, _, mask, value in sorted(due, key=itemgetter(0)):
+            image = image & ~mask | value
+        self.image = image
+        return Frame(tuple(rid for _, rid, _, _ in due), before, image)
 
 
 class DeviceState:

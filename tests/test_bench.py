@@ -18,6 +18,7 @@ from meowsim.bench import (
     read_csv_rows,
     request_spacing_ns,
     run_scenario,
+    structural_worst_ns,
     sweep_devices,
     with_pdo_cycle,
 )
@@ -193,6 +194,32 @@ class TestExports:
         )
 
 
+class TestDeploymentScale:
+    """The paper's 1000-rack deployments, simulated event by event.
+
+    exp2's timing, seed and 1000 requests, measured at the last device of
+    segment 0, with the oracle checking every request. The worst run stays
+    under the structural worst case, which the published extrapolation
+    (criterion 04) overcounts.
+    """
+
+    @pytest.mark.parametrize("masters, devices, best, worst, mean, structural", [
+        (4, 250, 323_200, 409_200, 366_609.2, 410_100),
+        (6, 167, 249_200, 335_000, 292_149.2, 335_400),
+    ])
+    def test_pinned_run(self, masters, devices, best, worst, mean, structural):
+        exp2 = load_preset("exp2")
+        topology = Topology(segments=(SegmentSpec(device_count=devices),) * masters,
+                            timing=exp2.topology.timing)
+        scenario = exp2.with_changes(topology=topology, measurement=(0, devices - 1),
+                                     outputs=None)
+        assert (scenario.seed, scenario.num_requests) == (8446, 1000)
+        stats = run_scenario(scenario).stats
+        assert (stats.min_ns, stats.max_ns, stats.mean_ns) == (best, worst, mean)
+        assert structural_worst_ns(scenario) == structural
+        assert stats.max_ns <= structural
+
+
 class TestSweep:
     def test_slope_is_exactly_the_hop_cost(self):
         result = sweep_devices(exp1_small(), range(1, 9))
@@ -202,6 +229,12 @@ class TestSweep:
         best = [p.best_ns for p in result.points]
         assert [b - a for a, b in zip(best, best[1:])] == [900] * 7
         assert result.predict_best_ns(8) == best[-1]
+
+    def test_fit_is_exact_on_every_version(self):
+        # float sums fit 900.0000000000001 or 899.9999999999999 here, by Python version
+        result = sweep_devices(exp1_small(20), (1, 2, 4))
+        assert result.slope_ns_per_device == 900.0
+        assert result.intercept_ns == 84_200.0
 
     def test_zero_hop_cost_flattens_the_fit(self):
         timing = TimingParams(pdo_cycle_ns=32_000, d_hop_ns=0)

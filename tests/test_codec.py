@@ -275,6 +275,8 @@ class TestConformanceVectors:
 class TestEventPathOnTheWire:
     """Every frame with riders the event path builds, sent as one LWR datagram.
 
+    The datagram's payload is the master's packed image as little-endian bytes.
+
     Each device applies the datagram at its logical offset; the words it
     then holds must be the master's, and the words that moved the frame's
     changed words.
@@ -290,7 +292,7 @@ class TestEventPathOnTheWire:
             frame = build_frame(master, boundary_ns)
             if not frame.riders:
                 return frame
-            image = b"".join(word.to_bytes(2, "little") for word in master.words)
+            image = master.image.to_bytes(2 * master.device_count, "little")
             raw = encode_frame(EcatFrame.from_datagrams(
                 [EcatDatagram(cmd=EcatCmd.LWR, data=image)]))
             (dgram,) = decode_frame(raw).datagrams

@@ -14,7 +14,7 @@ from meowsim.errors import (
     UnknownTarget,
 )
 from meowsim.scenario import load_preset
-from meowsim.simulation import analytic_latency
+from meowsim.simulation import analytic_latency, changed_words
 from meowsim.topology import SegmentSpec, TimingParams, Topology
 
 
@@ -473,7 +473,8 @@ class TestFrameLog:
         ctrl = self.run_recorded(monkeypatch, exp2.with_changes(
             topology=topology, num_requests=20, measurement=(0, 249), outputs=None))
         assert [len(log) for log in ctrl.frame_log] == [20] * 4
-        assert all(len(changed) == 250 for log in ctrl.frame_log for _, changed in log)
+        assert all(len(changed_words(before, after)) == 250
+                   for log in ctrl.frame_log for _, before, after in log)
 
     def test_construction_creates_no_device_state(self, monkeypatch):
         created = []

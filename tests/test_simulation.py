@@ -7,28 +7,30 @@ from meowsim.simulation import (
     MasterState,
     analytic_latency,
     boundary_at_or_after,
-    next_pdo_boundary,
+    changed_words,
     structural_worst_latency,
 )
 from meowsim.topology import TimingParams
 
 
 class TestNextPdoBoundary:
+    """The first boundary strictly after t is the one at or after t + 1."""
+
     def test_mid_cycle(self):
-        assert next_pdo_boundary(5_000, 0, 32_000) == 32_000
+        assert boundary_at_or_after(5_000 + 1, 0, 32_000) == 32_000
 
     def test_exactly_on_boundary_is_strictly_after(self):
-        assert next_pdo_boundary(32_000, 0, 32_000) == 64_000
+        assert boundary_at_or_after(32_000 + 1, 0, 32_000) == 64_000
 
     def test_with_phase(self):
-        assert next_pdo_boundary(95_500, 16_000, 32_000) == 112_000
+        assert boundary_at_or_after(95_500 + 1, 16_000, 32_000) == 112_000
 
     def test_before_phase(self):
-        assert next_pdo_boundary(10, 16_000, 32_000) == 16_000
+        assert boundary_at_or_after(10 + 1, 16_000, 32_000) == 16_000
 
     def test_zero_cycle_rejected(self):
         with pytest.raises(ValueError):
-            next_pdo_boundary(0, 0, 0)
+            boundary_at_or_after(0 + 1, 0, 0)
 
 
 class TestBoundaryAtOrAfter:
@@ -39,8 +41,9 @@ class TestBoundaryAtOrAfter:
         assert boundary_at_or_after(96_001, 0, 32_000) == 128_000
 
     def test_agreement_off_boundary(self):
+        # off a boundary, "at or after t" and "strictly after t" agree
         for t in (1, 4_999, 31_999, 33_000):
-            assert boundary_at_or_after(t, 0, 32_000) == next_pdo_boundary(t, 0, 32_000)
+            assert boundary_at_or_after(t, 0, 32_000) == boundary_at_or_after(t + 1, 0, 32_000)
 
 
 def exp1_timing():
@@ -87,37 +90,47 @@ class TestAnalyticLatency:
         assert structural_worst_latency(exp1_timing(), 1, 8, 100) == 121_900
 
 
+def write(*pairs):
+    """The (mask, value) images of ((device, word), ...)."""
+    mask = value = 0
+    for device, word in pairs:
+        mask |= 0xFFFF << 16 * device
+        value |= word << 16 * device
+    return mask, value
+
+
 class TestMasterState:
     def master(self):
         return MasterState(phase_ns=0, cycle_ns=32_000, device_count=2)
 
     def test_image_snapshot(self):
         m = self.master()
-        m.stage(10_000, 1, ((0, 0xBEEF),))
+        m.stage(10_000, 1, *write((0, 0xBEEF)))
         frame = m.build_frame(32_000)
         assert frame.riders == (1,)
         assert frame.changed == ((0, 0xBEEF),)
         assert m.words == [0xBEEF, 0]
+        assert m.image == 0xBEEF
         # a word written again with its current value changes nothing
-        m.stage(40_000, 2, ((0, 0xBEEF),))
+        m.stage(40_000, 2, *write((0, 0xBEEF)))
         frame = m.build_frame(64_000)
         assert frame.riders == (2,)
         assert frame.changed == ()
 
     def test_last_writer_wins_coalescing(self):
         m = self.master()
-        m.stage(10_000, 1, ((0, 0x1111), (1, 0x0001)))
-        m.stage(20_000, 2, ((0, 0x2222),))
+        m.stage(10_000, 1, *write((0, 0x1111), (1, 0x0001)))
+        m.stage(20_000, 2, *write((0, 0x2222)))
         frame = m.build_frame(32_000)
         assert frame.changed == ((0, 0x2222), (1, 0x0001))
         assert frame.riders == (1, 2)
 
     def test_coalescing_order_by_stage_time_not_insertion(self):
         m = self.master()
-        m.stage(20_000, 1, ((0, 0x1111),))
-        m.stage(10_000, 2, ((0, 0x2222),))
-        m.stage(10_000, 3, ((1, 0x3333),))
-        m.stage(10_000, 4, ((1, 0x4444),))
+        m.stage(20_000, 1, *write((0, 0x1111)))
+        m.stage(10_000, 2, *write((0, 0x2222)))
+        m.stage(10_000, 3, *write((1, 0x3333)))
+        m.stage(10_000, 4, *write((1, 0x4444)))
         frame = m.build_frame(32_000)
         # the later-staged write (request 1) lands on top; equal staging
         # times keep staging order (request 4 after request 3)
@@ -126,7 +139,7 @@ class TestMasterState:
 
     def test_future_writes_stay_pending(self):
         m = self.master()
-        m.stage(40_000, 1, ((0, 0x1111),))
+        m.stage(40_000, 1, *write((0, 0x1111)))
         frame = m.build_frame(32_000)
         assert frame.riders == frame.changed == ()
         assert list(m.staged) == [64_000]
@@ -135,30 +148,32 @@ class TestMasterState:
     def test_write_on_a_built_boundary_rides_the_next(self):
         m = self.master()
         m.build_frame(32_000)
-        m.stage(32_000, 1, ((0, 0x1111),), built=True)
+        m.stage(32_000, 1, *write((0, 0x1111)), built=True)
         assert m.build_frame(64_000).riders == (1,)
 
     def test_idle_frames_still_emitted(self):
         m = self.master()
         first = m.build_frame(32_000)
         second = m.build_frame(64_000)
-        assert first == second == ((), ())
+        assert first == second == ((), 0, 0)
         assert m.words == [0, 0]
 
     @pytest.mark.parametrize("later_write", [False, True])
     def test_skipped_boundary_with_staged_write_asserts(self, later_write):
         m = self.master()
-        m.stage(10_000, 1, ((0, 0x1111),))  # due at 32_000
+        m.stage(10_000, 1, *write((0, 0x1111)))  # due at 32_000
         if later_write:
-            m.stage(40_000, 2, ((1, 0x2222),))  # due at 64_000
+            m.stage(40_000, 2, *write((1, 0x2222)))  # due at 64_000
         with pytest.raises(AssertionError, match="missed its boundary"):
             m.build_frame(64_000)  # 32_000 was never built
 
-    def test_write_outside_image_rejected(self):
-        m = self.master()
-        with pytest.raises(ValueError):
-            m.stage(0, 1, ((2, 0xFFFF),))
-        assert m.staged == {}
+
+class TestChangedWords:
+    def test_words_that_differ_in_device_order(self):
+        # a word cleared to 0 changes too
+        before = 0x0000_1111_2222
+        after = 0xFFFF_1111_0000
+        assert changed_words(before, after) == ((0, 0x0000), (2, 0xFFFF))
 
 
 class TestDeviceState:
