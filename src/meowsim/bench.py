@@ -76,14 +76,17 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None,
     spacing = request_spacing_ns(controller)
     phase_slots = cycle // ARRIVAL_GRID_NS
 
-    patterns = [tuple(Target(s, d, word) for s, d in topology.all_targets())
-                for word in WORD_PATTERNS]
+    # each pattern is checked and packed once; its requests share the writes
+    patterns = [
+        controller.pack(ConfigureRequest(
+            request_id=0, targets=tuple(Target(s, d, word) for s, d in topology.all_targets())))
+        for word in WORD_PATTERNS
+    ]
     submissions = []
     for k in range(scenario.num_requests):
         phase = ARRIVAL_GRID_NS * engine.rng.uniform_draw(0, phase_slots - 1)
         t_gen = k * spacing + phase
-        targets = patterns[k % len(patterns)]
-        controller.submit(ConfigureRequest(request_id=k, targets=targets), t_gen)
+        controller.submit_packed(k, patterns[k % len(patterns)], t_gen)
         submissions.append((k, t_gen))
 
     horizon = (scenario.num_requests - 1) * spacing + controller.request_span_ns() + 4 * cycle
@@ -183,19 +186,6 @@ def export_csv(rows, path: str) -> None:
                 ))
     except OSError as exc:
         raise IoFailure(f"cannot write CSV {path}: {exc}") from exc
-
-
-def read_csv_rows(path: str):
-    """Parse an exported CSV back into its textual rows."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = tuple(next(reader))
-            if header != CSV_COLUMNS:
-                raise ValueError(f"unexpected CSV header {header}")
-            return [tuple(line) for line in reader]
-    except OSError as exc:
-        raise IoFailure(f"cannot read CSV {path}: {exc}") from exc
 
 
 def format_trace_line(trace: RequestTrace) -> str:

@@ -4,9 +4,12 @@ One controller drives up to six masters over a single event engine. The
 life of a request:
 
   t_generated_ns     generated at the network controller (marker 1); submit
-                     checks the request once, packs each segment's writes
-                     into a (mask, value) pair of process images and
-                     records its trace
+                     is pack then submit_packed: pack checks the targets in
+                     one pass and packs each segment's writes into a
+                     (mask, value) pair of process images, submit_packed
+                     checks the id and the clock and records the trace
+                     (a batch run packs each of its patterns once and hands
+                     every request its pattern's pairs)
   SouthboundArrived  +d_sb_ns at the device controller; each segment's pair
                      is staged at +d_mm_ns (+drawn jitter) on its master
   MasterEmit         next PDO boundary of each targeted master (marker 2),
@@ -16,8 +19,11 @@ life of a request:
                      latch time with the old and new image, and each
                      device p whose word it changes latches at
                      +d_frame_head_ns + (p+1)*d_hop_ns + d_latch_ns
-                     (marker 3)
-  RequestComplete    at the last target's latch time
+                     (marker 3); each rider's trace counts down its
+                     segments still to emit and keeps its latest target
+                     latch
+  RequestComplete    at the last target's latch time, scheduled when the
+                     rider's last segment emits
 
 A master emits only at boundaries with writes due: a frame at any other
 boundary carries and changes nothing, so it is no event. At one instant,
@@ -81,12 +87,8 @@ class ConfigureRequest:
         if len(set(pairs)) != len(pairs):
             raise ValueError("duplicate (segment, device) in one request")
 
-    @property
-    def segments(self) -> tuple[int, ...]:
-        return tuple(sorted({t.segment for t in self.targets}))
 
-
-@dataclass
+@dataclass(slots=True)
 class SegmentTrace:
     staged_ns: int
     jitter_ns: int
@@ -96,7 +98,11 @@ class SegmentTrace:
 
 @dataclass
 class RequestTrace:
-    """The one record of a request; the markers 1/2/3 of the trace format."""
+    """The one record of a request; the markers 1/2/3 of the trace format.
+
+    writes may be shared with other requests (a batch run hands every
+    request of a pattern the same dict), so nothing mutates it.
+    """
 
     request_id: int
     t_generated_ns: int
@@ -104,6 +110,8 @@ class RequestTrace:
     hop_ns: int
     segments: dict[int, SegmentTrace] = field(default_factory=dict)
     config_time_ns: int | None = None  # set when the last target latches
+    pending: int = 0  # targeted segments whose frame has not left yet
+    last_latch_ns: int = 0  # the latest target latch of the frames that left
 
     @property
     def complete(self) -> bool:
@@ -157,8 +165,11 @@ class DeviceController:
         self.traces: dict[int, RequestTrace] = {}
         self.completion_callbacks = []
         self._started = False
-        # the topology is immutable, so the bound is worked out once
+        # the topology is immutable, so the bound and the event path's
+        # offsets are worked out once
         timing = topology.timing
+        self._multi_ns = timing.d_mm_ns if topology.segment_count > 1 else 0
+        self._first_latch_offset_ns = timing.d_frame_head_ns + timing.d_hop_ns + timing.d_latch_ns
         self._request_span_ns = (
             analytic_latency(timing, topology.segment_count, max(self._device_counts), 0,
                              timing.d_jitter_max_ns)
@@ -185,38 +196,39 @@ class DeviceController:
         self._started = True
         self.engine.rewind()
 
-    def submit(self, request: ConfigureRequest, t_generated_ns: int) -> None:
-        """Send a request generated at t_generated_ns down the southbound.
+    def pack(self, request: ConfigureRequest) -> dict[int, tuple[int, int]]:
+        """Check a request's targets against the topology and pack its writes.
 
-        The request is checked and recorded here, once; nothing is recorded
-        or scheduled when this raises. Each targeted segment's writes are
-        packed into a (mask, value) pair of images for its master.
+        One pass over the targets. Returns {segment: (mask, value)} in
+        ascending segments, each pair a segment's images. A request that
+        spans more than MAX_SEGMENTS segments raises TooManySegments, even
+        where a target is also unknown; otherwise the first target outside
+        the topology raises UnknownTarget.
         """
-        if len(request.segments) > MAX_SEGMENTS:
-            raise TooManySegments(
-                f"request spans {len(request.segments)} segments, max {MAX_SEGMENTS}"
-            )
         counts = self._device_counts
         lanes = {}  # {segment: (mask words, value words)}
+        unknown = None
         seg = None
         for t in request.targets:
             if t.segment != seg:  # targets mostly come in runs of one segment
                 seg = t.segment
-                count = counts[seg] if 0 <= seg < len(counts) else 0
                 words = lanes.get(seg)
                 if words is None:
+                    count = counts[seg] if 0 <= seg < len(counts) else 0
                     words = lanes[seg] = ([0] * count, [0] * count)
                 mask_words, value_words = words
+                count = len(mask_words)
             device = t.device
-            if not 0 <= device < count:
-                raise UnknownTarget(f"target segment {seg} device {device} not in topology")
-            mask_words[device] = 0xFFFF
-            value_words[device] = t.word
-        if request.request_id in self.traces:
-            raise DuplicateRequestId(f"request {request.request_id} already submitted")
-        if t_generated_ns < self.engine.now:
-            raise SchedulingInPast(
-                f"cannot generate a request at {t_generated_ns}, clock is {self.engine.now}"
+            if 0 <= device < count:
+                mask_words[device] = 0xFFFF
+                value_words[device] = t.word
+            elif unknown is None:
+                unknown = t
+        if len(lanes) > MAX_SEGMENTS:
+            raise TooManySegments(f"request spans {len(lanes)} segments, max {MAX_SEGMENTS}")
+        if unknown is not None:
+            raise UnknownTarget(
+                f"target segment {unknown.segment} device {unknown.device} not in topology"
             )
         writes = {}
         for seg in sorted(lanes):
@@ -224,11 +236,34 @@ class DeviceController:
             mask_words, value_words = lanes[seg]
             writes[seg] = (int.from_bytes(pack(*mask_words), "little"),
                            int.from_bytes(pack(*value_words), "little"))
-        trace = RequestTrace(request.request_id, t_generated_ns, writes,
-                             self.timing.d_hop_ns)
-        self.traces[request.request_id] = trace
+        return writes
+
+    def submit_packed(self, request_id: int, writes: dict[int, tuple[int, int]],
+                      t_generated_ns: int) -> None:
+        """Send a request's packed writes, generated at t_generated_ns, down the southbound.
+
+        writes is what pack returned; it is kept, not copied, and never
+        mutated. Nothing is recorded or scheduled when this raises.
+        """
+        if request_id in self.traces:
+            raise DuplicateRequestId(f"request {request_id} already submitted")
+        if t_generated_ns < self.engine.now:
+            raise SchedulingInPast(
+                f"cannot generate a request at {t_generated_ns}, clock is {self.engine.now}"
+            )
+        trace = RequestTrace(request_id, t_generated_ns, writes, self.timing.d_hop_ns,
+                             pending=len(writes))
+        self.traces[request_id] = trace
         t_arrival_ns = t_generated_ns + self.timing.d_sb_ns
         self.engine.schedule(t_arrival_ns, EventKind.SOUTHBOUND_ARRIVED, trace, t_arrival_ns)
+
+    def submit(self, request: ConfigureRequest, t_generated_ns: int) -> None:
+        """Check, pack and send a request generated at t_generated_ns.
+
+        The request is checked and recorded here, once; nothing is recorded
+        or scheduled when this raises.
+        """
+        self.submit_packed(request.request_id, self.pack(request), t_generated_ns)
 
     # -- event handlers ---------------------------------------------------
 
@@ -236,11 +271,10 @@ class DeviceController:
         """Stage a recorded request's writes on its masters (SouthboundArrived)."""
         self.start()
         engine = self.engine
-        multi = self.timing.d_mm_ns if self.topology.segment_count > 1 else 0
         # dispatch order is fixed: lowest segment first
         for seg, (mask, value) in trace.writes.items():
             jitter = engine.rng.uniform_draw(0, self.timing.d_jitter_max_ns)
-            stage_ns = t_arrival_ns + multi + jitter
+            stage_ns = t_arrival_ns + self._multi_ns + jitter
             built = engine.has_run(stage_ns, EventKind.MASTER_EMIT, seg)
             pickup = self.masters[seg].stage(stage_ns, trace.request_id, mask, value, built)
             if pickup is not None:
@@ -250,8 +284,7 @@ class DeviceController:
     def _on_master_emit(self, seg: int) -> None:
         boundary = self.engine.now
         frame = self.masters[seg].build_frame(boundary)
-        t = self.timing
-        first_latch = boundary + t.d_frame_head_ns + t.d_hop_ns + t.d_latch_ns
+        first_latch = boundary + self._first_latch_offset_ns
         if frame.after != frame.before:
             self.frame_log[seg].append((first_latch, frame.before, frame.after))
         for rid in frame.riders:
@@ -260,11 +293,13 @@ class DeviceController:
             assert seg_trace.emit_ns is None
             seg_trace.emit_ns = boundary
             seg_trace.first_latch_ns = first_latch
-            if all(st.emit_ns is not None for st in trace.segments.values()):
-                # the mask's highest set lane is the deepest targeted device
-                last_latch = max(trace.latch_ns(s, (mask.bit_length() - 1) // 16)
-                                 for s, (mask, _) in trace.writes.items())
-                self.engine.schedule(last_latch, EventKind.REQUEST_COMPLETE, rid)
+            # the mask's highest set lane is the deepest targeted device
+            latch = trace.latch_ns(seg, (trace.writes[seg][0].bit_length() - 1) // 16)
+            if latch > trace.last_latch_ns:
+                trace.last_latch_ns = latch
+            trace.pending -= 1
+            if not trace.pending:
+                self.engine.schedule(trace.last_latch_ns, EventKind.REQUEST_COMPLETE, rid)
 
     def _on_request_complete(self, request_id: int) -> None:
         trace = self.traces[request_id]

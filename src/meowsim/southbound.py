@@ -160,8 +160,3 @@ class SouthboundServer(socketserver.ThreadingTCPServer):
     @property
     def bound_address(self):
         return self.server_address
-
-    def serve_background(self) -> threading.Thread:
-        thread = threading.Thread(target=self.serve_forever, daemon=True)
-        thread.start()
-        return thread

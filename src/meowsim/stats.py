@@ -74,14 +74,6 @@ def ns_to_us_str(ns: int) -> str:
     return f"{tenths // 10}.{tenths % 10}"
 
 
-def us_str_to_ns(text: str) -> int:
-    """Inverse of ns_to_us_str on its one-decimal output."""
-    whole, _, frac = text.partition(".")
-    if len(frac) != 1:
-        raise ValueError(f"expected one decimal digit: {text!r}")
-    return int(whole) * 1_000 + int(frac) * 100
-
-
 def ks_statistic_uniform(values, lo: int, hi: int) -> float:
     """One-sample two-sided KS statistic against uniform on [lo, hi).
 

@@ -5,12 +5,19 @@ records exactly one PASS/FAIL line. The lines are printed immediately
 (visible with -s or on failure) and repeated in the terminal summary,
 which pytest never captures.
 
-The dispatches fixture observes every event any engine runs.
+The dispatches fixture observes every event any engine runs. The helpers
+below serve only the tests: reading exports back, and serving TCP on a
+background thread.
 """
+
+import csv
+import threading
 
 import pytest
 
+from meowsim.bench import CSV_COLUMNS
 from meowsim.engine import Engine
+from meowsim.errors import IoFailure
 
 ACCEPTANCE_LINES = []
 
@@ -41,6 +48,34 @@ def dispatches(monkeypatch):
 
     monkeypatch.setattr(Engine, "on", recording_on)
     return seen
+
+
+def read_csv_rows(path: str):
+    """Parse an exported CSV back into its textual rows."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = tuple(next(reader))
+            if header != CSV_COLUMNS:
+                raise ValueError(f"unexpected CSV header {header}")
+            return [tuple(line) for line in reader]
+    except OSError as exc:
+        raise IoFailure(f"cannot read CSV {path}: {exc}") from exc
+
+
+def us_str_to_ns(text: str) -> int:
+    """Inverse of stats.ns_to_us_str on its one-decimal output."""
+    whole, _, frac = text.partition(".")
+    if len(frac) != 1:
+        raise ValueError(f"expected one decimal digit: {text!r}")
+    return int(whole) * 1_000 + int(frac) * 100
+
+
+def serve_background(server) -> threading.Thread:
+    """Run a SouthboundServer's serve_forever on a daemon thread."""
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    return thread
 
 
 def pytest_terminal_summary(terminalreporter):

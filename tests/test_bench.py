@@ -9,25 +9,28 @@ import pytest
 from meowsim.bench import (
     CSV_COLUMNS,
     MIN_SPACING_CYCLES,
+    WORD_PATTERNS,
+    RequestRow,
     default_worst_base_ns,
     export_csv,
     extrapolate_worst,
     format_trace_line,
     pdo_reduction_analysis,
     racks_to_devices_per_segment,
-    read_csv_rows,
     request_spacing_ns,
     run_scenario,
     structural_worst_ns,
     sweep_devices,
     with_pdo_cycle,
 )
-from meowsim.controller import DeviceController
+from meowsim.controller import ConfigureRequest, DeviceController, Target
 from meowsim.engine import Engine, EventKind
 from meowsim.errors import IoFailure, MeowError
-from meowsim.scenario import Scenario, load_preset
-from meowsim.stats import compute_stats, us_str_to_ns
+from meowsim.scenario import ARRIVAL_GRID_NS, Scenario, load_preset
+from meowsim.stats import compute_stats
 from meowsim.topology import SegmentSpec, TimingParams, Topology
+
+from conftest import read_csv_rows, us_str_to_ns
 
 
 def exp1_small(n=40, **changes):
@@ -113,6 +116,71 @@ class TestRunScenario:
         result = run_scenario(exp1_small())
         assert result.stats.min_ns >= 83_700  # rank-8 floor minus chain wait
         assert result.stats.max_ns <= 121_900
+
+
+def deployment(masters, devices, **changes):
+    """exp2's timing and seed on masters x devices, measured at segment 0's last device."""
+    exp2 = load_preset("exp2")
+    topology = Topology(segments=(SegmentSpec(device_count=devices),) * masters,
+                        timing=exp2.topology.timing)
+    return exp2.with_changes(topology=topology, measurement=(0, devices - 1),
+                             outputs=None, **changes)
+
+
+class TestBatchPathEqualsPerRequestPath:
+    """run_scenario packs each pattern once and hands every request its pairs;
+    submitting each request whole, as a ConfigureRequest, must give the same run."""
+
+    @staticmethod
+    def pattern_targets(topology):
+        return [tuple(Target(s, d, word) for s, d in topology.all_targets())
+                for word in WORD_PATTERNS]
+
+    def replay(self, scenario):
+        """run_scenario's loop, with the same seed and phase draws, through submit."""
+        topology = scenario.topology
+        engine = Engine(seed=scenario.seed)
+        ctrl = DeviceController(engine, topology)
+        cycle = topology.timing.pdo_cycle_ns
+        spacing = request_spacing_ns(ctrl)
+        patterns = self.pattern_targets(topology)
+        for k in range(scenario.num_requests):
+            phase = ARRIVAL_GRID_NS * engine.rng.uniform_draw(0, cycle // ARRIVAL_GRID_NS - 1)
+            ctrl.submit(ConfigureRequest(k, patterns[k % len(patterns)]), k * spacing + phase)
+        engine.run_until((scenario.num_requests - 1) * spacing + ctrl.request_span_ns()
+                         + 4 * cycle)
+        seg_m, dev_m = scenario.measurement
+        traces = [ctrl.traces[k] for k in range(scenario.num_requests)]
+        rows = [
+            RequestRow(request_id=t.request_id, t_gen_ns=t.t_generated_ns,
+                       t_emit_ns=t.segments[seg_m].emit_ns,
+                       t_complete_ns=t.latch_ns(seg_m, dev_m),
+                       config_ns=t.latch_ns(seg_m, dev_m) - t.t_generated_ns,
+                       segment=seg_m, device=dev_m)
+            for t in traces
+        ]
+        return traces, rows
+
+    @pytest.mark.parametrize("scenario", [
+        exp1_small(20), exp2_small(20), deployment(4, 250, num_requests=20),
+    ], ids=["exp1", "exp2", "4x250"])
+    def test_same_traces_and_rows(self, scenario):
+        result = run_scenario(scenario)
+        traces, rows = self.replay(scenario)
+        assert result.rows == rows
+        assert len(result.traces) == len(traces) == 20
+        for batch, whole in zip(result.traces, traces):
+            assert batch.complete and batch.pending == whole.pending == 0
+            assert batch.segments == whole.segments  # staged, jitter, emit, first latch
+            assert batch.t_latched_ns == whole.t_latched_ns
+            assert batch.config_time_ns == whole.config_time_ns
+            assert batch == whole  # and every other field
+        # a pattern's requests share one writes dict, which the run left as packed
+        fresh = DeviceController(Engine(), scenario.topology)
+        for k, targets in enumerate(self.pattern_targets(scenario.topology)):
+            shared = result.traces[k].writes
+            assert all(t.writes is shared for t in result.traces[k::len(WORD_PATTERNS)])
+            assert shared == fresh.pack(ConfigureRequest(k, targets))
 
 
 class TestExports:
@@ -208,11 +276,7 @@ class TestDeploymentScale:
         (6, 167, 249_200, 335_000, 292_149.2, 335_400),
     ])
     def test_pinned_run(self, masters, devices, best, worst, mean, structural):
-        exp2 = load_preset("exp2")
-        topology = Topology(segments=(SegmentSpec(device_count=devices),) * masters,
-                            timing=exp2.topology.timing)
-        scenario = exp2.with_changes(topology=topology, measurement=(0, devices - 1),
-                                     outputs=None)
+        scenario = deployment(masters, devices)
         assert (scenario.seed, scenario.num_requests) == (8446, 1000)
         stats = run_scenario(scenario).stats
         assert (stats.min_ns, stats.max_ns, stats.mean_ns) == (best, worst, mean)

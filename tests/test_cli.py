@@ -1,6 +1,7 @@
 """Command-line verbs, exercised through main(argv)."""
 
 import json
+import os
 import socket
 import subprocess
 import sys
@@ -9,6 +10,8 @@ import pytest
 
 from meowsim import bench
 from meowsim.cli import _parse_counts, main
+
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data", "golden")
 
 
 def scenario_doc(segments, cycle_ns, n=30, seed=3, measurement=(0, 7), **timing):
@@ -188,6 +191,19 @@ class TestSweep:
         assert rc == 2
         assert out == ""
         assert err.startswith("error: need at least two points to fit")
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["sweep", "--scenario", "exp1", "--devices", "1..8"], "sweep_exp1.stdout"),
+    (["pdo-compare", "--scenario", "exp2", "--cycles", "80000,32000"],
+     "pdo_compare_exp2.stdout"),
+    (["extrapolate", "--racks", "1000", "--masters", "4"], "extrapolate_1000x4.stdout"),
+    (["extrapolate", "--racks", "1000", "--masters", "6"], "extrapolate_1000x6.stdout"),
+], ids=["sweep", "pdo-compare", "extrapolate-4", "extrapolate-6"])
+def test_paper_figure_stdout_matches_golden(capsys, argv, golden):
+    assert main(argv) == 0
+    with open(os.path.join(GOLDEN_DIR, golden), "rb") as fh:
+        assert capsys.readouterr().out.encode("utf-8") == fh.read()
 
 
 class TestExtrapolate:

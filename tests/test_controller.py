@@ -9,6 +9,7 @@ from meowsim.engine import Engine, EventKind, SplitMix64
 from meowsim.errors import (
     DuplicateRequestId,
     NotYetComplete,
+    SchedulingInPast,
     TooManySegments,
     UnknownRequest,
     UnknownTarget,
@@ -291,6 +292,48 @@ class TestValidationAndErrors:
         wide = req(1, *[(s, 0, 1) for s in range(7)])
         with pytest.raises(TooManySegments):
             ctrl.submit(wide, t_generated_ns=0)
+
+    def test_too_many_segments_beats_a_first_unknown_target(self):
+        engine, ctrl = make(quad_topology())
+        wide = req(1, (9, 0, 1), *[(s, 0, 1) for s in range(6)])  # 7 segments
+        with pytest.raises(TooManySegments, match="spans 7 segments"):
+            ctrl.pack(wide)
+        with pytest.raises(TooManySegments):
+            ctrl.submit(wide, t_generated_ns=0)
+
+    def test_unknown_target_names_the_first_bad_target(self):
+        engine, ctrl = make(quad_topology())
+        bad = req(1, (0, 1, 1), (1, 2, 1), (5, 0, 1), (0, 3, 1))
+        with pytest.raises(UnknownTarget, match=r"segment 1 device 2 not"):
+            ctrl.pack(bad)
+
+    def test_submit_packed_rejects_used_id_and_past_time(self, dispatches):
+        engine, ctrl = make(chain_topology())
+        writes = ctrl.pack(req(1, (0, 0, 1)))
+        ctrl.submit_packed(1, writes, t_generated_ns=0)
+        first = ctrl.traces[1]
+        with pytest.raises(DuplicateRequestId):
+            ctrl.submit_packed(1, writes, t_generated_ns=100)
+        engine.run_until(50_000)
+        with pytest.raises(SchedulingInPast):
+            ctrl.submit_packed(2, writes, t_generated_ns=49_999)
+        # neither rejected call recorded or scheduled anything
+        assert ctrl.traces == {1: first}
+        engine.run_until(300_000)
+        arrivals = [t for t, kind, _ in dispatches if kind is EventKind.SOUTHBOUND_ARRIVED]
+        assert arrivals == [70_000]
+        assert first.config_time_ns == analytic_latency(ctrl.timing, 1, 1, 26_000)
+
+    def test_pack_of_every_target_at_deployment_scale(self):
+        topology = Topology(segments=(SegmentSpec(device_count=250),) * 4,
+                            timing=TimingParams(pdo_cycle_ns=80_000, d_mm_ns=15_400))
+        engine, ctrl = make(topology)
+        writes = ctrl.pack(ConfigureRequest(
+            0, tuple(Target(s, d, 0x5555) for s, d in topology.all_targets())))
+        assert list(writes) == [0, 1, 2, 3]
+        for mask, value in writes.values():
+            assert mask == (1 << 4000) - 1
+            assert value == int("5555" * 250, 16)
 
     def test_duplicate_after_completion_rejected_at_submit(self):
         engine, ctrl = make(chain_topology())

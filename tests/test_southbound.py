@@ -14,6 +14,8 @@ from meowsim.simulation import analytic_latency
 from meowsim.southbound import SouthboundServer, SouthboundSession, _parse_outputs
 from meowsim.topology import SegmentSpec, TimingParams, Topology
 
+from conftest import serve_background
+
 
 def topology():
     return Topology(
@@ -247,7 +249,7 @@ class TestTcpServer:
 
     def test_over_real_socket(self):
         server = SouthboundServer(("127.0.0.1", 0), topology(), seed=0)
-        thread = server.serve_background()
+        thread = serve_background(server)
         try:
             host, port = server.bound_address
             with socket.create_connection((host, port), timeout=5) as sock:
@@ -267,7 +269,7 @@ class TestTcpServer:
 
     def test_two_connections_share_one_simulation(self):
         server = SouthboundServer(("127.0.0.1", 0), topology(), seed=0)
-        thread = server.serve_background()
+        thread = serve_background(server)
         try:
             host, port = server.bound_address
             with socket.create_connection((host, port), timeout=5) as s1:

@@ -11,8 +11,9 @@ from meowsim.stats import (
     ks_statistic_uniform,
     ns_to_us_str,
     percentile_nearest_rank,
-    us_str_to_ns,
 )
+
+from conftest import us_str_to_ns
 
 
 class TestPercentile:
