@@ -206,6 +206,15 @@ def test_paper_figure_stdout_matches_golden(capsys, argv, golden):
         assert capsys.readouterr().out.encode("utf-8") == fh.read()
 
 
+def test_netctl_stdout_matches_golden(capsys):
+    # every verb and every netctl error message, one word per device so that
+    # the eight devices of exp1 run out
+    commands = os.path.join(GOLDEN_DIR, "netctl_exp1.jsonl")
+    assert main(["netctl", "exp1", commands, "--words-per-device", "1"]) == 1
+    with open(os.path.join(GOLDEN_DIR, "netctl_exp1.stdout"), "rb") as fh:
+        assert capsys.readouterr().out.encode("utf-8") == fh.read()
+
+
 class TestExtrapolate:
     def test_four_masters(self, capsys):
         rc = main(["extrapolate", "--racks", "1000", "--masters", "4"])
