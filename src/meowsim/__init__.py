@@ -39,8 +39,6 @@ from .netctl import (
     OpticalPathEntry,
     PathState,
     ProactiveRule,
-    detect_large_flow_reactive,
-    match_proactive_rules,
 )
 from .scenario import Scenario, load_preset, load_scenario, resolve_scenario
 from .simulation import (
@@ -91,12 +89,10 @@ __all__ = [
     "build_topology",
     "compute_stats",
     "decode_frame",
-    "detect_large_flow_reactive",
     "encode_frame",
     "extrapolate_worst",
     "load_preset",
     "load_scenario",
-    "match_proactive_rules",
     "pdo_reduction_analysis",
     "resolve_scenario",
     "run_scenario",

@@ -82,23 +82,20 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None,
             request_id=0, targets=tuple(Target(s, d, word) for s, d in topology.all_targets())))
         for word in WORD_PATTERNS
     ]
-    submissions = []
     for k in range(scenario.num_requests):
         phase = ARRIVAL_GRID_NS * engine.rng.uniform_draw(0, phase_slots - 1)
-        t_gen = k * spacing + phase
-        controller.submit_packed(k, patterns[k % len(patterns)], t_gen)
-        submissions.append((k, t_gen))
+        controller.submit_packed(k, patterns[k % len(patterns)], k * spacing + phase)
+    traces = [controller.traces[k] for k in range(scenario.num_requests)]
 
-    horizon = (scenario.num_requests - 1) * spacing + controller.request_span_ns() + 4 * cycle
-    engine.run_until(horizon)
+    # the last request is generated last, and request_span_ns bounds its life
+    engine.run_until(traces[-1].t_generated_ns + controller.request_span_ns())
 
     seg_m, dev_m = scenario.measurement
     rank = topology.device_rank(seg_m, dev_m)
     phase_m = topology.segments[seg_m].phase_ns
     rows = []
-    traces = []
-    for request_id, t_gen in submissions:
-        trace = controller.traces[request_id]
+    for trace in traces:
+        request_id, t_gen = trace.request_id, trace.t_generated_ns
         if not trace.complete:
             raise AssertionError(f"request {request_id} did not finish by the horizon")
         seg_trace = trace.segments[seg_m]
@@ -127,7 +124,6 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None,
                 device=dev_m,
             )
         )
-        traces.append(trace)
 
     stats = compute_stats([row.config_ns for row in rows])
     written = {}

@@ -350,9 +350,8 @@ class DeviceController:
         trace = self.traces.get(request_id)
         if trace is None:
             raise UnknownRequest(f"no request {request_id}")
-        # room for the request to arrive southbound, then to complete
-        slack = self.request_span_ns() + 4 * self.timing.pdo_cycle_ns
-        deadline = self.engine.now + 2 * slack
+        # request_span_ns bounds its life from its generation, which may lie ahead of now
+        deadline = trace.t_generated_ns + self.request_span_ns()
         while trace.config_time_ns is None:  # not the complete property: one call per event
             t = self.engine.next_time_ns()
             if t is None or t > deadline:

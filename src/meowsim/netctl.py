@@ -3,6 +3,8 @@
 Mirrors the experiment's simple network controller: it watches flows,
 promotes large ones to the optical network, allocates a cross-connect
 word on a switch device, and asks the device controller to configure it.
+NetworkController is the one entry point; it owns the path table and
+runs every step of a path's life.
 """
 
 from __future__ import annotations
@@ -46,13 +48,6 @@ class ProactiveRule:
     dst_tor: str | None = None
     service_tag: str | None = None
 
-    def matches(self, flow: FlowStats) -> bool:
-        return (
-            (self.src_tor is None or self.src_tor == flow.src_tor)
-            and (self.dst_tor is None or self.dst_tor == flow.dst_tor)
-            and (self.service_tag is None or self.service_tag == flow.service_tag)
-        )
-
 
 # the flow fields a ProactiveRule can constrain; None in a rule matches anything
 _RULE_FIELDS = ("src_tor", "dst_tor", "service_tag")
@@ -73,28 +68,6 @@ class OpticalPathEntry:
             raise ValueError("path needs at least one hop")
 
 
-def detect_large_flow_reactive(stats, threshold_bps: int):
-    """Flows at or above the rate threshold, in input order (>= convention)."""
-    if threshold_bps <= 0:
-        raise ValueError(f"threshold_bps must be positive, got {threshold_bps}")
-    return [f.flow_id for f in stats if f.rate_bps >= threshold_bps]
-
-
-def match_proactive_rules(flow: FlowStats, rules):
-    """Rule id of the highest-priority matching rule, or None.
-
-    Priorities must be unique; ties are a configuration error.
-    """
-    rules = list(rules)
-    priorities = [r.priority for r in rules]
-    if len(set(priorities)) != len(priorities):
-        raise ValueError("rule priorities must be unique")
-    matching = [r for r in rules if r.matches(flow)]
-    if not matching:
-        return None
-    return max(matching, key=lambda r: r.priority).rule_id
-
-
 class OcsResourceModel:
     """Free cross-connect words per switch device; word 0 stays idle."""
 
@@ -106,16 +79,11 @@ class OcsResourceModel:
         for s, d in topology.all_targets():
             self.free[(s, d)] = set(range(1, words_per_device + 1))
 
-    @property
-    def total_words(self) -> int:
-        return self.words_per_device * len(self.free)
-
     def first_fit(self):
-        """Lowest free (segment, device, word), or None."""
-        for key in sorted(self.free):
-            words = self.free[key]
+        """Lowest free (segment, device, word), or None; free is in chain order."""
+        for (segment, device), words in self.free.items():
             if words:
-                return key[0], key[1], min(words)
+                return segment, device, min(words)
         return None
 
     def take(self, segment: int, device: int, word: int) -> None:
@@ -126,61 +94,11 @@ class OcsResourceModel:
             raise AssertionError("double free")
         self.free[(segment, device)].add(word)
 
-    def snapshot(self) -> dict:
-        return {key: frozenset(words) for key, words in self.free.items()}
-
-
-def allocate_path(table: dict, resources: OcsResourceModel, src_tor: str,
-                  dst_tor: str, path_id: int) -> OpticalPathEntry:
-    """First-fit allocation of one cross-connect word; entry starts Reserved."""
-    if src_tor == dst_tor:
-        raise ValueError(f"src and dst must differ, both {src_tor!r}")
-    hop = resources.first_fit()
-    if hop is None:
-        raise NoCapacity("no free cross-connect word on any device")
-    resources.take(*hop)
-    entry = OpticalPathEntry(
-        path_id=path_id, src_tor=src_tor, dst_tor=dst_tor, hops=(hop,)
-    )
-    table[path_id] = entry
-    return entry
-
-
-def activate_path(table: dict, path_id: int, controller: DeviceController,
-                  request_id: int) -> ConfigureRequest:
-    """Reserved -> Configuring; emits the configure request for the hops."""
-    entry = table.get(path_id)
-    if entry is None:
-        raise UnknownPath(f"no path {path_id}")
-    if entry.state is not PathState.RESERVED:
-        raise WrongState(f"path {path_id} is {entry.state.value}, not Reserved")
-    request = ConfigureRequest(
-        request_id=request_id,
-        targets=tuple(Target(s, d, w) for s, d, w in entry.hops),
-    )
-    controller.submit(request, controller.engine.now)
-    entry.state = PathState.CONFIGURING
-    entry.request_id = request_id
-    return request
-
-
-def release_path(table: dict, resources: OcsResourceModel, path_id: int) -> None:
-    """Active -> Released; the hops' words return to the free sets."""
-    entry = table.get(path_id)
-    if entry is None:
-        raise UnknownPath(f"no path {path_id}")
-    if entry.state is not PathState.ACTIVE:
-        raise WrongState(f"path {path_id} is {entry.state.value}, not Active")
-    for s, d, w in entry.hops:
-        resources.give_back(s, d, w)
-    entry.state = PathState.RELEASED
-
 
 class NetworkController:
     """Ties the path table and resource model to one device controller."""
 
-    def __init__(self, resources: OcsResourceModel,
-                 device_controller: DeviceController | None = None):
+    def __init__(self, resources: OcsResourceModel, device_controller: DeviceController):
         self.resources = resources
         self.device_controller = device_controller
         self.table: dict[int, OpticalPathEntry] = {}
@@ -188,8 +106,7 @@ class NetworkController:
         self._next_path_id = 1
         self._next_request_id = 1
         self._request_to_path: dict[int, int] = {}
-        if device_controller is not None:
-            device_controller.completion_callbacks.append(self._on_completion)
+        device_controller.completion_callbacks.append(self._on_completion)
 
     # -- flow detection ----------------------------------------------------
 
@@ -207,8 +124,8 @@ class NetworkController:
         within a shape by the values it requires, so each flow costs one
         dict lookup per shape. Each key keeps the rule that comes first in
         descending priority, and a flow takes the first among its hits;
-        add_rule keeps priorities unique, so that is the rule
-        match_proactive_rules picks. stats may be a one-shot iterator.
+        add_rule keeps priorities unique, so that is the highest-priority
+        rule that matches the flow. stats may be a one-shot iterator.
         """
         if threshold_bps <= 0:
             raise ValueError(f"threshold_bps must be positive, got {threshold_bps}")
@@ -240,22 +157,47 @@ class NetworkController:
 
     # -- path lifecycle ------------------------------------------------------
 
+    def _entry(self, path_id: int, state: PathState) -> OpticalPathEntry:
+        """The path's entry, which must be in the given state."""
+        entry = self.table.get(path_id)
+        if entry is None:
+            raise UnknownPath(f"no path {path_id}")
+        if entry.state is not state:
+            raise WrongState(f"path {path_id} is {entry.state.value}, not {state.value}")
+        return entry
+
     def allocate(self, src_tor: str, dst_tor: str) -> OpticalPathEntry:
+        """First-fit allocation of one cross-connect word; entry starts Reserved."""
+        if src_tor == dst_tor:
+            raise ValueError(f"src and dst must differ, both {src_tor!r}")
+        hop = self.resources.first_fit()
+        if hop is None:
+            raise NoCapacity("no free cross-connect word on any device")
+        self.resources.take(*hop)
         path_id = self._next_path_id
-        entry = allocate_path(self.table, self.resources, src_tor, dst_tor, path_id)
         self._next_path_id += 1
+        entry = OpticalPathEntry(path_id=path_id, src_tor=src_tor, dst_tor=dst_tor,
+                                 hops=(hop,))
+        self.table[path_id] = entry
         return entry
 
     def activate(self, path_id: int) -> int:
-        """Returns the configure request id; completion flips the path Active."""
-        if self.device_controller is None:
-            raise ValueError("no device controller attached")
+        """Reserved -> Configuring; returns the configure request id.
+
+        Completion flips the path Active. If the submit fails, the entry
+        stays Reserved and no request id is used up.
+        """
+        entry = self._entry(path_id, PathState.RESERVED)
         request_id = self._next_request_id
-        request = activate_path(self.table, path_id, self.device_controller,
-                                request_id)
+        dc = self.device_controller
+        dc.submit(ConfigureRequest(request_id=request_id,
+                                   targets=tuple(Target(*hop) for hop in entry.hops)),
+                  dc.engine.now)
         self._next_request_id += 1
-        self._request_to_path[request.request_id] = path_id
-        return request.request_id
+        entry.state = PathState.CONFIGURING
+        entry.request_id = request_id
+        self._request_to_path[request_id] = path_id
+        return request_id
 
     def activate_and_wait(self, path_id: int) -> OpticalPathEntry:
         request_id = self.activate(path_id)
@@ -265,7 +207,14 @@ class NetworkController:
         return entry
 
     def release(self, path_id: int) -> None:
-        release_path(self.table, self.resources, path_id)
+        """Active -> Released; the hops' words return to the free sets.
+
+        No configure request is sent, so each device keeps its last word.
+        """
+        entry = self._entry(path_id, PathState.ACTIVE)
+        for hop in entry.hops:
+            self.resources.give_back(*hop)
+        entry.state = PathState.RELEASED
 
     def _on_completion(self, trace) -> None:
         path_id = self._request_to_path.get(trace.request_id)

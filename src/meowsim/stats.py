@@ -72,29 +72,3 @@ def ns_to_us_str(ns: int) -> str:
         raise ValueError(f"negative time {ns}")
     tenths = (ns + 50) // 100
     return f"{tenths // 10}.{tenths % 10}"
-
-
-def ks_statistic_uniform(values, lo: int, hi: int) -> float:
-    """One-sample two-sided KS statistic against uniform on [lo, hi).
-
-    Continuous-uniform reference; with a discrete grid the statistic is
-    conservative (never understates the distance).
-    """
-    if hi <= lo:
-        raise ValueError("need hi > lo")
-    values = sorted(values)
-    n = len(values)
-    if n == 0:
-        raise ValueError("no values")
-    width = hi - lo
-    d = 0.0
-    for i, v in enumerate(values):
-        cdf = min(max((v - lo) / width, 0.0), 1.0)
-        d = max(d, abs((i + 1) / n - cdf), abs(cdf - i / n))
-    return d
-
-
-def ks_critical_value(n: int, alpha: float = 0.01) -> float:
-    """Asymptotic two-sided KS critical value c(alpha)/sqrt(n)."""
-    # c(alpha) = sqrt(-ln(alpha/2)/2); 1.62762 at the 1% level
-    return math.sqrt(-math.log(alpha / 2.0) / 2.0) / math.sqrt(n)

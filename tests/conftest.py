@@ -6,11 +6,13 @@ records exactly one PASS/FAIL line. The lines are printed immediately
 which pytest never captures.
 
 The dispatches fixture observes every event any engine runs. The helpers
-below serve only the tests: reading exports back, and serving TCP on a
-background thread.
+below serve only the tests: reading exports back, a Kolmogorov-Smirnov
+test against the uniform distribution, and serving TCP on a background
+thread.
 """
 
 import csv
+import math
 import threading
 
 import pytest
@@ -69,6 +71,32 @@ def us_str_to_ns(text: str) -> int:
     if len(frac) != 1:
         raise ValueError(f"expected one decimal digit: {text!r}")
     return int(whole) * 1_000 + int(frac) * 100
+
+
+def ks_statistic_uniform(values, lo: int, hi: int) -> float:
+    """One-sample two-sided KS statistic against uniform on [lo, hi).
+
+    Continuous-uniform reference; with a discrete grid the statistic is
+    conservative (never understates the distance).
+    """
+    if hi <= lo:
+        raise ValueError("need hi > lo")
+    values = sorted(values)
+    n = len(values)
+    if n == 0:
+        raise ValueError("no values")
+    width = hi - lo
+    d = 0.0
+    for i, v in enumerate(values):
+        cdf = min(max((v - lo) / width, 0.0), 1.0)
+        d = max(d, abs((i + 1) / n - cdf), abs(cdf - i / n))
+    return d
+
+
+def ks_critical_value(n: int, alpha: float = 0.01) -> float:
+    """Asymptotic two-sided KS critical value c(alpha)/sqrt(n)."""
+    # c(alpha) = sqrt(-ln(alpha/2)/2); 1.62762 at the 1% level
+    return math.sqrt(-math.log(alpha / 2.0) / 2.0) / math.sqrt(n)
 
 
 def serve_background(server) -> threading.Thread:

@@ -50,8 +50,9 @@ from meowsim.errors import NoCapacity
 from meowsim.netctl import NetworkController, OcsResourceModel, PathState
 from meowsim.scenario import PRESET_NAMES, load_preset
 from meowsim.simulation import analytic_latency
-from meowsim.stats import ks_critical_value, ks_statistic_uniform
 from meowsim.topology import SegmentSpec, TimingParams, Topology
+
+from conftest import ks_critical_value, ks_statistic_uniform
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data", "golden")
 
@@ -269,7 +270,8 @@ def test_criterion_09_resource_bookkeeping(criterion):
     ops = mismatches = 0
     for sequence in range(25):
         rng = random.Random(1_000 + sequence)
-        controller = NetworkController(OcsResourceModel(topology, words))
+        controller = NetworkController(OcsResourceModel(topology, words),
+                                       DeviceController(Engine(seed=0), topology))
         free = {(0, d): set(range(1, words + 1)) for d in range(2)}
         live = []
         for _ in range(400):

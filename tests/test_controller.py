@@ -386,6 +386,19 @@ class TestValidationAndErrors:
         report = ctrl.run_until_complete(1)
         assert report.config_time_ns == analytic_latency(ctrl.timing, 1, 1, 26_000)
 
+    @pytest.mark.parametrize("t_gen", [1_000_000, 10_000_000])
+    def test_run_until_complete_bounds_a_request_from_its_generation(self, t_gen):
+        # generated ahead of the clock: the bound counts from t_gen, not from now
+        scenario = load_preset("exp1")
+        engine, ctrl = make(scenario.topology, seed=scenario.seed)
+        ctrl.submit(req(1, (0, 7, 0xBEEF)), t_generated_ns=t_gen)
+        trace = ctrl.run_until_complete(1)
+        seg = trace.segments[0]
+        assert trace.config_time_ns == analytic_latency(
+            ctrl.timing, 1, scenario.topology.device_rank(0, 7),
+            seg.emit_ns - seg.staged_ns, seg.jitter_ns)
+        assert trace.config_time_ns <= ctrl.request_span_ns()
+
     def test_target_word_must_fit_16_bits(self):
         with pytest.raises(ValueError):
             Target(0, 0, 0x10000)

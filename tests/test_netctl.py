@@ -6,9 +6,9 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meowsim.controller import DeviceController
+from meowsim.controller import ConfigureRequest, DeviceController, Target
 from meowsim.engine import Engine
-from meowsim.errors import NoCapacity, UnknownPath, WrongState
+from meowsim.errors import DuplicateRequestId, NoCapacity, UnknownPath, WrongState
 from meowsim.netctl import (
     FlowStats,
     NetworkController,
@@ -16,10 +16,6 @@ from meowsim.netctl import (
     OpticalPathEntry,
     PathState,
     ProactiveRule,
-    allocate_path,
-    detect_large_flow_reactive,
-    match_proactive_rules,
-    release_path,
 )
 from meowsim.topology import SegmentSpec, TimingParams, Topology
 
@@ -29,6 +25,46 @@ def mini_topology(devices=2):
         segments=(SegmentSpec(device_count=devices),),
         timing=TimingParams(pdo_cycle_ns=32_000),
     )
+
+
+def network_controller(topology=None, words_per_device=16):
+    """A NetworkController on its own DeviceController and engine."""
+    topology = topology or mini_topology()
+    return NetworkController(OcsResourceModel(topology, words_per_device),
+                             DeviceController(Engine(seed=0), topology))
+
+
+# -- reference matchers: the per-flow definition detect_flows must equal ------
+
+def matches(rule: ProactiveRule, flow: FlowStats) -> bool:
+    """Whether the rule matches the flow; a None field in the rule matches anything."""
+    return (
+        (rule.src_tor is None or rule.src_tor == flow.src_tor)
+        and (rule.dst_tor is None or rule.dst_tor == flow.dst_tor)
+        and (rule.service_tag is None or rule.service_tag == flow.service_tag)
+    )
+
+
+def detect_large_flow_reactive(stats, threshold_bps: int):
+    """Flows at or above the rate threshold, in input order (>= convention)."""
+    if threshold_bps <= 0:
+        raise ValueError(f"threshold_bps must be positive, got {threshold_bps}")
+    return [f.flow_id for f in stats if f.rate_bps >= threshold_bps]
+
+
+def match_proactive_rules(flow: FlowStats, rules):
+    """Rule id of the highest-priority matching rule, or None.
+
+    Priorities must be unique; ties are a configuration error.
+    """
+    rules = list(rules)
+    priorities = [r.priority for r in rules]
+    if len(set(priorities)) != len(priorities):
+        raise ValueError("rule priorities must be unique")
+    matching = [r for r in rules if matches(r, flow)]
+    if not matching:
+        return None
+    return max(matching, key=lambda r: r.priority).rule_id
 
 
 def flows():
@@ -59,8 +95,8 @@ class TestFlowDetection:
 
     def test_wildcard_fields(self):
         rule = ProactiveRule("storage", priority=1, service_tag="storage")
-        assert rule.matches(flows()[2])
-        assert not rule.matches(flows()[0])
+        assert matches(rule, flows()[2])
+        assert not matches(rule, flows()[0])
 
     def test_duplicate_priorities_rejected(self):
         rules = [ProactiveRule("a", 1), ProactiveRule("b", 1)]
@@ -72,7 +108,7 @@ class TestFlowDetection:
             FlowStats("f", "a", "b", -1)
 
     def test_controller_report_prefers_proactive(self):
-        nc = NetworkController(OcsResourceModel(mini_topology()))
+        nc = network_controller()
         nc.add_rule(ProactiveRule("storage", priority=2, service_tag="storage"))
         report = nc.detect_flows(flows(), threshold_bps=100_000_000)
         assert report == [
@@ -96,7 +132,7 @@ class TestFlowDetection:
         threshold=st.integers(1, 10),
     )
     def test_report_equals_per_flow_match(self, rules, flows, threshold):
-        nc = NetworkController(OcsResourceModel(mini_topology()))
+        nc = network_controller()
         for i, (priority, src, dst, tag) in enumerate(rules):
             nc.add_rule(ProactiveRule(f"r{i}", priority, src, dst, tag))
         stats = [FlowStats(f"f{i}", src, dst, rate, tag)
@@ -115,7 +151,7 @@ class TestFlowDetection:
         assert nc.detect_flows(iter(stats), threshold) == expected
 
     def test_iterator_input_reports_as_list(self):
-        nc = NetworkController(OcsResourceModel(mini_topology()))
+        nc = network_controller()
         nc.add_rule(ProactiveRule("storage", priority=2, service_tag="storage"))
         stats = flows() + [FlowStats("a", "t1", "t2", 50)]
         report = nc.detect_flows(stats, threshold_bps=10)
@@ -126,7 +162,7 @@ class TestFlowDetection:
 
     @pytest.mark.parametrize("threshold", [0, -1])
     def test_threshold_checked_before_any_flow_is_read(self, threshold):
-        nc = NetworkController(OcsResourceModel(mini_topology()))
+        nc = network_controller()
         nc.add_rule(ProactiveRule("any", priority=1))
         nc.add_rule(ProactiveRule("storage", priority=2, service_tag="storage"))
         read = []
@@ -145,14 +181,14 @@ class TestFlowDetection:
         rules = [ProactiveRule("low", 1, src_tor="tor1", dst_tor="tor2"),
                  ProactiveRule("high", 9, src_tor="tor1", dst_tor="tor2"),
                  ProactiveRule("mid", 5, src_tor="tor1", dst_tor="tor2")]
-        nc = NetworkController(OcsResourceModel(mini_topology()))
+        nc = network_controller()
         for i in order:
             nc.add_rule(rules[i])
         assert nc.detect_flows(flows(), threshold_bps=10**12) == [
             {"flow_id": "f1", "mode": "proactive", "rule_id": "high"}]
 
     def test_match_all_rule_loses_to_higher_priority_only(self):
-        nc = NetworkController(OcsResourceModel(mini_topology()))
+        nc = network_controller()
         nc.add_rule(ProactiveRule("any", priority=3))
         nc.add_rule(ProactiveRule("tor1", priority=5, src_tor="tor1"))
         nc.add_rule(ProactiveRule("storage", priority=1, service_tag="storage"))
@@ -161,13 +197,13 @@ class TestFlowDetection:
 
     def test_each_flow_judged_by_its_own_rate(self):
         # a repeated flow id does not carry one flow's rate over to another
-        nc = NetworkController(OcsResourceModel(mini_topology()))
+        nc = network_controller()
         stats = [FlowStats("x", "a", "b", 5), FlowStats("x", "a", "b", 50)]
         assert nc.detect_flows(stats, threshold_bps=10) == [
             {"flow_id": "x", "mode": "reactive", "rule_id": None}]
 
     def test_add_rule_uniqueness(self):
-        nc = NetworkController(OcsResourceModel(mini_topology()))
+        nc = network_controller()
         nc.add_rule(ProactiveRule("a", 1))
         with pytest.raises(ValueError, match="id"):
             nc.add_rule(ProactiveRule("a", 2))
@@ -187,7 +223,7 @@ class TestResourceModel:
     def test_word_zero_is_never_allocatable(self):
         res = OcsResourceModel(mini_topology(), words_per_device=16)
         assert all(0 not in words for words in res.free.values())
-        assert res.total_words == 32
+        assert res.words_per_device * len(res.free) == 32
 
     def test_double_free_caught(self):
         res = OcsResourceModel(mini_topology(), words_per_device=1)
@@ -204,46 +240,57 @@ class TestResourceModel:
 
 
 class TestPathFunctions:
+    """The path lifecycle through NetworkController, without running a configure."""
+
     def test_allocate_reserves_first_fit(self):
-        table = {}
-        res = OcsResourceModel(mini_topology(), words_per_device=2)
-        a = allocate_path(table, res, "tor1", "tor2", path_id=1)
-        b = allocate_path(table, res, "tor1", "tor3", path_id=2)
+        nc = network_controller(words_per_device=2)
+        a = nc.allocate("tor1", "tor2")
+        b = nc.allocate("tor1", "tor3")
         assert a.hops == ((0, 0, 1),)
         assert b.hops == ((0, 0, 2),)
         assert a.state is b.state is PathState.RESERVED
 
     def test_allocate_requires_distinct_tors(self):
         with pytest.raises(ValueError):
-            allocate_path({}, OcsResourceModel(mini_topology()), "t", "t", 1)
+            network_controller().allocate("t", "t")
 
     def test_no_capacity(self):
-        table = {}
-        res = OcsResourceModel(mini_topology(), words_per_device=1)
-        allocate_path(table, res, "a", "b", 1)
-        allocate_path(table, res, "a", "c", 2)
+        nc = network_controller(words_per_device=1)
+        nc.allocate("a", "b")
+        nc.allocate("a", "c")
         with pytest.raises(NoCapacity):
-            allocate_path(table, res, "a", "d", 3)
+            nc.allocate("a", "d")
+
+    def test_failed_allocate_uses_no_path_id(self):
+        nc = network_controller(words_per_device=1)
+        nc.allocate("a", "b")
+        with pytest.raises(ValueError):
+            nc.allocate("c", "c")
+        assert nc.allocate("a", "c").path_id == 2
+        with pytest.raises(NoCapacity):
+            nc.allocate("a", "d")
+        nc.table[1].state = PathState.ACTIVE  # as if configured
+        nc.release(1)
+        assert nc.allocate("a", "d").path_id == 3
+        assert sorted(nc.table) == [1, 2, 3]
 
     def test_released_word_is_reused(self):
-        table = {}
-        res = OcsResourceModel(mini_topology(), words_per_device=1)
-        entry = allocate_path(table, res, "a", "b", 1)
+        nc = network_controller(words_per_device=1)
+        entry = nc.allocate("a", "b")
         entry.state = PathState.ACTIVE  # as if configured
-        release_path(table, res, 1)
-        again = allocate_path(table, res, "a", "c", 2)
+        nc.release(1)
+        again = nc.allocate("a", "c")
         assert again.hops == entry.hops
 
     def test_release_needs_active(self):
-        table = {}
-        res = OcsResourceModel(mini_topology())
-        allocate_path(table, res, "a", "b", 1)
+        nc = network_controller()
+        nc.allocate("a", "b")
         with pytest.raises(WrongState):
-            release_path(table, res, 1)  # still Reserved
+            nc.release(1)  # still Reserved
 
     def test_unknown_path(self):
         with pytest.raises(UnknownPath):
-            release_path({}, OcsResourceModel(mini_topology()), 42)
+            network_controller().release(42)
 
     def test_entry_needs_hops(self):
         with pytest.raises(ValueError):
@@ -295,11 +342,19 @@ class TestLifecycleWithSimulation:
         with pytest.raises(WrongState):
             nc.release(entry.path_id)
 
-    def test_activate_without_device_controller(self):
-        nc = NetworkController(OcsResourceModel(mini_topology()))
+    def test_failed_activate_leaves_the_entry_reserved(self):
+        engine, dc, nc = self.make()
+        # request id 1, the one the network controller hands out first, is taken
+        dc.submit(ConfigureRequest(request_id=1, targets=(Target(0, 1, 7),)), 0)
         entry = nc.allocate("tor1", "tor2")
-        with pytest.raises(ValueError, match="device controller"):
+        with pytest.raises(DuplicateRequestId):
             nc.activate(entry.path_id)
+        assert entry.state is PathState.RESERVED
+        assert entry.request_id is None
+        dc.run_until_complete(1)  # not this path's request: the path stays Reserved
+        assert entry.state is PathState.RESERVED
+        assert entry.config_time_ns is None
+        assert list(dc.traces) == [1]  # the failed activate recorded nothing
 
     def test_dump_table(self):
         engine, dc, nc = self.make()
@@ -333,11 +388,14 @@ class TestLifecycleWithSimulation:
         # -O strips assert statements; the ledger check must still raise
         script = """if __debug__:
     raise SystemExit("not running under -O")
+from meowsim.controller import DeviceController
+from meowsim.engine import Engine
 from meowsim.netctl import NetworkController, OcsResourceModel
 from meowsim.topology import SegmentSpec, TimingParams, Topology
 topo = Topology(segments=(SegmentSpec(device_count=2),),
                 timing=TimingParams(pdo_cycle_ns=32_000))
-nc = NetworkController(OcsResourceModel(topo, words_per_device=4))
+nc = NetworkController(OcsResourceModel(topo, words_per_device=4),
+                       DeviceController(Engine(seed=0), topo))
 entry = nc.allocate("tor1", "tor2")
 nc.resources.free[(0, 0)].add(entry.hops[0][2])  # a held word also free
 nc.check_conservation()
@@ -373,7 +431,7 @@ class BookkeeperReference:
 def test_random_alloc_release_matches_reference(ops, rng):
     devices, words = 2, 3
     topo = mini_topology(devices)
-    nc = NetworkController(OcsResourceModel(topo, words_per_device=words))
+    nc = network_controller(topo, words)
     ref = BookkeeperReference(devices, words)
     live = []
     for op in ops:

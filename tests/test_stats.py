@@ -7,13 +7,11 @@ from hypothesis import given, strategies as st
 
 from meowsim.stats import (
     compute_stats,
-    ks_critical_value,
-    ks_statistic_uniform,
     ns_to_us_str,
     percentile_nearest_rank,
 )
 
-from conftest import us_str_to_ns
+from conftest import ks_critical_value, ks_statistic_uniform, us_str_to_ns
 
 
 class TestPercentile:
