@@ -12,12 +12,13 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .controller import ConfigureRequest, DeviceController, RequestTrace, Target
 from .engine import Engine
 from .errors import IoFailure, SegmentCountExceeded
 from .scenario import ARRIVAL_GRID_NS, Scenario, load_preset
-from .simulation import analytic_latency, structural_worst_latency
+from .simulation import analytic_latency, structural_worst_latency, word_positions
 from .stats import RunStats, compute_stats, ns_to_us_str
 from .topology import MAX_SEGMENTS, SegmentSpec, Topology
 
@@ -30,8 +31,7 @@ MIN_SPACING_CYCLES = 4
 WORD_PATTERNS = (0x5555, 0xAAAA)
 
 
-@dataclass(frozen=True)
-class RequestRow:
+class RequestRow(NamedTuple):
     """One CSV row: the measurement-target view of one request."""
 
     request_id: int
@@ -113,17 +113,7 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None,
                 raise AssertionError(
                     f"request {request_id}: simulated {config} ns != oracle {expected} ns"
                 )
-        rows.append(
-            RequestRow(
-                request_id=request_id,
-                t_gen_ns=t_gen,
-                t_emit_ns=t_emit,
-                t_complete_ns=t_complete,
-                config_ns=config,
-                segment=seg_m,
-                device=dev_m,
-            )
-        )
+        rows.append(RequestRow(request_id, t_gen, t_emit, t_complete, config, seg_m, dev_m))
 
     stats = compute_stats([row.config_ns for row in rows])
     written = {}
@@ -185,27 +175,37 @@ def export_csv(rows, path: str) -> None:
 
 
 def format_trace_line(trace: RequestTrace) -> str:
+    return _trace_line(trace, {})
+
+
+def _trace_line(trace: RequestTrace, positions: dict) -> str:
+    """One trace line; positions caches {mask: its device positions} across lines."""
+    segments, hop = trace.segments, trace.hop_ns
     parts = [f"req {trace.request_id:06d} ① {trace.t_generated_ns}"]
-    for seg in sorted(trace.segments):
-        st = trace.segments[seg]
-        parts.append(
-            f"seg {seg}: x {st.jitter_ns} staged {st.staged_ns} ② {st.emit_ns}"
-        )
-    latches = ", ".join(
-        f"{s}/{d} {t}" for (s, d), t in sorted(trace.t_latched_ns.items())
-    )
-    parts.append(f"③ {latches}")
+    latches = []
+    for seg in sorted(segments):
+        st = segments[seg]
+        parts.append(f"seg {seg}: x {st.jitter_ns} staged {st.staged_ns} ② {st.emit_ns}")
+        first = st.first_latch_ns
+        if first is not None:  # as t_latched_ns: only targets whose frame has left
+            mask = trace.writes[seg][0]
+            devices = positions.get(mask)
+            if devices is None:
+                devices = positions[mask] = tuple(word_positions(mask))
+            latches.extend(f"{seg}/{d} {first + d * hop}" for d in devices)
+    parts.append(f"③ {', '.join(latches)}")
     parts.append(f"config {trace.config_time_ns}")
     return " | ".join(parts)
 
 
 def export_trace(traces, stats: RunStats, path: str) -> None:
     """Marker trace: one line per request, integer ns, jitter footer."""
+    positions = {}  # a pattern's requests share one mask per segment
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("# request traces, times in integer ns\n")
             for trace in traces:
-                fh.write(format_trace_line(trace) + "\n")
+                fh.write(_trace_line(trace, positions) + "\n")
             fh.write(
                 f"# ④ jitter max-min {stats.jitter_ns} ns "
                 f"(min {stats.min_ns}, max {stats.max_ns})\n"

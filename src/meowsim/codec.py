@@ -137,7 +137,7 @@ def encode_frame(frame: EcatFrame) -> bytes:
         raise OversizeFrame(
             f"frame serializes to {_HEADER.size + content} bytes, max {MAX_FRAME_BYTES}"
         )
-    assert content <= _LEN_MASK  # guaranteed by the byte budget above
+    # the byte budget keeps content within the 11-bit length field (1496 <= 2047)
     out = bytearray(_HEADER.pack(content | (FRAME_TYPE_PDU << 12)))
     for dgram in frame.datagrams:
         len_flags = len(dgram.data)

@@ -96,7 +96,7 @@ class SegmentTrace:
     first_latch_ns: int | None = None  # device 0's latch time for the emitted frame
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestTrace:
     """The one record of a request; the markers 1/2/3 of the trace format.
 
@@ -269,32 +269,43 @@ class DeviceController:
 
     def _stage(self, trace: RequestTrace, t_arrival_ns: int) -> None:
         """Stage a recorded request's writes on its masters (SouthboundArrived)."""
-        self.start()
+        if not self._started:
+            self.start()
         engine = self.engine
+        draw = engine.rng.uniform_draw
+        jitter_max = self.timing.d_jitter_max_ns
+        t_dispatch = t_arrival_ns + self._multi_ns
+        masters = self.masters
+        segments = trace.segments
+        request_id = trace.request_id
+        emit = EventKind.MASTER_EMIT
         # dispatch order is fixed: lowest segment first
         for seg, (mask, value) in trace.writes.items():
-            jitter = engine.rng.uniform_draw(0, self.timing.d_jitter_max_ns)
-            stage_ns = t_arrival_ns + self._multi_ns + jitter
-            built = engine.has_run(stage_ns, EventKind.MASTER_EMIT, seg)
-            pickup = self.masters[seg].stage(stage_ns, trace.request_id, mask, value, built)
+            jitter = draw(0, jitter_max)
+            stage_ns = t_dispatch + jitter
+            built = engine.has_run(stage_ns, emit, seg)
+            pickup = masters[seg].stage(stage_ns, request_id, mask, value, built)
             if pickup is not None:
-                engine.schedule(pickup, EventKind.MASTER_EMIT, seg, order=seg)
-            trace.segments[seg] = SegmentTrace(staged_ns=stage_ns, jitter_ns=jitter)
+                engine.schedule(pickup, emit, seg, order=seg)
+            segments[seg] = SegmentTrace(stage_ns, jitter)
 
     def _on_master_emit(self, seg: int) -> None:
         boundary = self.engine.now
-        frame = self.masters[seg].build_frame(boundary)
+        riders, before, after = self.masters[seg].build_frame(boundary)
         first_latch = boundary + self._first_latch_offset_ns
-        if frame.after != frame.before:
-            self.frame_log[seg].append((first_latch, frame.before, frame.after))
-        for rid in frame.riders:
-            trace = self.traces[rid]
+        if after != before:
+            self.frame_log[seg].append((first_latch, before, after))
+        traces = self.traces
+        hop = self.timing.d_hop_ns
+        for rid in riders:
+            trace = traces[rid]
             seg_trace = trace.segments[seg]
-            assert seg_trace.emit_ns is None
+            if seg_trace.emit_ns is not None:
+                raise AssertionError(f"request {rid} emitted twice on segment {seg}")
             seg_trace.emit_ns = boundary
             seg_trace.first_latch_ns = first_latch
             # the mask's highest set lane is the deepest targeted device
-            latch = trace.latch_ns(seg, (trace.writes[seg][0].bit_length() - 1) // 16)
+            latch = first_latch + (trace.writes[seg][0].bit_length() - 1) // 16 * hop
             if latch > trace.last_latch_ns:
                 trace.last_latch_ns = latch
             trace.pending -= 1

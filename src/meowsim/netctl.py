@@ -203,7 +203,8 @@ class NetworkController:
         request_id = self.activate(path_id)
         self.device_controller.run_until_complete(request_id)
         entry = self.table[path_id]
-        assert entry.state is PathState.ACTIVE
+        if entry.state is not PathState.ACTIVE:
+            raise AssertionError(f"path {path_id} is {entry.state.value} after its completion")
         return entry
 
     def release(self, path_id: int) -> None:
@@ -221,7 +222,8 @@ class NetworkController:
         if path_id is None:
             return
         entry = self.table[path_id]
-        assert entry.state is PathState.CONFIGURING
+        if entry.state is not PathState.CONFIGURING:
+            raise AssertionError(f"path {path_id} completed while {entry.state.value}")
         entry.state = PathState.ACTIVE
         entry.config_time_ns = trace.config_time_ns
 

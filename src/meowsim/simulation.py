@@ -165,7 +165,12 @@ class MasterState:
         due = self.staged.pop(boundary_ns, ())
         if self.staged and min(self.staged) <= boundary_ns:
             raise AssertionError("staged write missed its boundary")
-        before = image = self.image
+        before = self.image
+        if len(due) == 1:  # a batch run's every frame: nothing to order
+            ((_, rid, mask, value),) = due
+            image = self.image = before & ~mask | value
+            return Frame((rid,), before, image)
+        image = before
         for _, _, mask, value in sorted(due, key=itemgetter(0)):
             image = image & ~mask | value
         self.image = image

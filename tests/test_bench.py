@@ -13,6 +13,7 @@ from meowsim.bench import (
     RequestRow,
     default_worst_base_ns,
     export_csv,
+    export_trace,
     extrapolate_worst,
     format_trace_line,
     pdo_reduction_analysis,
@@ -260,6 +261,77 @@ class TestExports:
             "request_id", "t_gen_us", "t_emit_us", "t_complete_us",
             "config_time_us", "segment", "device",
         )
+
+    def test_request_row_is_immutable_and_positional(self):
+        row = RequestRow(3, 1_000, 32_000, 114_400, 113_400, 0, 7)
+        assert row == RequestRow(request_id=3, t_gen_ns=1_000, t_emit_ns=32_000,
+                                 t_complete_ns=114_400, config_ns=113_400,
+                                 segment=0, device=7)
+        assert (row.request_id, row.config_ns, row.device) == (3, 113_400, 7)
+        with pytest.raises(AttributeError):
+            row.config_ns = 0
+        assert row.config_ns == 113_400
+
+
+def expected_trace_line(trace) -> str:
+    """A trace line built from t_latched_ns, apart from format_trace_line's own route."""
+    segments = " | ".join(
+        f"seg {s}: x {st.jitter_ns} staged {st.staged_ns} ② {st.emit_ns}"
+        for s, st in sorted(trace.segments.items())
+    )
+    latches = ", ".join(f"{s}/{d} {t}" for (s, d), t in sorted(trace.t_latched_ns.items()))
+    head = f"req {trace.request_id:06d} ① {trace.t_generated_ns}"
+    return " | ".join(p for p in (head, segments, f"③ {latches}",
+                                  f"config {trace.config_time_ns}") if p)
+
+
+class TestSparseTraceLines:
+    """Trace lines of sparse, multi-segment requests, which the golden exports never hold."""
+
+    REQUESTS = (  # (request id, generated at, targets as (segment, device))
+        (0, 0, ((0, 1), (0, 5), (2, 0))),
+        (1, 0, ((0, 2), (1, 7), (2, 0), (2, 3))),
+        (2, 40_000, ((0, 1), (0, 5), (2, 0))),  # request 0's masks, packed again
+    )
+
+    def controller(self):
+        topology = Topology(
+            segments=tuple(SegmentSpec(device_count=8, phase_ns=p) for p in (0, 8_000, 16_000)),
+            timing=TimingParams(pdo_cycle_ns=32_000, d_mm_ns=5_000, d_jitter_max_ns=7_000),
+        )
+        ctrl = DeviceController(Engine(seed=19), topology)
+        for rid, t_gen, targets in self.REQUESTS:
+            ctrl.submit(ConfigureRequest(rid, tuple(Target(s, d, 0x0F0F) for s, d in targets)),
+                        t_gen)
+        return ctrl
+
+    def test_every_line_at_every_event(self):
+        ctrl = self.controller()
+        traces = list(ctrl.traces.values())
+        partial = False
+        while ctrl.engine.next_time_ns() is not None:
+            ctrl.engine.step()
+            for trace in traces:
+                assert format_trace_line(trace) == expected_trace_line(trace)
+                emitted = {st.emit_ns is not None for st in trace.segments.values()}
+                partial |= emitted == {True, False}
+        assert partial  # some line showed a request with only part of its frames gone
+        assert all(t.complete for t in traces)
+        assert {rid: sorted(ctrl.traces[rid].t_latched_ns) for rid, _, _ in self.REQUESTS} == {
+            rid: sorted(targets) for rid, _, targets in self.REQUESTS}
+
+    def test_export_holds_two_masks_per_segment(self, tmp_path):
+        ctrl = self.controller()
+        ctrl.engine.run_until(400_000)
+        traces = list(ctrl.traces.values())
+        assert traces[0].writes[0][0] != traces[1].writes[0][0]
+        assert traces[0].writes is not traces[2].writes
+        assert traces[0].writes == traces[2].writes
+        stats = compute_stats([t.config_time_ns for t in traces])
+        path = tmp_path / "sparse.trace"
+        export_trace(traces, stats, str(path))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[1:-1] == [expected_trace_line(t) for t in traces]
 
 
 class TestDeploymentScale:

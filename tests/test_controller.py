@@ -419,6 +419,16 @@ class TestValidationAndErrors:
         assert ctrl.masters[0].staged == {}
         assert 1 not in ctrl.traces
 
+    def test_rider_emitted_twice_on_one_segment_raises(self):
+        engine, ctrl = make(chain_topology())
+        ctrl.submit(req(1, (0, 3, 1)), t_generated_ns=0)
+        ctrl.run_until_complete(1)
+        # the same request staged again: its segment's frame has already left
+        pickup = ctrl.masters[0].stage(engine.now, 1, 0xFFFF, 1)
+        engine.schedule(pickup, EventKind.MASTER_EMIT, 0, order=0)
+        with pytest.raises(AssertionError, match="request 1 emitted twice on segment 0"):
+            engine.run_until(pickup)
+
 
 class TestReporting:
     def test_completion_callback_fires(self):

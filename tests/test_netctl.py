@@ -405,6 +405,47 @@ nc.check_conservation()
         assert proc.returncode == 1
         assert "AssertionError: (0, 0): words both free and held" in proc.stderr
 
+    def test_completion_of_a_path_not_configuring_raises(self):
+        nc = network_controller(words_per_device=4)
+        entry = nc.allocate("tor1", "tor2")
+        request_id = nc.activate(entry.path_id)
+        entry.state = PathState.RESERVED  # corrupted before the completion runs
+        with pytest.raises(AssertionError, match="path 1 completed while Reserved"):
+            nc.device_controller.run_until_complete(request_id)
+
+    def test_path_left_inactive_by_its_completion_raises(self):
+        nc = network_controller(words_per_device=4)
+        entry = nc.allocate("tor1", "tor2")
+
+        def release_behind_its_back(trace):
+            entry.state = PathState.RELEASED
+
+        nc.device_controller.completion_callbacks.append(release_behind_its_back)
+        with pytest.raises(AssertionError, match="path 1 is Released after its completion"):
+            nc.activate_and_wait(entry.path_id)
+
+    def test_path_state_checked_under_optimize(self):
+        # -O strips assert statements; the completion's state check must still raise
+        script = """if __debug__:
+    raise SystemExit("not running under -O")
+from meowsim.controller import DeviceController
+from meowsim.engine import Engine
+from meowsim.netctl import NetworkController, OcsResourceModel, PathState
+from meowsim.topology import SegmentSpec, TimingParams, Topology
+topo = Topology(segments=(SegmentSpec(device_count=2),),
+                timing=TimingParams(pdo_cycle_ns=32_000))
+nc = NetworkController(OcsResourceModel(topo, words_per_device=4),
+                       DeviceController(Engine(seed=0), topo))
+entry = nc.allocate("tor1", "tor2")
+request_id = nc.activate(entry.path_id)
+entry.state = PathState.RESERVED  # corrupted before the completion runs
+nc.device_controller.run_until_complete(request_id)
+"""
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert "AssertionError: path 1 completed while Reserved" in proc.stderr
+
 
 class BookkeeperReference:
     """Brute-force free-word ledger used to cross-check the resource model."""

@@ -1,5 +1,7 @@
 """PDO boundary math, the latency oracle, master/device state."""
 
+import random
+
 import pytest
 
 from meowsim.simulation import (
@@ -157,6 +159,29 @@ class TestMasterState:
         second = m.build_frame(64_000)
         assert first == second == ((), 0, 0)
         assert m.words == [0, 0]
+
+    def test_one_write_frame_equals_the_staging_time_fold(self):
+        def fold(image, writes):
+            """Word by word, last writer by staging time wins."""
+            words = [image >> 16 * p & 0xFFFF for p in range(5)]
+            for _, _, mask, value in sorted(writes, key=lambda w: w[0]):
+                for p in range(5):
+                    if mask >> 16 * p & 0xFFFF:
+                        words[p] = value >> 16 * p & 0xFFFF
+            return sum(word << 16 * p for p, word in enumerate(words))
+
+        rng = random.Random(19)
+        m = MasterState(phase_ns=0, cycle_ns=32_000, device_count=5)
+        for k in range(200):
+            boundary = 32_000 * (k + 1)
+            devices = rng.sample(range(5), rng.randint(1, 5))
+            mask, value = write(*((d, rng.randrange(0x10000)) for d in devices))
+            stage_ns = boundary - rng.randrange(32_000)  # picked up at this boundary
+            before = m.image
+            assert m.stage(stage_ns, k, mask, value) == boundary
+            frame = m.build_frame(boundary)
+            assert frame == ((k,), before, fold(before, [(stage_ns, k, mask, value)]))
+            assert frame.riders == (k,) and m.image == frame.after
 
     @pytest.mark.parametrize("later_write", [False, True])
     def test_skipped_boundary_with_staged_write_asserts(self, later_write):
