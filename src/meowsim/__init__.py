@@ -20,7 +20,6 @@ from .codec import (
     EcatCmd,
     EcatDatagram,
     EcatFrame,
-    SlaveMapping,
     apply_datagram,
     decode_frame,
     encode_frame,
@@ -75,7 +74,6 @@ __all__ = [
     "RunStats",
     "Scenario",
     "SegmentSpec",
-    "SlaveMapping",
     "SouthboundServer",
     "SouthboundSession",
     "SplitMix64",

@@ -145,8 +145,6 @@ def _cmd_pdo_compare(args) -> int:
 
 
 def _cmd_codec(args) -> int:
-    if args.codec_cmd != "selftest":
-        raise ValueError(f"unknown codec subcommand {args.codec_cmd!r}")
     text = (
         resources.files("meowsim")
         .joinpath("data").joinpath("conformance_vectors.txt")

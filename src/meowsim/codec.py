@@ -8,12 +8,13 @@ Layout:
   frame header  2 bytes: bits 0-10 datagram-area length, bits 12-15 type (=1)
   per datagram  cmd(1) idx(1) address(4) len+flags(2) irq(2) data(len) wkc(2)
                 len+flags: bits 0-10 length, bit 14 circulating, bit 15 more
+                (set on every datagram but the last, so it is not stored)
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
 
 from .errors import (
@@ -29,6 +30,7 @@ FRAME_TYPE_PDU = 1
 MAX_DATA_LEN = 1486
 MAX_FRAME_BYTES = 1498
 DGRAM_OVERHEAD = 12  # 10-byte datagram header + 2-byte working counter
+OUTPUT_WORD_BYTES = 2  # one 16-bit digital-output word per device
 
 _HEADER = struct.Struct("<H")
 _DGRAM_HEAD = struct.Struct("<BBIHH")
@@ -71,7 +73,6 @@ class EcatDatagram:
     address: int = 0
     data: bytes = b""
     circulating: bool = False
-    more: bool = False
     irq: int = 0
     wkc: int = 0
 
@@ -96,7 +97,7 @@ class EcatDatagram:
 
 @dataclass(frozen=True)
 class EcatFrame:
-    """A frame: one or more datagrams chained by the more flag."""
+    """A frame: one or more datagrams, chained on the wire by the more flag."""
 
     datagrams: tuple[EcatDatagram, ...]
 
@@ -105,21 +106,6 @@ class EcatFrame:
         object.__setattr__(self, "datagrams", datagrams)
         if not datagrams:
             raise ValueError("frame needs at least one datagram")
-        for dgram in datagrams[:-1]:
-            if not dgram.more:
-                raise ValueError("every datagram but the last must set the more flag")
-        if datagrams[-1].more:
-            raise ValueError("last datagram must clear the more flag")
-
-    @classmethod
-    def from_datagrams(cls, datagrams) -> "EcatFrame":
-        """Build a frame, fixing up the more-flag chain."""
-        datagrams = list(datagrams)
-        fixed = [
-            replace(d, more=(i < len(datagrams) - 1))
-            for i, d in enumerate(datagrams)
-        ]
-        return cls(datagrams=tuple(fixed))
 
     @property
     def content_length(self) -> int:
@@ -139,11 +125,12 @@ def encode_frame(frame: EcatFrame) -> bytes:
         )
     # the byte budget keeps content within the 11-bit length field (1496 <= 2047)
     out = bytearray(_HEADER.pack(content | (FRAME_TYPE_PDU << 12)))
-    for dgram in frame.datagrams:
+    last = len(frame.datagrams) - 1
+    for i, dgram in enumerate(frame.datagrams):
         len_flags = len(dgram.data)
         if dgram.circulating:
             len_flags |= _CIRCULATING_BIT
-        if dgram.more:
+        if i < last:
             len_flags |= _MORE_BIT
         out += _DGRAM_HEAD.pack(
             int(dgram.cmd), dgram.idx, dgram.address, len_flags, dgram.irq
@@ -191,7 +178,6 @@ def decode_frame(raw: bytes) -> EcatFrame:
         cursor += data_len
         (wkc,) = _WKC.unpack_from(raw, cursor)
         cursor += _WKC.size
-        more = bool(len_flags & _MORE_BIT)
         datagrams.append(
             EcatDatagram(
                 cmd=cmd,
@@ -199,58 +185,43 @@ def decode_frame(raw: bytes) -> EcatFrame:
                 address=address,
                 data=data,
                 circulating=bool(len_flags & _CIRCULATING_BIT),
-                more=more,
                 irq=irq,
                 wkc=wkc,
             )
         )
-        if not more:
+        if not len_flags & _MORE_BIT:
             break
     if cursor != end:
         raise LengthMismatch(f"{end - cursor} content bytes left after final datagram")
     return EcatFrame(datagrams=tuple(datagrams))
 
 
-@dataclass(frozen=True)
-class SlaveMapping:
-    """Where one slave's output word sits in the segment's logical image."""
-
-    logical_start: int
-    byte_len: int = 2
-    direction: str = "output"
-
-    def __post_init__(self):
-        if self.logical_start < 0:
-            raise ValueError(f"logical_start must be >= 0, got {self.logical_start}")
-        if self.byte_len < 1:
-            raise ValueError(f"byte_len must be >= 1, got {self.byte_len}")
-        if self.direction != "output":
-            raise ValueError(f"only output mappings exist here, got {self.direction!r}")
-
-
-def apply_datagram(word: int, dgram: EcatDatagram, mapping: SlaveMapping):
+def apply_datagram(word: int, dgram: EcatDatagram, logical_start: int):
     """On-the-fly slave processing of one logical datagram.
 
-    Returns (updated word, updated datagram data, wkc increment). Bytes
-    outside the overlap of the datagram window and the mapping window are
-    never touched, in either direction.
+    word is the slave's 16-bit output word, mapped at logical_start in the
+    segment's logical image. Returns (updated word, updated datagram data,
+    wkc increment). Bytes outside the overlap of the datagram window and
+    the word's window are never touched, in either direction.
     """
     if dgram.cmd not in LOGICAL_COMMANDS:
         raise UnsupportedCommand(
             f"{dgram.cmd.name} is not processed by the cyclic logical path"
         )
-    if not 0 <= word <= (1 << (8 * mapping.byte_len)) - 1:
-        raise ValueError(f"word {word:#x} does not fit {mapping.byte_len} bytes")
+    if logical_start < 0:
+        raise ValueError(f"logical_start must be >= 0, got {logical_start}")
+    if not 0 <= word <= 0xFFFF:
+        raise ValueError(f"word {word:#x} does not fit {OUTPUT_WORD_BYTES} bytes")
 
-    lo = max(dgram.address, mapping.logical_start)
-    hi = min(dgram.address + len(dgram.data), mapping.logical_start + mapping.byte_len)
+    lo = max(dgram.address, logical_start)
+    hi = min(dgram.address + len(dgram.data), logical_start + OUTPUT_WORD_BYTES)
     if lo >= hi:
         return word, dgram.data, 0
 
-    word_bytes = bytearray(word.to_bytes(mapping.byte_len, "little"))
+    word_bytes = bytearray(word.to_bytes(OUTPUT_WORD_BYTES, "little"))
     data = bytearray(dgram.data)
     d0, d1 = lo - dgram.address, hi - dgram.address
-    w0, w1 = lo - mapping.logical_start, hi - mapping.logical_start
+    w0, w1 = lo - logical_start, hi - logical_start
 
     if dgram.cmd is EcatCmd.LRD:
         data[d0:d1] = word_bytes[w0:w1]
@@ -268,11 +239,12 @@ def apply_datagram(word: int, dgram: EcatDatagram, mapping: SlaveMapping):
 def summarize_frame(frame: EcatFrame) -> str:
     """Canonical one-line description used by the conformance vectors."""
     parts = []
-    for dgram in frame.datagrams:
+    last = len(frame.datagrams) - 1
+    for i, dgram in enumerate(frame.datagrams):
         flags = ""
         if dgram.circulating:
             flags += "+circ"
-        if dgram.more:
+        if i < last:
             flags += "+more"
         data_hex = dgram.data.hex() if dgram.data else "-"
         parts.append(

@@ -44,7 +44,6 @@ from .errors import (
     DuplicateRequestId,
     NotYetComplete,
     SchedulingInPast,
-    TooManySegments,
     UnknownRequest,
     UnknownTarget,
 )
@@ -55,7 +54,7 @@ from .simulation import (
     changed_words,
     word_positions,
 )
-from .topology import MAX_SEGMENTS, Topology, require_int
+from .topology import Topology, require_int
 
 
 @dataclass(frozen=True)
@@ -200,14 +199,11 @@ class DeviceController:
         """Check a request's targets against the topology and pack its writes.
 
         One pass over the targets. Returns {segment: (mask, value)} in
-        ascending segments, each pair a segment's images. A request that
-        spans more than MAX_SEGMENTS segments raises TooManySegments, even
-        where a target is also unknown; otherwise the first target outside
-        the topology raises UnknownTarget.
+        ascending segments, each pair a segment's images. The first target
+        outside the topology raises UnknownTarget.
         """
         counts = self._device_counts
         lanes = {}  # {segment: (mask words, value words)}
-        unknown = None
         seg = None
         for t in request.targets:
             if t.segment != seg:  # targets mostly come in runs of one segment
@@ -219,17 +215,12 @@ class DeviceController:
                 mask_words, value_words = words
                 count = len(mask_words)
             device = t.device
-            if 0 <= device < count:
-                mask_words[device] = 0xFFFF
-                value_words[device] = t.word
-            elif unknown is None:
-                unknown = t
-        if len(lanes) > MAX_SEGMENTS:
-            raise TooManySegments(f"request spans {len(lanes)} segments, max {MAX_SEGMENTS}")
-        if unknown is not None:
-            raise UnknownTarget(
-                f"target segment {unknown.segment} device {unknown.device} not in topology"
-            )
+            if not 0 <= device < count:
+                raise UnknownTarget(
+                    f"target segment {t.segment} device {device} not in topology"
+                )
+            mask_words[device] = 0xFFFF
+            value_words[device] = t.word
         writes = {}
         for seg in sorted(lanes):
             pack = self._image_structs[seg].pack

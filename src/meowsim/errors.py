@@ -77,10 +77,6 @@ class DuplicateRequestId(MeowError):
     """A request id was submitted twice."""
 
 
-class TooManySegments(MeowError):
-    """Configure request spans more segments than the controller drives."""
-
-
 class UnknownRequest(MeowError):
     """No record of the given request id."""
 

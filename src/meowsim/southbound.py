@@ -10,7 +10,8 @@ The same handler runs in-process (SouthboundSession.handle_line) or behind
 a TCP listener. Concurrent connections are serialized onto the single
 event engine; observable behavior equals some serial arrival order. Over
 TCP the replies to one line leave in one write, so a client may pipeline
-lines and reads the replies back in line order.
+lines and reads the replies back in line order. A TCP line longer than
+MAX_LINE_BYTES gets one BadMessage reply and its connection is closed.
 """
 
 from __future__ import annotations
@@ -24,6 +25,10 @@ from .engine import Engine
 from .errors import MeowError
 from .stats import ns_to_us_str
 from .topology import Topology
+
+# the longest TCP line read, newline included: a request for every device of
+# a full 6x743 topology is ~231 KB in json.dumps's default form
+MAX_LINE_BYTES = 1 << 20
 
 
 def _parse_outputs(value) -> int:
@@ -133,7 +138,10 @@ class _LineHandler(socketserver.StreamRequestHandler):
 
     def handle(self):
         session = self.server.session
-        for raw in self.rfile:
+        while raw := self.rfile.readline(MAX_LINE_BYTES + 1):
+            if len(raw) > MAX_LINE_BYTES:
+                self.reply(session.bad_message(f"line longer than {MAX_LINE_BYTES} bytes"))
+                return  # the rest of the line is never read
             try:
                 line = raw.decode("utf-8").strip()
             except UnicodeDecodeError as exc:
@@ -142,9 +150,12 @@ class _LineHandler(socketserver.StreamRequestHandler):
                 if not line:
                     continue
                 replies = session.handle_line(line)
-            # one write per line: wfile is unbuffered, so separate writes
-            # would leave as separate segments
-            self.wfile.write("".join(reply + "\n" for reply in replies).encode("utf-8"))
+            self.reply(replies)
+
+    def reply(self, replies: list[str]) -> None:
+        # one write per line: wfile is unbuffered, so separate writes would
+        # leave as separate segments
+        self.wfile.write("".join(reply + "\n" for reply in replies).encode("utf-8"))
 
 
 class SouthboundServer(socketserver.ThreadingTCPServer):

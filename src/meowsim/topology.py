@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, asdict
 
-from .codec import MAX_DATA_LEN
+from .codec import MAX_DATA_LEN, OUTPUT_WORD_BYTES
 from .errors import (
     EmptySegment,
     IndexOutOfRange,
@@ -20,7 +20,6 @@ from .errors import (
 )
 
 MAX_SEGMENTS = 6
-OUTPUT_WORD_BYTES = 2  # one 16-bit digital-output word per device
 # each cycle's one LWR datagram carries the whole chain's output image
 MAX_SEGMENT_DEVICES = MAX_DATA_LEN // OUTPUT_WORD_BYTES
 MAX_PDO_CYCLE_NS = 100_000

@@ -39,7 +39,6 @@ from meowsim.codec import (
     EcatCmd,
     EcatDatagram,
     EcatFrame,
-    SlaveMapping,
     apply_datagram,
     decode_frame,
     encode_frame,
@@ -175,11 +174,9 @@ def test_criterion_06_closed_form_agreement(runs, criterion):
 
 def test_criterion_07_wire_format_conformance(criterion):
     # pinned vectors, frozen independently of the codec module
-    nop = EcatFrame.from_datagrams([EcatDatagram(cmd=EcatCmd.NOP)])
+    nop = EcatFrame((EcatDatagram(cmd=EcatCmd.NOP),))
     pinned_ok = encode_frame(nop) == bytes.fromhex("0c10" + "00" * 12)
-    lwr = EcatFrame.from_datagrams(
-        [EcatDatagram(cmd=EcatCmd.LWR, data=b"\xEF\xBE")]
-    )
+    lwr = EcatFrame((EcatDatagram(cmd=EcatCmd.LWR, data=b"\xEF\xBE"),))
     lwr_raw = bytes.fromhex("0e100b000000000002000000efbe0000")
     pinned_ok = pinned_ok and encode_frame(lwr) == lwr_raw
     pinned_ok = pinned_ok and decode_frame(lwr_raw) == lwr
@@ -200,7 +197,7 @@ def test_criterion_07_wire_format_conformance(criterion):
             )
             for _ in range(rng.randint(1, 3))
         ]
-        frame = EcatFrame.from_datagrams(datagrams)
+        frame = EcatFrame(datagrams)
         raw = encode_frame(frame)
         decoded = decode_frame(raw)
         roundtrips += 1
@@ -211,9 +208,7 @@ def test_criterion_07_wire_format_conformance(criterion):
         dgram = EcatDatagram(cmd=cmd, data=bytes(16))
         total = 0
         for position in range(8):
-            word, data, inc = apply_datagram(
-                0x1234, dgram, SlaveMapping(logical_start=2 * position)
-            )
+            word, data, inc = apply_datagram(0x1234, dgram, 2 * position)
             dgram = EcatDatagram(cmd=cmd, data=data)
             total += inc
         return total

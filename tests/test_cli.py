@@ -314,6 +314,12 @@ class TestCodec:
         count = int(out.split()[1])
         assert count >= 10
 
+    def test_unknown_subcommand_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["codec", "roundtrip"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'roundtrip'" in capsys.readouterr().err
+
 
 class TestNetctl:
     def write_commands(self, tmp_path, lines):

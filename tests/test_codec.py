@@ -11,7 +11,6 @@ from meowsim.codec import (
     EcatCmd,
     EcatDatagram,
     EcatFrame,
-    SlaveMapping,
     apply_datagram,
     check_conformance_vectors,
     decode_frame,
@@ -42,13 +41,11 @@ LWR_FRAME_BYTES = bytes.fromhex("0e100b000000000002000000efbe0000")
 
 class TestPinnedVectors:
     def test_nop_encode(self):
-        frame = EcatFrame.from_datagrams([EcatDatagram(cmd=EcatCmd.NOP)])
+        frame = EcatFrame((EcatDatagram(cmd=EcatCmd.NOP),))
         assert encode_frame(frame) == NOP_FRAME_BYTES
 
     def test_lwr_encode(self):
-        frame = EcatFrame.from_datagrams(
-            [EcatDatagram(cmd=EcatCmd.LWR, data=b"\xEF\xBE")]
-        )
+        frame = EcatFrame((EcatDatagram(cmd=EcatCmd.LWR, data=b"\xEF\xBE"),))
         assert encode_frame(frame) == LWR_FRAME_BYTES
 
     def test_lwr_decode(self):
@@ -59,7 +56,7 @@ class TestPinnedVectors:
         assert dgram.address == 0
         assert dgram.data == b"\xEF\xBE"
         assert dgram.wkc == 0
-        assert not dgram.more and not dgram.circulating
+        assert not dgram.circulating
 
 
 class TestDecodeErrors:
@@ -94,11 +91,30 @@ class TestDecodeErrors:
         with pytest.raises(LengthMismatch):
             decode_frame(bytes(raw))
 
+    def test_more_set_on_the_last_datagram(self):
+        # the length and the more bit are one 16-bit field at bytes 8-9
+        raw = bytearray(NOP_FRAME_BYTES)
+        raw[9] |= 0x80
+        with pytest.raises(LengthMismatch):
+            decode_frame(bytes(raw))
+
+    def test_more_clear_on_a_first_of_two_datagrams(self):
+        raw = bytearray(encode_frame(EcatFrame((EcatDatagram(cmd=EcatCmd.NOP),
+                                                EcatDatagram(cmd=EcatCmd.NOP)))))
+        assert raw[9] & 0x80
+        raw[9] &= 0x7F
+        with pytest.raises(LengthMismatch):
+            decode_frame(bytes(raw))
+
+    def test_more_set_on_every_datagram_but_the_last(self):
+        frame = EcatFrame(tuple(EcatDatagram(cmd=EcatCmd.NOP) for _ in range(3)))
+        raw = encode_frame(frame)
+        assert [raw[9 + 12 * i] & 0x80 for i in range(3)] == [0x80, 0x80, 0]
+        assert summarize_frame(frame).count("+more") == 2
+
     def test_oversize_encode(self):
-        frame = EcatFrame.from_datagrams(
-            [EcatDatagram(cmd=EcatCmd.LWR, data=b"\x00" * 1486, more=False),
-             EcatDatagram(cmd=EcatCmd.NOP)]
-        )
+        frame = EcatFrame((EcatDatagram(cmd=EcatCmd.LWR, data=b"\x00" * 1486),
+                           EcatDatagram(cmd=EcatCmd.NOP)))
         with pytest.raises(OversizeFrame):
             encode_frame(frame)
 
@@ -107,21 +123,6 @@ class TestFrameInvariants:
     def test_empty_frame(self):
         with pytest.raises(ValueError):
             EcatFrame(datagrams=())
-
-    def test_more_chain_enforced(self):
-        with pytest.raises(ValueError):
-            EcatFrame(datagrams=(
-                EcatDatagram(cmd=EcatCmd.NOP, more=False),
-                EcatDatagram(cmd=EcatCmd.NOP, more=False),
-            ))
-        with pytest.raises(ValueError):
-            EcatFrame(datagrams=(EcatDatagram(cmd=EcatCmd.NOP, more=True),))
-
-    def test_from_datagrams_fixes_chain(self):
-        frame = EcatFrame.from_datagrams(
-            [EcatDatagram(cmd=EcatCmd.NOP), EcatDatagram(cmd=EcatCmd.NOP)]
-        )
-        assert frame.datagrams[0].more and not frame.datagrams[1].more
 
     def test_oversize_data_rejected_at_construction(self):
         with pytest.raises(ValueError):
@@ -141,9 +142,7 @@ def random_datagram(rng: random.Random) -> EcatDatagram:
 
 
 def random_frame(rng: random.Random) -> EcatFrame:
-    return EcatFrame.from_datagrams(
-        [random_datagram(rng) for _ in range(rng.randrange(1, 5))]
-    )
+    return EcatFrame(tuple(random_datagram(rng) for _ in range(rng.randrange(1, 5))))
 
 
 class TestRoundtrip:
@@ -173,7 +172,7 @@ class TestRoundtrip:
                 max_size=4,
             )
         )
-        frame = EcatFrame.from_datagrams(dgrams)
+        frame = EcatFrame(dgrams)
         assert decode_frame(encode_frame(frame)) == frame
 
     def test_canonical_bytes_reencode(self):
@@ -184,15 +183,15 @@ class TestRoundtrip:
 
 
 class TestApplyDatagram:
-    def mapping(self, pos):
-        return SlaveMapping(logical_start=2 * pos)
+    def offset(self, pos):
+        return 2 * pos
 
     def test_lwr_eight_slaves_wkc(self):
         dgram = EcatDatagram(cmd=EcatCmd.LWR, address=0, data=bytes(range(16)))
         total = 0
         word = dict.fromkeys(range(8), 0)
         for pos in range(8):
-            word[pos], data, inc = apply_datagram(word[pos], dgram, self.mapping(pos))
+            word[pos], data, inc = apply_datagram(word[pos], dgram, self.offset(pos))
             total += inc
         assert total == 8
         assert word[0] == 0x0100  # bytes 0,1 little-endian
@@ -203,43 +202,49 @@ class TestApplyDatagram:
         total = 0
         data = dgram.data
         for pos in range(8):
-            _, data, inc = apply_datagram(0xABCD, dgram, self.mapping(pos))
+            _, data, inc = apply_datagram(0xABCD, dgram, self.offset(pos))
             total += inc
         assert total == 24
 
     def test_no_overlap(self):
         dgram = EcatDatagram(cmd=EcatCmd.LWR, address=0, data=bytes(16))
-        word, data, inc = apply_datagram(0x1234, dgram, SlaveMapping(logical_start=20))
+        word, data, inc = apply_datagram(0x1234, dgram, 20)
         assert (word, data, inc) == (0x1234, bytes(16), 0)
 
     def test_lrd_reads_word(self):
         dgram = EcatDatagram(cmd=EcatCmd.LRD, address=2, data=bytes(4))
-        word, data, inc = apply_datagram(0xBEEF, dgram, self.mapping(1))
+        word, data, inc = apply_datagram(0xBEEF, dgram, self.offset(1))
         assert word == 0xBEEF
-        # datagram starts at address 2 == mapping start, so the word lands
+        # datagram starts at address 2 == the word's logical start, so the word lands
         # at the head of the payload window
         assert data == b"\xEF\xBE" + bytes(2)
         assert inc == 1
 
     def test_lrw_exchanges(self):
         dgram = EcatDatagram(cmd=EcatCmd.LRW, address=0, data=b"\x34\x12")
-        word, data, inc = apply_datagram(0xBEEF, dgram, self.mapping(0))
+        word, data, inc = apply_datagram(0xBEEF, dgram, self.offset(0))
         assert word == 0x1234
         assert data == b"\xEF\xBE"
         assert inc == 3
 
     def test_partial_overlap_only_touches_window(self):
-        # datagram covers bytes [1, 3); mapping covers [2, 4): overlap = byte 2
+        # datagram covers bytes [1, 3); the word covers [2, 4): overlap = byte 2
         dgram = EcatDatagram(cmd=EcatCmd.LWR, address=1, data=b"\xAA\xBB")
-        word, data, inc = apply_datagram(0x1122, dgram, self.mapping(1))
+        word, data, inc = apply_datagram(0x1122, dgram, self.offset(1))
         assert inc == 1
         assert word == 0x11BB  # low byte replaced, high byte kept
         assert data == b"\xAA\xBB"
 
+    @pytest.mark.parametrize("word, start", [(0x10000, 0), (-1, 0), (0, -2)])
+    def test_word_and_offset_checked(self, word, start):
+        dgram = EcatDatagram(cmd=EcatCmd.LWR, address=0, data=bytes(4))
+        with pytest.raises(ValueError):
+            apply_datagram(word, dgram, start)
+
     def test_non_logical_rejected(self):
         dgram = EcatDatagram(cmd=EcatCmd.BRD, address=0, data=b"\x00\x00")
         with pytest.raises(UnsupportedCommand):
-            apply_datagram(0, dgram, self.mapping(0))
+            apply_datagram(0, dgram, self.offset(0))
 
     def test_wkc_order_independence(self):
         dgram = EcatDatagram(cmd=EcatCmd.LRW, address=0, data=bytes(16))
@@ -248,7 +253,7 @@ class TestApplyDatagram:
         for order in orders:
             total = 0
             for pos in order:
-                _, _, inc = apply_datagram(0, dgram, self.mapping(pos))
+                _, _, inc = apply_datagram(0, dgram, self.offset(pos))
                 total += inc
             totals.append(total)
         assert totals[0] == totals[1] == 24
@@ -293,14 +298,12 @@ class TestEventPathOnTheWire:
             if not frame.riders:
                 return frame
             image = master.image.to_bytes(2 * master.device_count, "little")
-            raw = encode_frame(EcatFrame.from_datagrams(
-                [EcatDatagram(cmd=EcatCmd.LWR, data=image)]))
+            raw = encode_frame(EcatFrame((EcatDatagram(cmd=EcatCmd.LWR, data=image),)))
             (dgram,) = decode_frame(raw).datagrams
             words = held.setdefault(master, [0] * len(master.words))
             before, wkc = list(words), 0
             for p, word in enumerate(before):
-                words[p], _, increment = apply_datagram(
-                    word, dgram, SlaveMapping(logical_start=2 * p))
+                words[p], _, increment = apply_datagram(word, dgram, 2 * p)
                 wkc += increment
             assert words == master.words
             assert wkc == len(words)

@@ -10,7 +10,6 @@ from meowsim.errors import (
     DuplicateRequestId,
     NotYetComplete,
     SchedulingInPast,
-    TooManySegments,
     UnknownRequest,
     UnknownTarget,
 )
@@ -287,18 +286,20 @@ class TestValidationAndErrors:
         with pytest.raises(UnknownTarget):
             ctrl.submit(req(1, (segment, device, 1)), t_generated_ns=0)
 
-    def test_too_many_segments_beats_unknown_target(self):
+    def test_seven_segments_name_the_first_unknown_target(self):
+        # a topology has at most six segments, so a seventh is never in it
         engine, ctrl = make(chain_topology())
         wide = req(1, *[(s, 0, 1) for s in range(7)])
-        with pytest.raises(TooManySegments):
+        with pytest.raises(UnknownTarget, match=r"segment 1 device 0 not"):
             ctrl.submit(wide, t_generated_ns=0)
+        assert ctrl.traces == {}
 
-    def test_too_many_segments_beats_a_first_unknown_target(self):
+    def test_seven_segments_led_by_an_unknown_target_name_it(self):
         engine, ctrl = make(quad_topology())
         wide = req(1, (9, 0, 1), *[(s, 0, 1) for s in range(6)])  # 7 segments
-        with pytest.raises(TooManySegments, match="spans 7 segments"):
+        with pytest.raises(UnknownTarget, match=r"segment 9 device 0 not"):
             ctrl.pack(wide)
-        with pytest.raises(TooManySegments):
+        with pytest.raises(UnknownTarget, match=r"segment 9 device 0 not"):
             ctrl.submit(wide, t_generated_ns=0)
 
     def test_unknown_target_names_the_first_bad_target(self):

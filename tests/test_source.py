@@ -19,3 +19,11 @@ def test_no_bare_assert_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_export_list_is_sorted_unique_and_resolves():
+    # a stale __all__ entry fails only under `from meowsim import *`
+    names = meowsim.__all__
+    assert names == sorted(set(names))
+    missing = [name for name in names if not hasattr(meowsim, name)]
+    assert missing == []

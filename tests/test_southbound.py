@@ -11,8 +11,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from meowsim.simulation import analytic_latency
-from meowsim.southbound import SouthboundServer, SouthboundSession, _parse_outputs
-from meowsim.topology import SegmentSpec, TimingParams, Topology
+from meowsim.southbound import (
+    MAX_LINE_BYTES,
+    SouthboundServer,
+    SouthboundSession,
+    _parse_outputs,
+)
+from meowsim.topology import MAX_SEGMENT_DEVICES, MAX_SEGMENTS, SegmentSpec, TimingParams, Topology
 
 from conftest import serve_background
 
@@ -222,14 +227,14 @@ class TestSession:
 
 
 @contextlib.contextmanager
-def serving():
+def serving(topo=None):
     """A SouthboundServer on loopback; yields a function that connects.
 
     Each connection is accepted with handle_request, so no serve_forever
     loop has to be shut down (its poll interval is half a second); the two
     tests above cover serve_forever.
     """
-    server = SouthboundServer(("127.0.0.1", 0), topology(), seed=0)
+    server = SouthboundServer(("127.0.0.1", 0), topo or topology(), seed=0)
 
     def connect():
         sock = socket.create_connection(server.bound_address, timeout=5)
@@ -317,6 +322,49 @@ class TestTcpServer:
             # the connection stays open
             replies = self.roundtrip(fh, sock, configure_line(1, [(0, 7, 1)]))
             assert replies[1]["config_time_us"] == 116.0
+
+    def test_request_for_every_device_of_a_full_topology_fits_a_line(self):
+        full = Topology(
+            segments=tuple(SegmentSpec(device_count=MAX_SEGMENT_DEVICES)
+                           for _ in range(MAX_SEGMENTS)),
+            timing=TimingParams(pdo_cycle_ns=80_000),
+        )
+        targets = [(s, d, "0xFFFF") for s in range(MAX_SEGMENTS)
+                   for d in range(MAX_SEGMENT_DEVICES)]
+        line = configure_line(2**63, targets)
+        assert 200_000 < len(line) < MAX_LINE_BYTES
+        with serving(full) as connect, connect() as sock:
+            replies = self.roundtrip(sock.makefile("rb"), sock, line)
+            assert [r["type"] for r in replies] == ["ack", "complete"]
+            assert len(replies[1]["trace"]["t_latched_ns"]) == len(targets)
+
+    def test_overlong_line_gets_bad_message_and_is_closed(self):
+        with serving() as connect:
+            with connect() as sock:
+                fh = sock.makefile("rb")
+                sock.sendall(b" " * (MAX_LINE_BYTES + 1) + b"\n")
+                err = json.loads(fh.readline())
+                assert (err["code"], err["request_id"]) == ("BadMessage", None)
+                assert str(MAX_LINE_BYTES) in err["message"]
+                try:
+                    rest = fh.readline()
+                except ConnectionResetError:  # the unread newline may turn the close into a reset
+                    rest = b""
+                assert rest == b""
+            # the server goes on serving other connections
+            with connect() as sock:
+                replies = self.roundtrip(sock.makefile("rb"), sock,
+                                         configure_line(1, [(0, 7, 1)]))
+                assert replies[1]["config_time_us"] == 116.0
+
+    def test_line_of_exactly_the_limit_is_read(self):
+        line = configure_line(1, [(0, 7, 1)]).encode("utf-8")
+        padded = line + b" " * (MAX_LINE_BYTES - len(line) - 1) + b"\n"
+        assert len(padded) == MAX_LINE_BYTES
+        with serving() as connect, connect() as sock:
+            fh = sock.makefile("rb")
+            sock.sendall(padded)
+            assert [json.loads(fh.readline())["type"] for _ in range(2)] == ["ack", "complete"]
 
 
 JSON_VALUES = st.recursive(
