@@ -3,6 +3,7 @@
 import contextlib
 import json
 import math
+import os
 import socket
 import time
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from meowsim.scenario import load_preset
 from meowsim.simulation import analytic_latency
 from meowsim.southbound import (
     MAX_LINE_BYTES,
@@ -21,6 +23,8 @@ from meowsim.topology import MAX_SEGMENT_DEVICES, MAX_SEGMENTS, SegmentSpec, Tim
 
 from conftest import serve_background
 
+# one request line per intake fault on exp2's 4x2, and the session's replies
+SINGLE_FAULTS = os.path.join(os.path.dirname(__file__), "data", "golden", "southbound_errors")
 
 def topology():
     return Topology(
@@ -217,6 +221,16 @@ class TestSession:
                 wait = trace["t_master_emit_ns"]["0"] - trace["t_generated_ns"]
                 assert 0 <= wait < timing.pdo_cycle_ns
                 assert trace["config_time_ns"] == analytic_latency(timing, 1, devices, wait)
+
+    def test_single_fault_replies_are_pinned(self):
+        scenario = load_preset("exp2")
+        session = SouthboundSession(scenario.topology, seed=scenario.seed)
+        with open(SINGLE_FAULTS + ".jsonl", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        with open(SINGLE_FAULTS + ".replies", encoding="utf-8") as fh:
+            expected = fh.read()
+        replies = [reply for line in lines for reply in session.handle_line(line)]
+        assert "".join(reply + "\n" for reply in replies) == expected
 
     def test_simulated_clock_advances_across_requests(self):
         session = SouthboundSession(topology())
