@@ -24,12 +24,7 @@ from .codec import (
     decode_frame,
     encode_frame,
 )
-from .controller import (
-    ConfigureRequest,
-    DeviceController,
-    RequestTrace,
-    Target,
-)
+from .controller import DeviceController, RequestTrace
 from .engine import Engine, EventKind, SplitMix64
 from .netctl import (
     FlowStats,
@@ -53,7 +48,6 @@ from .topology import SegmentSpec, TimingParams, Topology, build_topology
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfigureRequest",
     "DeviceController",
     "DeviceState",
     "EcatCmd",
@@ -78,7 +72,6 @@ __all__ = [
     "SouthboundSession",
     "SplitMix64",
     "SweepResult",
-    "Target",
     "TimingParams",
     "Topology",
     "analytic_latency",

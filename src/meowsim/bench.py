@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .controller import ConfigureRequest, DeviceController, RequestTrace, Target
+from .controller import DeviceController, RequestTrace
 from .engine import Engine
 from .errors import IoFailure, SegmentCountExceeded
 from .scenario import ARRIVAL_GRID_NS, Scenario, load_preset
@@ -78,8 +78,7 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None,
 
     # each pattern is checked and packed once; its requests share the writes
     patterns = [
-        controller.pack(ConfigureRequest(
-            request_id=0, targets=tuple(Target(s, d, word) for s, d in topology.all_targets())))
+        controller.pack((s, d, word) for s, d in topology.all_targets())
         for word in WORD_PATTERNS
     ]
     for k in range(scenario.num_requests):

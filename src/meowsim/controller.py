@@ -4,12 +4,13 @@ One controller drives up to six masters over a single event engine. The
 life of a request:
 
   t_generated_ns     generated at the network controller (marker 1); submit
-                     is pack then submit_packed: pack checks the targets in
-                     one pass and packs each segment's writes into a
-                     (mask, value) pair of process images, submit_packed
-                     checks the id and the clock and records the trace
-                     (a batch run packs each of its patterns once and hands
-                     every request its pattern's pairs)
+                     is pack then submit_packed: pack is the one check of
+                     the (segment, device, word) triples, made in the pass
+                     that packs each segment's writes into a (mask, value)
+                     pair of process images; submit_packed checks the id
+                     and the clock and records the trace (a batch run packs
+                     each of its patterns once and hands every request its
+                     pattern's pairs)
   SouthboundArrived  +d_sb_ns at the device controller; each segment's pair
                      is staged at +d_mm_ns (+drawn jitter) on its master
   MasterEmit         next PDO boundary of each targeted master (marker 2),
@@ -55,36 +56,6 @@ from .simulation import (
     word_positions,
 )
 from .topology import Topology, require_int
-
-
-@dataclass(frozen=True)
-class Target:
-    segment: int
-    device: int
-    word: int
-
-    def __post_init__(self):
-        require_int("segment", self.segment)
-        require_int("device", self.device)
-        require_int("word", self.word)
-        if not 0 <= self.word <= 0xFFFF:
-            raise ValueError(f"output word must fit 16 bits, got {self.word:#x}")
-
-
-@dataclass(frozen=True)
-class ConfigureRequest:
-    request_id: int
-    targets: tuple[Target, ...]
-
-    def __post_init__(self):
-        require_int("request_id", self.request_id)
-        targets = tuple(self.targets)
-        object.__setattr__(self, "targets", targets)
-        if not targets:
-            raise ValueError("request needs at least one target")
-        pairs = [(t.segment, t.device) for t in targets]
-        if len(set(pairs)) != len(pairs):
-            raise ValueError("duplicate (segment, device) in one request")
 
 
 @dataclass(slots=True)
@@ -195,32 +166,40 @@ class DeviceController:
         self._started = True
         self.engine.rewind()
 
-    def pack(self, request: ConfigureRequest) -> dict[int, tuple[int, int]]:
-        """Check a request's targets against the topology and pack its writes.
+    def pack(self, targets) -> dict[int, tuple[int, int]]:
+        """Check a request's (segment, device, word) triples and pack its writes.
 
-        One pass over the targets. Returns {segment: (mask, value)} in
-        ascending segments, each pair a segment's images. The first target
-        outside the topology raises UnknownTarget.
+        The one check of a target, in one pass: each field an int, each word
+        16 bits, each (segment, device) in the topology and named once. The
+        first bad target in list order raises; an empty list raises after
+        the loop. Returns {segment: (mask, value)} in ascending segments,
+        each pair a segment's images.
         """
         counts = self._device_counts
         lanes = {}  # {segment: (mask words, value words)}
         seg = None
-        for t in request.targets:
-            if t.segment != seg:  # targets mostly come in runs of one segment
-                seg = t.segment
+        for segment, device, word in targets:
+            require_int("segment", segment)
+            require_int("device", device)
+            require_int("word", word)
+            if not 0 <= word <= 0xFFFF:
+                raise ValueError(f"output word must fit 16 bits, got {word:#x}")
+            if segment != seg:  # targets mostly come in runs of one segment
+                seg = segment
                 words = lanes.get(seg)
                 if words is None:
                     count = counts[seg] if 0 <= seg < len(counts) else 0
                     words = lanes[seg] = ([0] * count, [0] * count)
                 mask_words, value_words = words
                 count = len(mask_words)
-            device = t.device
             if not 0 <= device < count:
-                raise UnknownTarget(
-                    f"target segment {t.segment} device {device} not in topology"
-                )
+                raise UnknownTarget(f"target segment {segment} device {device} not in topology")
+            if mask_words[device]:
+                raise ValueError("duplicate (segment, device) in one request")
             mask_words[device] = 0xFFFF
-            value_words[device] = t.word
+            value_words[device] = word
+        if not lanes:
+            raise ValueError("request needs at least one target")
         writes = {}
         for seg in sorted(lanes):
             pack = self._image_structs[seg].pack
@@ -236,6 +215,7 @@ class DeviceController:
         writes is what pack returned; it is kept, not copied, and never
         mutated. Nothing is recorded or scheduled when this raises.
         """
+        require_int("request_id", request_id)
         if request_id in self.traces:
             raise DuplicateRequestId(f"request {request_id} already submitted")
         if t_generated_ns < self.engine.now:
@@ -248,13 +228,16 @@ class DeviceController:
         t_arrival_ns = t_generated_ns + self.timing.d_sb_ns
         self.engine.schedule(t_arrival_ns, EventKind.SOUTHBOUND_ARRIVED, trace, t_arrival_ns)
 
-    def submit(self, request: ConfigureRequest, t_generated_ns: int) -> None:
+    def submit(self, request_id: int, targets, t_generated_ns: int) -> None:
         """Check, pack and send a request generated at t_generated_ns.
 
-        The request is checked and recorded here, once; nothing is recorded
-        or scheduled when this raises.
+        targets is an iterable of (segment, device, word) triples. pack's
+        checks run before submit_packed's, so a request with several faults
+        gets the error of its first bad target, then of an empty list, then
+        of the id's type, a used id and the clock. Nothing is recorded or
+        scheduled when this raises.
         """
-        self.submit_packed(request.request_id, self.pack(request), t_generated_ns)
+        self.submit_packed(request_id, self.pack(targets), t_generated_ns)
 
     # -- event handlers ---------------------------------------------------
 

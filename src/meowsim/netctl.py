@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
 
-from .controller import ConfigureRequest, DeviceController, Target
+from .controller import DeviceController
 from .errors import NoCapacity, UnknownPath, WrongState
 from .topology import Topology
 
@@ -190,9 +190,7 @@ class NetworkController:
         entry = self._entry(path_id, PathState.RESERVED)
         request_id = self._next_request_id
         dc = self.device_controller
-        dc.submit(ConfigureRequest(request_id=request_id,
-                                   targets=tuple(Target(*hop) for hop in entry.hops)),
-                  dc.engine.now)
+        dc.submit(request_id, entry.hops, dc.engine.now)
         self._next_request_id += 1
         entry.state = PathState.CONFIGURING
         entry.request_id = request_id

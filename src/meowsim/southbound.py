@@ -6,6 +6,10 @@ Replies:  {"type":"ack","request_id":N}
           {"type":"complete","request_id":N,"config_time_us":X.Y,"trace":{...}}
 Errors:   {"type":"error","request_id":N,"code":"UnknownTarget","message":...}
 
+outputs is a JSON int, ASCII decimal digits or 0x and ASCII hex digits. A
+request with several faults is answered for its first bad target, then an
+empty list, then the id's type, then a used id.
+
 The same handler runs in-process (SouthboundSession.handle_line) or behind
 a TCP listener. Concurrent connections are serialized onto the single
 event engine; observable behavior equals some serial arrival order. Over
@@ -20,7 +24,7 @@ import json
 import socketserver
 import threading
 
-from .controller import ConfigureRequest, DeviceController, RequestTrace, Target
+from .controller import DeviceController, RequestTrace
 from .engine import Engine
 from .errors import MeowError
 from .stats import ns_to_us_str
@@ -33,6 +37,10 @@ MAX_LINE_BYTES = 1 << 20
 
 def _parse_outputs(value) -> int:
     if isinstance(value, str):
+        # int() alone would also take "1_0", " 7 ", "+5" and non-ASCII digits
+        if not (value.isascii() and value.isalnum()):
+            raise ValueError(f"outputs must be decimal or 0x-prefixed hex digits, "
+                             f"got {value!r:.200}")
         return int(value, 16 if value.lower().startswith("0x") else 10)
     if isinstance(value, int) and not isinstance(value, bool):
         return value
@@ -92,20 +100,12 @@ class SouthboundSession:
             return [self._error(request_id, "BadMessage",
                                 f"unknown message type {message.get('type')!r}")]
         try:
-            targets = tuple(
-                Target(
-                    segment=raw["segment"],
-                    device=raw["device"],
-                    word=_parse_outputs(raw["outputs"]),
-                )
-                for raw in message["targets"]
-            )
-            request = ConfigureRequest(request_id=request_id, targets=targets)
+            targets = ((raw["segment"], raw["device"], _parse_outputs(raw["outputs"]))
+                       for raw in message["targets"])
+            self.controller.submit(request_id, targets, self.engine.now)
         except (KeyError, TypeError, ValueError) as exc:
+            # before MeowError: a WrongType field is a TypeError, so a BadMessage
             return [self._error(request_id, "BadMessage", str(exc))]
-
-        try:
-            self.controller.submit(request, self.engine.now)
         except MeowError as exc:
             return [self._error(request_id, type(exc).__name__, str(exc))]
 

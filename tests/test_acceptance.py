@@ -43,7 +43,7 @@ from meowsim.codec import (
     decode_frame,
     encode_frame,
 )
-from meowsim.controller import ConfigureRequest, DeviceController, Target
+from meowsim.controller import DeviceController
 from meowsim.engine import Engine, EventKind
 from meowsim.errors import NoCapacity
 from meowsim.netctl import NetworkController, OcsResourceModel, PathState
@@ -312,9 +312,9 @@ def test_criterion_10_cyclic_emission(runs, criterion, dispatches):
         cycle = topology.timing.pdo_cycle_ns
         # masters emit only where writes are due: put one on every master at
         # each of 20 consecutive boundaries (each stages within one cycle)
-        heads = tuple(Target(s, 0, 1) for s in range(topology.segment_count))
+        heads = [(s, 0, 1) for s in range(topology.segment_count)]
         for k in range(20):
-            controller.submit(ConfigureRequest(request_id=k, targets=heads), k * cycle)
+            controller.submit(k, heads, k * cycle)
         engine.run_until(40 * cycle)
         for segment in range(topology.segment_count):
             times = [

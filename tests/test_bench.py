@@ -24,7 +24,7 @@ from meowsim.bench import (
     sweep_devices,
     with_pdo_cycle,
 )
-from meowsim.controller import ConfigureRequest, DeviceController, Target
+from meowsim.controller import DeviceController
 from meowsim.engine import Engine, EventKind
 from meowsim.errors import IoFailure, MeowError
 from meowsim.scenario import ARRIVAL_GRID_NS, Scenario, load_preset
@@ -130,11 +130,11 @@ def deployment(masters, devices, **changes):
 
 class TestBatchPathEqualsPerRequestPath:
     """run_scenario packs each pattern once and hands every request its pairs;
-    submitting each request whole, as a ConfigureRequest, must give the same run."""
+    submitting each request whole, as its target triples, must give the same run."""
 
     @staticmethod
     def pattern_targets(topology):
-        return [tuple(Target(s, d, word) for s, d in topology.all_targets())
+        return [[(s, d, word) for s, d in topology.all_targets()]
                 for word in WORD_PATTERNS]
 
     def replay(self, scenario):
@@ -147,7 +147,7 @@ class TestBatchPathEqualsPerRequestPath:
         patterns = self.pattern_targets(topology)
         for k in range(scenario.num_requests):
             phase = ARRIVAL_GRID_NS * engine.rng.uniform_draw(0, cycle // ARRIVAL_GRID_NS - 1)
-            ctrl.submit(ConfigureRequest(k, patterns[k % len(patterns)]), k * spacing + phase)
+            ctrl.submit(k, patterns[k % len(patterns)], k * spacing + phase)
         engine.run_until((scenario.num_requests - 1) * spacing + ctrl.request_span_ns()
                          + 4 * cycle)
         seg_m, dev_m = scenario.measurement
@@ -181,7 +181,7 @@ class TestBatchPathEqualsPerRequestPath:
         for k, targets in enumerate(self.pattern_targets(scenario.topology)):
             shared = result.traces[k].writes
             assert all(t.writes is shared for t in result.traces[k::len(WORD_PATTERNS)])
-            assert shared == fresh.pack(ConfigureRequest(k, targets))
+            assert shared == fresh.pack(targets)
 
 
 class TestExports:
@@ -301,8 +301,7 @@ class TestSparseTraceLines:
         )
         ctrl = DeviceController(Engine(seed=19), topology)
         for rid, t_gen, targets in self.REQUESTS:
-            ctrl.submit(ConfigureRequest(rid, tuple(Target(s, d, 0x0F0F) for s, d in targets)),
-                        t_gen)
+            ctrl.submit(rid, [(s, d, 0x0F0F) for s, d in targets], t_gen)
         return ctrl
 
     def test_every_line_at_every_event(self):

@@ -17,7 +17,7 @@ from meowsim.codec import (
     encode_frame,
     summarize_frame,
 )
-from meowsim.controller import ConfigureRequest, DeviceController, Target
+from meowsim.controller import DeviceController
 from meowsim.engine import Engine
 from meowsim.errors import (
     BadType,
@@ -329,8 +329,8 @@ class TestEventPathOnTheWire:
         devices = list(topology.all_targets())
         for k in range(200):
             chosen = rng.sample(devices, rng.randint(1, len(devices)))
-            targets = tuple(Target(s, d, rng.getrandbits(16)) for s, d in chosen)
-            controller.submit(ConfigureRequest(k, targets), k * 50_000)
+            targets = [(s, d, rng.getrandbits(16)) for s, d in chosen]
+            controller.submit(k, targets, k * 50_000)
         engine.run_until(200 * 50_000 + controller.request_span_ns())
         traces = controller.traces.values()
         assert all(trace.complete for trace in traces)

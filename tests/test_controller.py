@@ -4,7 +4,7 @@ import pytest
 
 from meowsim import bench, simulation
 from meowsim.bench import run_scenario
-from meowsim.controller import ConfigureRequest, DeviceController, Target
+from meowsim.controller import DeviceController
 from meowsim.engine import Engine, EventKind, SplitMix64
 from meowsim.errors import (
     DuplicateRequestId,
@@ -12,6 +12,7 @@ from meowsim.errors import (
     SchedulingInPast,
     UnknownRequest,
     UnknownTarget,
+    WrongType,
 )
 from meowsim.scenario import load_preset
 from meowsim.simulation import analytic_latency, changed_words
@@ -39,16 +40,10 @@ def make(topology, seed=0):
     return engine, DeviceController(engine, topology)
 
 
-def req(rid, *specs):
-    return ConfigureRequest(
-        request_id=rid, targets=tuple(Target(s, d, w) for s, d, w in specs)
-    )
-
-
 class TestSingleSegmentPipeline:
     def test_exact_event_times_last_device(self):
         engine, ctrl = make(chain_topology())
-        ctrl.submit(req(1, (0, 7, 0x0001)), t_generated_ns=0)
+        ctrl.submit(1, [(0, 7, 0x0001)], t_generated_ns=0)
         report = ctrl.run_until_complete(1)
         # gen 0 -> arrive 70000 -> stage 70000 -> boundary 96000
         assert report.t_master_emit_ns == {0: 96_000}
@@ -58,7 +53,7 @@ class TestSingleSegmentPipeline:
     def test_single_device_on_boundary_rides(self):
         engine, ctrl = make(chain_topology(devices=1))
         # handed over exactly at a boundary with the frame not yet built
-        ctrl.submit(req(1, (0, 0, 0x0001)), t_generated_ns=26_000)  # arrives at 96000
+        ctrl.submit(1, [(0, 0, 0x0001)], t_generated_ns=26_000)  # arrives at 96000
         report = ctrl.run_until_complete(1)
         assert report.segments[0].staged_ns == 96_000
         assert report.t_master_emit_ns == {0: 96_000}  # zero boundary wait
@@ -66,7 +61,7 @@ class TestSingleSegmentPipeline:
 
     def test_whole_chain_latch_cascade(self):
         engine, ctrl = make(chain_topology())
-        ctrl.submit(req(1, *[(0, d, 0xFFFF) for d in range(8)]), t_generated_ns=0)
+        ctrl.submit(1, [(0, d, 0xFFFF) for d in range(8)], t_generated_ns=0)
         report = ctrl.run_until_complete(1)
         latches = [report.t_latched_ns[(0, d)] for d in range(8)]
         assert latches[0] == 109_700
@@ -78,7 +73,7 @@ class TestSingleSegmentPipeline:
         engine, ctrl = make(chain_topology())
         ctrl.start()
         for k in range(10):
-            ctrl.submit(req(k, (0, 0, k % 2)), t_generated_ns=k * 32_000)
+            ctrl.submit(k, [(0, 0, k % 2)], t_generated_ns=k * 32_000)
         engine.run_until(20 * 32_000)
         emits = [t for t, kind, _ in dispatches if kind is EventKind.MASTER_EMIT]
         assert emits == [96_000 + k * 32_000 for k in range(10)]
@@ -87,14 +82,14 @@ class TestSingleSegmentPipeline:
         engine, ctrl = make(chain_topology(devices=1, phase_ns=16_000, d_sb_ns=0))
         ctrl.start()
         for k in range(3):
-            ctrl.submit(req(k, (0, 0, 1)), t_generated_ns=k * 32_000)
+            ctrl.submit(k, [(0, 0, 1)], t_generated_ns=k * 32_000)
         engine.run_until(200_000)  # the boundaries after 80_000 have nothing due
         emits = [t for t, kind, _ in dispatches if kind is EventKind.MASTER_EMIT]
         assert emits == [16_000, 48_000, 80_000]
 
     def test_frame_wkc_counts_every_device(self):
         engine, ctrl = make(chain_topology())
-        ctrl.submit(req(1, *[(0, d, 0xFFFF) for d in range(8)]), t_generated_ns=0)
+        ctrl.submit(1, [(0, d, 0xFFFF) for d in range(8)], t_generated_ns=0)
         engine.run_until(116_000)  # past the carrying frame's last device visit
         assert ctrl.traces[1].t_master_emit_ns == {0: 96_000}
         # one latch per written device, as the frame's working counter counts
@@ -106,8 +101,8 @@ class TestSingleSegmentPipeline:
 class TestCoalescing:
     def test_two_requests_share_one_frame(self):
         engine, ctrl = make(chain_topology())
-        ctrl.submit(req(1, (0, 0, 0x00FF)), t_generated_ns=0)
-        ctrl.submit(req(2, (0, 1, 0xFF00)), t_generated_ns=1_000)
+        ctrl.submit(1, [(0, 0, 0x00FF)], t_generated_ns=0)
+        ctrl.submit(2, [(0, 1, 0xFF00)], t_generated_ns=1_000)
         r2 = ctrl.run_until_complete(2)
         r1 = ctrl.completion_report(1)
         assert r1.t_master_emit_ns == r2.t_master_emit_ns == {0: 96_000}
@@ -118,8 +113,8 @@ class TestCoalescing:
 
     def test_same_word_last_writer_wins(self):
         engine, ctrl = make(chain_topology())
-        ctrl.submit(req(1, (0, 0, 0x000F)), t_generated_ns=0)
-        ctrl.submit(req(2, (0, 0, 0x00F0)), t_generated_ns=1_000)
+        ctrl.submit(1, [(0, 0, 0x000F)], t_generated_ns=0)
+        ctrl.submit(2, [(0, 0, 0x00F0)], t_generated_ns=1_000)
         ctrl.run_until_complete(2)
         dev = ctrl.devices[(0, 0)]
         assert dev.latches[-1][1] == 0x00F0  # staged later, lands on top
@@ -128,10 +123,10 @@ class TestCoalescing:
 
     def test_resend_of_same_word_latches_nothing(self):
         engine, ctrl = make(chain_topology())
-        ctrl.submit(req(1, (0, 0, 0x0001)), t_generated_ns=0)
+        ctrl.submit(1, [(0, 0, 0x0001)], t_generated_ns=0)
         ctrl.run_until_complete(1)
         log_before = list(ctrl.devices[(0, 0)].activation_log)
-        ctrl.submit(req(2, (0, 0, 0x0001)), t_generated_ns=200_000)
+        ctrl.submit(2, [(0, 0, 0x0001)], t_generated_ns=200_000)
         report = ctrl.run_until_complete(2)
         assert report.config_time_ns == 101_700
         assert ctrl.devices[(0, 0)].activation_log == log_before
@@ -139,7 +134,7 @@ class TestCoalescing:
     def test_bit_activation_times_strictly_increase(self):
         engine, ctrl = make(chain_topology())
         for rid, word, gen in ((1, 0x0001, 0), (2, 0x0000, 200_000), (3, 0x0001, 400_000)):
-            ctrl.submit(req(rid, (0, 0, word)), t_generated_ns=gen)
+            ctrl.submit(rid, [(0, 0, word)], t_generated_ns=gen)
             ctrl.run_until_complete(rid)
         times = [t for bit, t in ctrl.devices[(0, 0)].activation_log if bit == 0]
         assert len(times) == 2
@@ -150,7 +145,7 @@ class TestCoalescing:
         # while that frame's latch is still pending at the device
         engine, ctrl = make(chain_topology(devices=1, d_latch_ns=40_000))
         for rid, word, gen in ((1, 1, 0), (2, 0, 32_000), (3, 1, 64_000)):
-            ctrl.submit(req(rid, (0, 0, word)), t_generated_ns=gen)
+            ctrl.submit(rid, [(0, 0, word)], t_generated_ns=gen)
         ctrl.run_until_complete(3)
         assert ctrl.devices[(0, 0)].activation_log == [(0, 148_900), (0, 212_900)]
 
@@ -158,7 +153,7 @@ class TestCoalescing:
 class TestMultiSegment:
     def test_exact_times_without_jitter(self):
         engine, ctrl = make(quad_topology(jitter_ns=0))
-        ctrl.submit(req(1, (3, 1, 0x0002)), t_generated_ns=0)
+        ctrl.submit(1, [(3, 1, 0x0002)], t_generated_ns=0)
         report = ctrl.run_until_complete(1)
         # arrive 70000, +15400 dispatch -> stage 85400 -> boundary 160000
         assert report.t_master_emit_ns == {3: 160_000}
@@ -167,9 +162,7 @@ class TestMultiSegment:
 
     def test_fanout_completes_at_slowest_target(self):
         engine, ctrl = make(quad_topology(jitter_ns=0))
-        ctrl.submit(
-            req(1, (0, 0, 1), (2, 1, 2), (3, 0, 3)), t_generated_ns=0
-        )
+        ctrl.submit(1, [(0, 0, 1), (2, 1, 2), (3, 0, 3)], t_generated_ns=0)
         report = ctrl.run_until_complete(1)
         assert sorted(report.t_master_emit_ns) == [0, 2, 3]
         assert report.t_latched_ns[(0, 0)] == 173_700
@@ -181,7 +174,7 @@ class TestMultiSegment:
         engine, ctrl = make(quad_topology(jitter_ns=7_000), seed=42)
         expected_rng = SplitMix64(42)
         expected = [expected_rng.uniform_draw(0, 7_000) for _ in range(3)]
-        ctrl.submit(req(1, (3, 0, 1), (0, 0, 2), (2, 0, 3)), t_generated_ns=0)
+        ctrl.submit(1, [(3, 0, 1), (0, 0, 2), (2, 0, 3)], t_generated_ns=0)
         engine.run_until(70_000)  # southbound arrived and staged
         trace = ctrl.traces[1]
         drawn = [trace.segments[s].jitter_ns for s in (0, 2, 3)]
@@ -191,7 +184,7 @@ class TestMultiSegment:
 
     def test_dispatch_overhead_charged_even_for_one_target(self):
         engine, ctrl = make(quad_topology(jitter_ns=0))
-        ctrl.submit(req(1, (1, 0, 1)), t_generated_ns=0)
+        ctrl.submit(1, [(1, 0, 1)], t_generated_ns=0)
         engine.run_until(70_000)  # southbound arrived and staged
         assert ctrl.traces[1].segments[1].staged_ns == 85_400
 
@@ -208,7 +201,7 @@ class TestBoundaryCoincidence:
 
     def test_rides_when_frame_not_yet_built(self):
         engine, ctrl = make(self.topology())
-        ctrl.submit(req(1, (0, 0, 1)), t_generated_ns=10_000)  # arrives at 80000
+        ctrl.submit(1, [(0, 0, 1)], t_generated_ns=10_000)  # arrives at 80000
         report = ctrl.run_until_complete(1)
         assert report.t_master_emit_ns == {0: 80_000}
         assert report.config_time_ns == 70_000 + 0 + 12_000 + 900 + 800
@@ -216,7 +209,7 @@ class TestBoundaryCoincidence:
     def test_rides_when_emission_scheduled_first(self):
         engine, ctrl = make(self.topology())
         ctrl.start()  # the 80000 emission is queued before the arrival
-        ctrl.submit(req(1, (0, 0, 1)), t_generated_ns=10_000)
+        ctrl.submit(1, [(0, 0, 1)], t_generated_ns=10_000)
         report = ctrl.run_until_complete(1)
         assert report.t_master_emit_ns == {0: 80_000}
         assert report.config_time_ns == 70_000 + 0 + 12_000 + 900 + 800
@@ -226,7 +219,7 @@ class TestBoundaryCoincidence:
         engine, ctrl = make(chain_topology(devices=1, cycle_ns=80_000, d_sb_ns=0))
         ctrl.start()
         engine.run_until(80_000)  # the 80000 frame is built and on the wire
-        ctrl.submit(req(1, (0, 0, 1)), t_generated_ns=80_000)
+        ctrl.submit(1, [(0, 0, 1)], t_generated_ns=80_000)
         report = ctrl.run_until_complete(1)
         assert report.t_master_emit_ns == {0: 160_000}
         assert report.config_time_ns == 160_000 + 12_000 + 900 + 800 - 80_000
@@ -235,27 +228,27 @@ class TestBoundaryCoincidence:
         # zero latency: segment 0's frame completes request 1 before segment
         # 1's frame runs, so run_until_complete stops between the two
         engine, ctrl = make(self.zero_latency_pair())
-        ctrl.submit(req(1, (0, 0, 1)), t_generated_ns=80_000)
-        ctrl.submit(req(2, (1, 0, 1)), t_generated_ns=80_000)
+        ctrl.submit(1, [(0, 0, 1)], t_generated_ns=80_000)
+        ctrl.submit(2, [(1, 0, 1)], t_generated_ns=80_000)
         ctrl.run_until_complete(1)
-        ctrl.submit(req(3, (0, 0, 2), (1, 0, 2)), t_generated_ns=80_000)
+        ctrl.submit(3, [(0, 0, 2), (1, 0, 2)], t_generated_ns=80_000)
         assert ctrl.run_until_complete(3).t_master_emit_ns == {0: 160_000, 1: 80_000}
 
     def test_waits_when_higher_segment_already_emitted(self):
         # segment 0 had nothing due at 80_000, but its frame there would have
         # gone before segment 1's, so a write handed in after it waits
         engine, ctrl = make(self.zero_latency_pair())
-        ctrl.submit(req(1, (1, 0, 1)), t_generated_ns=80_000)
+        ctrl.submit(1, [(1, 0, 1)], t_generated_ns=80_000)
         ctrl.run_until_complete(1)
-        ctrl.submit(req(2, (0, 0, 1)), t_generated_ns=80_000)
+        ctrl.submit(2, [(0, 0, 1)], t_generated_ns=80_000)
         assert ctrl.run_until_complete(2).t_master_emit_ns == {0: 160_000}
 
     def test_same_instant_frames_run_in_segment_order(self):
         engine, ctrl = make(quad_topology())
         seen = []
         ctrl.completion_callbacks.append(lambda trace: seen.append(trace.request_id))
-        ctrl.submit(req(1, (3, 0, 1)), t_generated_ns=0)  # staged first
-        ctrl.submit(req(2, (0, 0, 1)), t_generated_ns=0)
+        ctrl.submit(1, [(3, 0, 1)], t_generated_ns=0)  # staged first
+        ctrl.submit(2, [(0, 0, 1)], t_generated_ns=0)
         engine.run_until(300_000)
         assert ctrl.traces[1].config_time_ns == ctrl.traces[2].config_time_ns
         assert seen == [2, 1]
@@ -273,44 +266,44 @@ class TestValidationAndErrors:
     def test_unknown_device(self):
         engine, ctrl = make(chain_topology())
         with pytest.raises(UnknownTarget):
-            ctrl.submit(req(1, (0, 8, 1)), t_generated_ns=0)
+            ctrl.submit(1, [(0, 8, 1)], t_generated_ns=0)
 
     def test_unknown_segment(self):
         engine, ctrl = make(chain_topology())
         with pytest.raises(UnknownTarget):
-            ctrl.submit(req(1, (1, 0, 1)), t_generated_ns=0)
+            ctrl.submit(1, [(1, 0, 1)], t_generated_ns=0)
 
     @pytest.mark.parametrize("segment, device", [(0, -1), (-1, 0)])
     def test_negative_index_unknown(self, segment, device):
         engine, ctrl = make(chain_topology())
         with pytest.raises(UnknownTarget):
-            ctrl.submit(req(1, (segment, device, 1)), t_generated_ns=0)
+            ctrl.submit(1, [(segment, device, 1)], t_generated_ns=0)
 
     def test_seven_segments_name_the_first_unknown_target(self):
         # a topology has at most six segments, so a seventh is never in it
         engine, ctrl = make(chain_topology())
-        wide = req(1, *[(s, 0, 1) for s in range(7)])
+        wide = [(s, 0, 1) for s in range(7)]
         with pytest.raises(UnknownTarget, match=r"segment 1 device 0 not"):
-            ctrl.submit(wide, t_generated_ns=0)
+            ctrl.submit(1, wide, t_generated_ns=0)
         assert ctrl.traces == {}
 
     def test_seven_segments_led_by_an_unknown_target_name_it(self):
         engine, ctrl = make(quad_topology())
-        wide = req(1, (9, 0, 1), *[(s, 0, 1) for s in range(6)])  # 7 segments
+        wide = [(9, 0, 1), *[(s, 0, 1) for s in range(6)]]  # 7 segments
         with pytest.raises(UnknownTarget, match=r"segment 9 device 0 not"):
             ctrl.pack(wide)
         with pytest.raises(UnknownTarget, match=r"segment 9 device 0 not"):
-            ctrl.submit(wide, t_generated_ns=0)
+            ctrl.submit(1, wide, t_generated_ns=0)
 
     def test_unknown_target_names_the_first_bad_target(self):
         engine, ctrl = make(quad_topology())
-        bad = req(1, (0, 1, 1), (1, 2, 1), (5, 0, 1), (0, 3, 1))
+        bad = [(0, 1, 1), (1, 2, 1), (5, 0, 1), (0, 3, 1)]
         with pytest.raises(UnknownTarget, match=r"segment 1 device 2 not"):
             ctrl.pack(bad)
 
     def test_submit_packed_rejects_used_id_and_past_time(self, dispatches):
         engine, ctrl = make(chain_topology())
-        writes = ctrl.pack(req(1, (0, 0, 1)))
+        writes = ctrl.pack([(0, 0, 1)])
         ctrl.submit_packed(1, writes, t_generated_ns=0)
         first = ctrl.traces[1]
         with pytest.raises(DuplicateRequestId):
@@ -329,8 +322,7 @@ class TestValidationAndErrors:
         topology = Topology(segments=(SegmentSpec(device_count=250),) * 4,
                             timing=TimingParams(pdo_cycle_ns=80_000, d_mm_ns=15_400))
         engine, ctrl = make(topology)
-        writes = ctrl.pack(ConfigureRequest(
-            0, tuple(Target(s, d, 0x5555) for s, d in topology.all_targets())))
+        writes = ctrl.pack((s, d, 0x5555) for s, d in topology.all_targets())
         assert list(writes) == [0, 1, 2, 3]
         for mask, value in writes.values():
             assert mask == (1 << 4000) - 1
@@ -338,16 +330,16 @@ class TestValidationAndErrors:
 
     def test_duplicate_after_completion_rejected_at_submit(self):
         engine, ctrl = make(chain_topology())
-        ctrl.submit(req(1, (0, 0, 1)), t_generated_ns=0)
+        ctrl.submit(1, [(0, 0, 1)], t_generated_ns=0)
         ctrl.run_until_complete(1)
         with pytest.raises(DuplicateRequestId):
-            ctrl.submit(req(1, (0, 1, 1)), t_generated_ns=500_000)
+            ctrl.submit(1, [(0, 1, 1)], t_generated_ns=500_000)
 
     def test_duplicate_in_flight_rejected_at_submit(self, dispatches):
         engine, ctrl = make(chain_topology())
-        ctrl.submit(req(1, (0, 0, 1)), t_generated_ns=0)
+        ctrl.submit(1, [(0, 0, 1)], t_generated_ns=0)
         with pytest.raises(DuplicateRequestId):
-            ctrl.submit(req(1, (0, 1, 1)), t_generated_ns=100)
+            ctrl.submit(1, [(0, 1, 1)], t_generated_ns=100)
         report = ctrl.run_until_complete(1)
         engine.run_until(300_000)
         # the rejected submit scheduled nothing
@@ -364,7 +356,7 @@ class TestValidationAndErrors:
 
     def test_report_while_in_flight(self):
         engine, ctrl = make(chain_topology())
-        ctrl.submit(req(1, (0, 0, 1)), t_generated_ns=0)
+        ctrl.submit(1, [(0, 0, 1)], t_generated_ns=0)
         engine.run_until(70_000)  # southbound arrived, outputs not latched
         with pytest.raises(NotYetComplete):
             ctrl.completion_report(1)
@@ -377,7 +369,7 @@ class TestValidationAndErrors:
     def test_run_until_complete_unknown_request_runs_nothing(self, dispatches):
         engine, ctrl = make(chain_topology())
         ctrl.start()
-        ctrl.submit(req(1, (0, 0, 1)), t_generated_ns=0)
+        ctrl.submit(1, [(0, 0, 1)], t_generated_ns=0)
         before = (engine.now, engine.next_time_ns())
         with pytest.raises(UnknownRequest):
             ctrl.run_until_complete(7)
@@ -392,7 +384,7 @@ class TestValidationAndErrors:
         # generated ahead of the clock: the bound counts from t_gen, not from now
         scenario = load_preset("exp1")
         engine, ctrl = make(scenario.topology, seed=scenario.seed)
-        ctrl.submit(req(1, (0, 7, 0xBEEF)), t_generated_ns=t_gen)
+        ctrl.submit(1, [(0, 7, 0xBEEF)], t_generated_ns=t_gen)
         trace = ctrl.run_until_complete(1)
         seg = trace.segments[0]
         assert trace.config_time_ns == analytic_latency(
@@ -401,28 +393,103 @@ class TestValidationAndErrors:
         assert trace.config_time_ns <= ctrl.request_span_ns()
 
     def test_target_word_must_fit_16_bits(self):
-        with pytest.raises(ValueError):
-            Target(0, 0, 0x10000)
+        engine, ctrl = make(chain_topology())
+        for word, shown in ((0x10000, "0x10000"), (-1, "-0x1")):
+            with pytest.raises(ValueError, match=f"^output word must fit 16 bits, got {shown}$"):
+                ctrl.pack([(0, 0, word)])
 
     def test_request_needs_targets(self):
-        with pytest.raises(ValueError):
-            ConfigureRequest(request_id=1, targets=())
+        engine, ctrl = make(chain_topology())
+        for targets in ([], iter(())):
+            with pytest.raises(ValueError, match=r"^request needs at least one target$"):
+                ctrl.pack(targets)
 
     def test_request_rejects_duplicate_targets(self):
-        with pytest.raises(ValueError):
-            req(1, (0, 0, 1), (0, 0, 2))
+        engine, ctrl = make(quad_topology())
+        for targets in ([(0, 0, 1), (0, 0, 2)],
+                        [(0, 0, 1), (1, 1, 1), (0, 1, 1), (0, 0, 1)]):  # back after a run
+            with pytest.raises(ValueError,
+                               match=r"^duplicate \(segment, device\) in one request$"):
+                ctrl.pack(targets)
 
-    def test_failed_validation_stages_nothing(self):
+    @pytest.mark.parametrize("field", [0, 1, 2], ids=["segment", "device", "word"])
+    @pytest.mark.parametrize("value", [1.0, True, "1", None])
+    def test_pack_rejects_a_field_that_is_not_an_int(self, field, value):
         engine, ctrl = make(chain_topology())
-        with pytest.raises(UnknownTarget):
-            ctrl.submit(req(1, (0, 99, 1)), t_generated_ns=0)
-        assert engine.next_time_ns() is None  # no arrival left to stage it
-        assert ctrl.masters[0].staged == {}
-        assert 1 not in ctrl.traces
+        target = [0, 1, 1]
+        target[field] = value
+        name = ("segment", "device", "word")[field]
+        with pytest.raises(WrongType, match=f"^{name} must be an integer, got "):
+            ctrl.pack([tuple(target)])
+
+    @pytest.mark.parametrize("request_id", [True, "7", None, 1.0])
+    def test_submit_packed_rejects_an_id_that_is_not_an_int(self, request_id):
+        engine, ctrl = make(chain_topology())
+        writes = ctrl.pack([(0, 0, 1)])
+        with pytest.raises(WrongType, match=r"^request_id must be an integer, got "):
+            ctrl.submit_packed(request_id, writes, t_generated_ns=0)
+        assert ctrl.traces == {}
+        assert engine.next_time_ns() is None
+
+    def test_several_faults_raise_in_a_fixed_order(self):
+        # the first bad target in list order, then an empty list, then the
+        # id's type, a used id and the clock
+        engine, ctrl = make(chain_topology())
+        ctrl.submit(1, [(0, 0, 1)], t_generated_ns=0)
+        engine.run_until(10)
+        bad_word, unknown, dup = (0, 1, 0x10000), (0, 99, 1), [(0, 2, 1), (0, 2, 1)]
+        with pytest.raises(UnknownTarget, match="device 99"):
+            ctrl.submit("x", [unknown, bad_word, *dup], t_generated_ns=0)
+        with pytest.raises(ValueError, match="16 bits"):
+            ctrl.submit("x", [bad_word, unknown, *dup], t_generated_ns=0)
+        with pytest.raises(ValueError, match="duplicate"):
+            ctrl.submit("x", [*dup, unknown, bad_word], t_generated_ns=0)
+        with pytest.raises(ValueError, match="at least one target"):
+            ctrl.submit("x", [], t_generated_ns=0)
+        with pytest.raises(WrongType, match="request_id"):
+            ctrl.submit("x", [(0, 1, 1)], t_generated_ns=0)
+        with pytest.raises(DuplicateRequestId):
+            ctrl.submit(1, [(0, 1, 1)], t_generated_ns=0)
+        with pytest.raises(SchedulingInPast):
+            ctrl.submit(2, [(0, 1, 1)], t_generated_ns=0)
+        assert list(ctrl.traces) == [1]
+
+    # every intake fault, as (request id, targets, t_generated_ns, error),
+    # submitted at 50000 ns, while request 0 waits to arrive at 70000
+    INTAKE_FAULTS = {
+        "field-type": (1, [(0, 1.0, 1)], 50_000, WrongType),
+        "word-range": (1, [(0, 1, 0x10000)], 50_000, ValueError),
+        "unknown-device": (1, [(0, 99, 1)], 50_000, UnknownTarget),
+        "unknown-segment": (1, [(1, 0, 1)], 50_000, UnknownTarget),
+        "duplicate-pair": (1, [(0, 1, 1), (0, 2, 1), (0, 1, 2)], 50_000, ValueError),
+        "no-targets": (1, [], 50_000, ValueError),
+        "id-type": ("1", [(0, 1, 1)], 50_000, WrongType),
+        "used-id": (0, [(0, 1, 1)], 50_000, DuplicateRequestId),
+        "past-clock": (1, [(0, 1, 1)], 49_999, SchedulingInPast),
+    }
+
+    def test_failed_validation_stages_nothing(self, dispatches):
+        for name, (request_id, targets, t_gen, error) in self.INTAKE_FAULTS.items():
+            engine, ctrl = make(chain_topology())
+            ctrl.submit(0, [(0, 0, 1)], t_generated_ns=0)
+            engine.run_until(50_000)
+            first = ctrl.traces[0]
+            dispatches.clear()
+            with pytest.raises(error):
+                ctrl.submit(request_id, targets, t_generated_ns=t_gen)
+            assert ctrl.traces == {0: first}, name
+            assert ctrl.masters[0].staged == {}, name
+            # id 1 is still free, and only the two accepted requests arrive
+            ctrl.submit(1, [(0, 1, 1)], t_generated_ns=50_000)
+            ctrl.run_until_complete(1)
+            engine.run_until(500_000)
+            arrivals = [t for t, kind, _ in dispatches if kind is EventKind.SOUTHBOUND_ARRIVED]
+            assert arrivals == [70_000, 120_000], name
+            assert first.complete and ctrl.traces[1].complete, name
 
     def test_rider_emitted_twice_on_one_segment_raises(self):
         engine, ctrl = make(chain_topology())
-        ctrl.submit(req(1, (0, 3, 1)), t_generated_ns=0)
+        ctrl.submit(1, [(0, 3, 1)], t_generated_ns=0)
         ctrl.run_until_complete(1)
         # the same request staged again: its segment's frame has already left
         pickup = ctrl.masters[0].stage(engine.now, 1, 0xFFFF, 1)
@@ -436,7 +503,7 @@ class TestReporting:
         engine, ctrl = make(chain_topology())
         seen = []
         ctrl.completion_callbacks.append(seen.append)
-        ctrl.submit(req(1, (0, 7, 1)), t_generated_ns=0)
+        ctrl.submit(1, [(0, 7, 1)], t_generated_ns=0)
         ctrl.run_until_complete(1)
         assert len(seen) == 1
         assert seen[0].request_id == 1
@@ -445,7 +512,7 @@ class TestReporting:
     def test_request_span_bounds_observed_latency(self):
         engine, ctrl = make(chain_topology())
         span = ctrl.request_span_ns()
-        ctrl.submit(req(1, *[(0, d, 0xFFFF) for d in range(8)]), t_generated_ns=0)
+        ctrl.submit(1, [(0, d, 0xFFFF) for d in range(8)], t_generated_ns=0)
         report = ctrl.run_until_complete(1)
         assert report.config_time_ns <= span
 
@@ -467,14 +534,14 @@ class TestReporting:
             + worst_chain * t.d_hop_ns + t.d_latch_ns
             + t.pdo_cycle_ns + max(seg.phase_ns for seg in topology.segments)
         )
-        ctrl.submit(req(1, (0, 0, 1)), t_generated_ns=0)
+        ctrl.submit(1, [(0, 0, 1)], t_generated_ns=0)
         assert ctrl.run_until_complete(1).config_time_ns <= ctrl.request_span_ns()
 
     def test_one_record_per_request(self):
         engine, ctrl = make(chain_topology())
         seen = []
         ctrl.completion_callbacks.append(seen.append)
-        ctrl.submit(req(1, (0, 7, 1)), t_generated_ns=0)
+        ctrl.submit(1, [(0, 7, 1)], t_generated_ns=0)
         trace = ctrl.traces[1]
         assert ctrl.run_until_complete(1) is trace
         assert ctrl.completion_report(1) is trace
@@ -482,7 +549,7 @@ class TestReporting:
 
     def test_in_flight_after_every_segment_emitted(self):
         engine, ctrl = make(quad_topology(jitter_ns=0))
-        ctrl.submit(req(1, (0, 0, 1), (2, 1, 2), (3, 0, 3)), t_generated_ns=0)
+        ctrl.submit(1, [(0, 0, 1), (2, 1, 2), (3, 0, 3)], t_generated_ns=0)
         engine.run_until(174_599)  # every frame left at 160000; (2, 1) latches at 174600
         trace = ctrl.traces[1]
         assert trace.t_master_emit_ns == {0: 160_000, 2: 160_000, 3: 160_000}
@@ -494,10 +561,10 @@ class TestReporting:
 
     def test_unchanged_word_is_in_trace_but_not_latched(self):
         engine, ctrl = make(chain_topology())
-        ctrl.submit(req(1, (0, 0, 0x0001)), t_generated_ns=0)
+        ctrl.submit(1, [(0, 0, 0x0001)], t_generated_ns=0)
         ctrl.run_until_complete(1)
         latches_before = list(ctrl.devices[(0, 0)].latches)
-        ctrl.submit(req(2, (0, 0, 0x0001)), t_generated_ns=200_000)
+        ctrl.submit(2, [(0, 0, 0x0001)], t_generated_ns=200_000)
         trace = ctrl.run_until_complete(2)
         # arrive 270000, boundary 288000
         assert trace.t_latched_ns == {(0, 0): 288_000 + 12_000 + 900 + 800}
@@ -505,7 +572,7 @@ class TestReporting:
 
     def test_completes_at_deepest_device_not_last_listed(self):
         engine, ctrl = make(chain_topology())
-        ctrl.submit(req(1, (0, 7, 1), (0, 0, 1)), t_generated_ns=0)
+        ctrl.submit(1, [(0, 7, 1), (0, 0, 1)], t_generated_ns=0)
         trace = ctrl.run_until_complete(1)
         assert trace.t_latched_ns == {(0, 7): 116_000, (0, 0): 109_700}
         assert trace.config_time_ns == 116_000
@@ -555,17 +622,17 @@ class TestFrameLog:
         topology = Topology(segments=(SegmentSpec(device_count=743),) * 6,
                             timing=TimingParams(pdo_cycle_ns=80_000))
         engine, ctrl = make(topology)
-        ctrl.submit(req(1, (5, 742, 1)), t_generated_ns=0)
+        ctrl.submit(1, [(5, 742, 1)], t_generated_ns=0)
         ctrl.run_until_complete(1)
         assert created == []
         assert len(ctrl.devices) == 6 * 743  # the view builds them on read
 
     def test_devices_view_is_a_snapshot(self):
         engine, ctrl = make(chain_topology())
-        ctrl.submit(req(1, (0, 0, 0x0001)), t_generated_ns=0)
+        ctrl.submit(1, [(0, 0, 0x0001)], t_generated_ns=0)
         ctrl.run_until_complete(1)
         earlier = ctrl.devices[(0, 0)]
-        ctrl.submit(req(2, (0, 0, 0x0003)), t_generated_ns=200_000)
+        ctrl.submit(2, [(0, 0, 0x0003)], t_generated_ns=200_000)
         ctrl.run_until_complete(2)
         assert earlier.latches == [(109_700, 0x0001)]
         assert ctrl.devices[(0, 0)].latches == [(109_700, 0x0001), (301_700, 0x0003)]

@@ -28,7 +28,7 @@ import hashlib
 import json
 import os
 
-from meowsim.controller import ConfigureRequest, DeviceController, Target
+from meowsim.controller import DeviceController
 from meowsim.engine import Engine, SplitMix64
 from meowsim.errors import MeowError
 from meowsim.simulation import boundary_at_or_after
@@ -67,7 +67,7 @@ def draw_topology(draw) -> Topology:
     )
 
 
-def draw_request(draw, topology: Topology, rid: int) -> ConfigureRequest:
+def draw_targets(draw, topology: Topology) -> list[tuple[int, int, int]]:
     devices = list(topology.all_targets())
     picks = []
     for _ in range(draw(1, min(4, len(devices)))):
@@ -77,11 +77,10 @@ def draw_request(draw, topology: Topology, rid: int) -> ConfigureRequest:
     if draw(0, 19) == 0:  # a device past the end of its chain
         s, _ = picks[0]
         picks[0] = (s, topology.segments[s].device_count)
-    targets = tuple(
-        Target(s, d, WORDS[draw(0, len(WORDS) - 1)] if draw(0, 3) else draw(0, 0xFFFF))
+    return [
+        (s, d, WORDS[draw(0, len(WORDS) - 1)] if draw(0, 3) else draw(0, 0xFFFF))
         for s, d in picks
-    )
-    return ConfigureRequest(request_id=rid, targets=targets)
+    ]
 
 
 def run_case(case: int) -> dict:
@@ -112,11 +111,11 @@ def run_case(case: int) -> dict:
                 else:
                     t_gen = now
                 rid = rids[draw(0, len(rids) - 1)] if rids and draw(0, 9) == 0 else len(rids)
-                request = draw_request(draw, topology, rid)
+                targets = draw_targets(draw, topology)
                 if rid == len(rids):
                     rids.append(rid)
                 last_gen = max(last_gen, t_gen)
-                ctrl.submit(request, t_gen)
+                ctrl.submit(rid, targets, t_gen)
             elif op <= 6:
                 seg = topology.segments[draw(0, topology.segment_count - 1)]
                 boundary = boundary_at_or_after(engine.now, seg.phase_ns, cycle)

@@ -6,7 +6,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meowsim.controller import ConfigureRequest, DeviceController, Target
+from meowsim.controller import DeviceController
 from meowsim.engine import Engine
 from meowsim.errors import DuplicateRequestId, NoCapacity, UnknownPath, WrongState
 from meowsim.netctl import (
@@ -345,7 +345,7 @@ class TestLifecycleWithSimulation:
     def test_failed_activate_leaves_the_entry_reserved(self):
         engine, dc, nc = self.make()
         # request id 1, the one the network controller hands out first, is taken
-        dc.submit(ConfigureRequest(request_id=1, targets=(Target(0, 1, 7),)), 0)
+        dc.submit(1, [(0, 1, 7)], 0)
         entry = nc.allocate("tor1", "tor2")
         with pytest.raises(DuplicateRequestId):
             nc.activate(entry.path_id)

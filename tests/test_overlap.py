@@ -18,7 +18,7 @@ import os
 
 import pytest
 
-from meowsim.controller import ConfigureRequest, DeviceController, Target
+from meowsim.controller import DeviceController
 from meowsim.engine import Engine, SplitMix64
 from meowsim.scenario import load_preset
 from meowsim.topology import SegmentSpec, TimingParams, Topology
@@ -59,9 +59,9 @@ def overlap_run(topology: Topology, seed: int) -> list:
         targets = []
         for s, d in picks:
             word = WORDS[draw(0, len(WORDS) - 1)] if draw(0, 4) else draw(0, 0xFFFF)
-            targets.append(Target(s, d, word))
+            targets.append((s, d, word))
         engine.run_until(t)
-        ctrl.submit(ConfigureRequest(request_id=rid, targets=tuple(targets)), t)
+        ctrl.submit(rid, targets, t)
     engine.run_until(t + ctrl.request_span_ns() + 4 * topology.timing.pdo_cycle_ns)
 
     records = []

@@ -25,15 +25,7 @@ jitter, the masters' words and every device's latches and activation log.
 
 from hypothesis import given, settings, strategies as st
 
-from meowsim import (
-    ConfigureRequest,
-    DeviceController,
-    Engine,
-    SegmentSpec,
-    Target,
-    TimingParams,
-    Topology,
-)
+from meowsim import DeviceController, Engine, SegmentSpec, TimingParams, Topology
 
 U64 = (1 << 64) - 1
 # a small pool, so that requests often rewrite a word or leave it unchanged
@@ -155,8 +147,7 @@ def test_batch_event_path_matches_reference(case):
     engine = Engine(seed=seed)
     ctrl = DeviceController(engine, topology)
     for rid, (t_gen, targets) in enumerate(requests):
-        request = ConfigureRequest(rid, tuple(Target(s, d, w) for s, d, w in targets))
-        ctrl.submit(request, t_generated_ns=t_gen)
+        ctrl.submit(rid, targets, t_generated_ns=t_gen)
 
     ref = reference(case)
     engine.run_until(ref["horizon"])

@@ -76,6 +76,17 @@ class TestParseOutputs:
             _parse_outputs(1.5)
         with pytest.raises(ValueError):
             _parse_outputs("zz")
+        # int() alone would take each of these: underscores, padding, a sign
+        # and non-ASCII digits (Arabic-Indic three, fullwidth seven)
+        session = SouthboundSession(topology())
+        for rid, text in enumerate(("1_0", "\u0663", "\uff17", "0x\u0661", "0x_F", " 7 ", "+5",
+                                    "-1", "0x", "")):
+            with pytest.raises(ValueError):
+                _parse_outputs(text)
+            (reply,) = session.handle_line(configure_line(rid, [(0, 0, text)]))
+            err = json.loads(reply)
+            assert (err["code"], err["request_id"]) == ("BadMessage", rid), text
+        assert session.controller.traces == {}
 
 
 class TestSession:

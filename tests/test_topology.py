@@ -2,7 +2,7 @@
 
 import pytest
 
-from meowsim.controller import ConfigureRequest, DeviceController, Target
+from meowsim.controller import DeviceController
 from meowsim.engine import Engine
 from meowsim.errors import (
     EmptySegment,
@@ -76,7 +76,7 @@ class TestSegmentSpec:
         })
         engine = Engine()
         ctrl = DeviceController(engine, topo)
-        ctrl.submit(ConfigureRequest(1, (Target(0, 742, 1),)), t_generated_ns=0)
+        ctrl.submit(1, [(0, 742, 1)], t_generated_ns=0)
         report = ctrl.run_until_complete(1)
         assert report.config_time_ns == analytic_latency(topo.timing, 1, 743, 26_000)
 
