@@ -139,10 +139,14 @@ def require_parent_dir(path: str, what: str) -> None:
 
 
 def _export_paths(scenario: Scenario, out_dir: str | None) -> dict:
-    """{kind: path} of the scenario's exports, each with a directory to go in."""
+    """{kind: path} of the scenario's exports: distinct files, each with a directory to go in."""
     paths = {kind: os.path.join(out_dir or ".", rel)
              for kind, rel in (scenario.outputs or {}).items()}
+    kinds = {}  # {normalised path: first kind that names it}
     for kind, path in paths.items():
+        other = kinds.setdefault(os.path.normpath(path), kind)
+        if other != kind:
+            raise ValueError(f"outputs {other} and {kind} name one file {path}")
         require_parent_dir(path, kind)
     return paths
 

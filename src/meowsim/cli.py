@@ -9,6 +9,7 @@ import argparse
 import json
 import socket
 import sys
+from fractions import Fraction
 from importlib import resources
 
 from . import bench
@@ -23,7 +24,7 @@ from .stats import ns_to_us_str
 from .topology import SegmentSpec, require_dict
 
 # extrapolate's --worst-base-us (us) and --slope-ns (ns) stop here: no
-# deployment comes near it, and below it every prediction is an exact float
+# deployment comes near it, and below it every prediction fits a float
 EXTRAPOLATE_FLAG_MAX = 1e12
 
 
@@ -102,6 +103,14 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _exact(value: float) -> Fraction:
+    """A flag's value as the decimal it was written as (0.15 is 3/20, not the float below it).
+
+    extrapolate computes with these and rounds once, in ns_to_us_str.
+    """
+    return Fraction(repr(value))
+
+
 def _cmd_extrapolate(args) -> int:
     for flag, value in (("--worst-base-us", args.worst_base_us), ("--slope-ns", args.slope_ns)):
         if value is not None and not abs(value) <= EXTRAPOLATE_FLAG_MAX:  # NaN fails too
@@ -110,16 +119,16 @@ def _cmd_extrapolate(args) -> int:
             )
     devices = bench.racks_to_devices_per_segment(args.racks, args.masters)
     if args.worst_base_us is not None:
-        base_ns = round(args.worst_base_us * 1000)
+        base_ns = _exact(args.worst_base_us) * 1000
     else:
         base_ns = bench.default_worst_base_ns()
-    predicted = bench.extrapolate_worst(base_ns, args.slope_ns, devices)
+    predicted = bench.extrapolate_worst(base_ns, _exact(args.slope_ns), devices)
     print(f"racks            {args.racks}")
     print(f"masters          {args.masters}")
     print(f"devices/segment  {devices}")
     print(f"worst base       {ns_to_us_str(base_ns)} us")
     print(f"slope            {args.slope_ns:.1f} ns/device")
-    print(f"predicted worst  {ns_to_us_str(round(predicted))} us")
+    print(f"predicted worst  {ns_to_us_str(predicted)} us")
     return 0
 
 

@@ -8,7 +8,7 @@ life of a request:
                      the (segment, device, word) triples, made in the pass
                      that packs each segment's writes into a (mask, value)
                      pair of process images; submit_packed checks the id
-                     and the clock and records the trace (a batch run packs
+                     and the time and records the trace (a batch run packs
                      each of its patterns once and hands every request its
                      pattern's pairs)
   SouthboundArrived  +d_sb_ns at the device controller; each segment's pair
@@ -46,7 +46,6 @@ from .errors import (
     NotYetComplete,
     SchedulingInPast,
     UnknownRequest,
-    UnknownTarget,
 )
 from .simulation import (
     DeviceState,
@@ -193,7 +192,7 @@ class DeviceController:
                 mask_words, value_words = words
                 count = len(mask_words)
             if not 0 <= device < count:
-                raise UnknownTarget(f"target segment {segment} device {device} not in topology")
+                self.topology.validate_target(segment, device)  # raises UnknownTarget
             if mask_words[device]:
                 raise ValueError("duplicate (segment, device) in one request")
             mask_words[device] = 0xFFFF
@@ -218,6 +217,7 @@ class DeviceController:
         require_int("request_id", request_id)
         if request_id in self.traces:
             raise DuplicateRequestId(f"request {request_id} already submitted")
+        require_int("t_generated_ns", t_generated_ns)
         if t_generated_ns < self.engine.now:
             raise SchedulingInPast(
                 f"cannot generate a request at {t_generated_ns}, clock is {self.engine.now}"
@@ -234,8 +234,8 @@ class DeviceController:
         targets is an iterable of (segment, device, word) triples. pack's
         checks run before submit_packed's, so a request with several faults
         gets the error of its first bad target, then of an empty list, then
-        of the id's type, a used id and the clock. Nothing is recorded or
-        scheduled when this raises.
+        of the id's type, a used id, the time's type and the clock. Nothing
+        is recorded or scheduled when this raises.
         """
         self.submit_packed(request_id, self.pack(targets), t_generated_ns)
 

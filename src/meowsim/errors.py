@@ -27,8 +27,8 @@ class NegativeTiming(MeowError):
     """A timing parameter or phase below zero."""
 
 
-class IndexOutOfRange(MeowError):
-    """Segment or device index outside the topology."""
+class UnknownTarget(MeowError):
+    """A (segment, device) pair not in the topology, as a target or a measurement."""
 
 
 # --- codec --------------------------------------------------------------
@@ -68,10 +68,6 @@ class SchedulingInPast(MeowError):
 
 
 # --- device controller --------------------------------------------------
-
-class UnknownTarget(MeowError):
-    """Configure request names a segment/device not in the topology."""
-
 
 class DuplicateRequestId(MeowError):
     """A request id was submitted twice."""

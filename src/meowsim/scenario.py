@@ -1,7 +1,10 @@
 """Scenario files: the JSON description of one benchmark run.
 
-A scenario pins topology, workload (request count, arrival law, seed) and
-the measurement target. The two shipped presets, exp1 and exp2, are the
+A scenario pins topology, workload (request count and seed), the
+measurement target and, optionally, the export paths. A file holds only
+what the simulator reads: every object's keys are checked by one rule,
+require_keys, so an unknown key (a typo, or a field an older format had)
+is a ValueError naming it. The two shipped presets, exp1 and exp2, are the
 calibration ledger: their timing constants and seeds reproduce the
 reference configuration-latency figures exactly.
 """
@@ -13,13 +16,11 @@ from dataclasses import dataclass, replace
 from importlib import resources
 
 from .errors import IoFailure, WrongType
-from .topology import Topology, build_topology, require_dict, require_int
+from .topology import Topology, build_topology, require_int, require_keys
 
 # Arrival phases are drawn on this grid so every exported tenth-of-us value
 # is exact and the calibrated best-case times are reachable by seeded runs.
 ARRIVAL_GRID_NS = 100
-
-ARRIVAL_UNIFORM_PHASE = "uniform-phase"
 
 PRESET_NAMES = ("exp1", "exp2")
 
@@ -30,15 +31,12 @@ class Scenario:
     num_requests: int
     seed: int
     measurement: tuple[int, int]  # (segment, device) whose latch time is measured
-    arrival: str = ARRIVAL_UNIFORM_PHASE
     outputs: dict | None = None  # optional {"csv":..., "trace":..., "stats":...}
 
     def __post_init__(self):
         require_int("num_requests", self.num_requests)
         if self.num_requests < 1:
             raise ValueError(f"num_requests must be >= 1, got {self.num_requests}")
-        if self.arrival != ARRIVAL_UNIFORM_PHASE:
-            raise ValueError(f"unknown arrival law {self.arrival!r}")
         require_int("seed", self.seed)
         seg, dev = self.measurement
         require_int("measurement segment", seg)
@@ -57,12 +55,11 @@ class Scenario:
                     f"segment {i} phase_ns must be a multiple of {ARRIVAL_GRID_NS}"
                 )
         if self.outputs is not None:
-            unknown = set(self.outputs) - {"csv", "trace", "stats"}
-            if unknown:
-                raise ValueError(f"unknown output keys: {sorted(unknown)}")
+            require_keys("outputs", self.outputs, ("csv", "trace", "stats"))
             for kind, path in self.outputs.items():
                 if not isinstance(path, str):
                     raise WrongType(f"output {kind} must be a path string, got {path!r}")
+            object.__setattr__(self, "outputs", dict(self.outputs))
 
     # -- serialization -----------------------------------------------------
 
@@ -71,7 +68,6 @@ class Scenario:
             "topology": self.topology.to_dict(),
             "workload": {
                 "num_requests": self.num_requests,
-                "arrival": self.arrival,
                 "seed": self.seed,
             },
             "measurement": {
@@ -85,32 +81,17 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Scenario":
-        require_dict("scenario", doc)
-        unknown = set(doc) - {"topology", "workload", "measurement", "outputs"}
-        if unknown:
-            raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
-        for key in ("topology", "workload", "measurement", "outputs"):
-            if key in doc:
-                require_dict(key, doc[key])
-            elif key != "outputs":
-                raise ValueError(f"scenario needs {key!r}")
-        workload = doc["workload"]
-        unknown = set(workload) - {"num_requests", "arrival", "seed"}
-        if unknown:
-            raise ValueError(f"unknown workload keys: {sorted(unknown)}")
-        if "seed" not in workload:
-            raise ValueError("workload needs an explicit seed")
-        measurement = doc["measurement"]
-        unknown = set(measurement) - {"segment", "device"}
-        if unknown:
-            raise ValueError(f"unknown measurement keys: {sorted(unknown)}")
+        parts = ("topology", "workload", "measurement")
+        require_keys("scenario", doc, parts + ("outputs",), parts)
+        workload, measurement = doc["workload"], doc["measurement"]
+        require_keys("workload", workload, ("num_requests", "seed"), ("seed",))
+        require_keys("measurement", measurement, ("segment", "device"), ("segment", "device"))
         return cls(
             topology=build_topology(doc["topology"]),
             num_requests=workload.get("num_requests", 1000),
-            arrival=workload.get("arrival", ARRIVAL_UNIFORM_PHASE),
             seed=workload["seed"],
-            measurement=(measurement.get("segment"), measurement.get("device")),
-            outputs=dict(doc["outputs"]) if "outputs" in doc else None,
+            measurement=(measurement["segment"], measurement["device"]),
+            outputs=doc.get("outputs"),
         )
 
     def with_changes(self, **kwargs) -> "Scenario":

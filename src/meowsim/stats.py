@@ -64,7 +64,7 @@ def compute_stats(values_ns) -> RunStats:
 
 
 def ns_to_us_str(ns: int) -> str:
-    """Format integer ns as us with one decimal, round half up.
+    """Format ns (an int, or an exact Fraction) as us with one decimal, round half up.
 
     Exact for values on the 100 ns grid, which covers everything exported.
     """

@@ -7,15 +7,15 @@ off a 100 Mbps link. All timing is integer nanoseconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import MISSING, asdict, dataclass, fields
 
 from .codec import MAX_DATA_LEN, OUTPUT_WORD_BYTES
 from .errors import (
     EmptySegment,
-    IndexOutOfRange,
     NegativeTiming,
     SegmentCountExceeded,
     SegmentTooLong,
+    UnknownTarget,
     WrongType,
 )
 
@@ -36,9 +36,20 @@ def require_dict(name: str, value) -> None:
         raise WrongType(f"{name} must be an object, got {value!r}")
 
 
+def require_keys(name: str, value, allowed, required=()) -> None:
+    """Require an object whose keys are all allowed, the required ones present."""
+    require_dict(name, value)
+    unknown = set(value) - set(allowed)
+    if unknown:
+        raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
+    for key in required:
+        if key not in value:
+            raise ValueError(f"{name} needs {key!r}")
+
+
 @dataclass(frozen=True)
 class TimingParams:
-    """Calibrated delay model, all fields in nanoseconds (link rate aside).
+    """Calibrated delay model, all fields in nanoseconds.
 
     pdo_cycle_ns      cyclic process-data period of every master
     d_sb_ns           southbound delivery, network controller -> device controller
@@ -49,7 +60,6 @@ class TimingParams:
                       the PDO boundary
     d_hop_ns          round-trip cascade cost per device hop
     d_latch_ns        device-local latch delay from frame arrival to output pins
-    link_mbps         segment link rate, informational
     """
 
     pdo_cycle_ns: int
@@ -59,17 +69,13 @@ class TimingParams:
     d_frame_head_ns: int = 12_000
     d_hop_ns: int = 900
     d_latch_ns: int = 800
-    link_mbps: int = 100
 
     def __post_init__(self):
-        for name in (
-            "pdo_cycle_ns", "d_sb_ns", "d_mm_ns", "d_jitter_max_ns",
-            "d_frame_head_ns", "d_hop_ns", "d_latch_ns", "link_mbps",
-        ):
-            value = getattr(self, name)
-            require_int(name, value)
+        for field in fields(self):
+            value = getattr(self, field.name)
+            require_int(field.name, value)
             if value < 0:
-                raise NegativeTiming(f"{name} must be >= 0, got {value}")
+                raise NegativeTiming(f"{field.name} must be >= 0, got {value}")
         if not 0 < self.pdo_cycle_ns <= MAX_PDO_CYCLE_NS:
             raise ValueError(
                 f"pdo_cycle_ns must be in (0, {MAX_PDO_CYCLE_NS}], got {self.pdo_cycle_ns}"
@@ -124,13 +130,9 @@ class Topology:
         return len(self.segments)
 
     def validate_target(self, segment: int, device: int) -> None:
-        if not 0 <= segment < len(self.segments):
-            raise IndexOutOfRange(f"segment {segment} not in topology")
-        if not 0 <= device < self.segments[segment].device_count:
-            raise IndexOutOfRange(
-                f"device {device} not in segment {segment} "
-                f"(has {self.segments[segment].device_count})"
-            )
+        if not (0 <= segment < len(self.segments)
+                and 0 <= device < self.segments[segment].device_count):
+            raise UnknownTarget(f"target segment {segment} device {device} not in topology")
 
     def device_rank(self, segment: int, device: int) -> int:
         """1-based chain position used by the latency model (1 = nearest)."""
@@ -150,35 +152,22 @@ class Topology:
         }
 
 
+def _from_fields(cls, name: str, raw):
+    """cls(**raw), raw's keys checked against cls's own dataclass fields."""
+    own = fields(cls)
+    require_keys(name, raw, [f.name for f in own],
+                 [f.name for f in own if f.default is MISSING])
+    return cls(**raw)
+
+
 def build_topology(spec: dict) -> Topology:
     """Build a Topology from its plain-dict form (as found in scenario files).
 
     Unknown keys are rejected so config typos fail loudly.
     """
-    require_dict("topology", spec)
-    unknown = set(spec) - {"segments", "timing"}
-    if unknown:
-        raise ValueError(f"unknown topology keys: {sorted(unknown)}")
-    if "segments" not in spec or "timing" not in spec:
-        raise ValueError("topology spec needs 'segments' and 'timing'")
-
-    seg_fields = {"device_count", "phase_ns"}
+    require_keys("topology", spec, ("segments", "timing"), ("segments", "timing"))
     if not isinstance(spec["segments"], list):
         raise WrongType(f"segments must be a list, got {spec['segments']!r}")
-    segments = []
-    for i, raw in enumerate(spec["segments"]):
-        require_dict(f"segment {i}", raw)
-        unknown = set(raw) - seg_fields
-        if unknown:
-            raise ValueError(f"segment {i}: unknown keys {sorted(unknown)}")
-        segments.append(SegmentSpec(**raw))
-
-    timing_fields = {f for f in TimingParams.__dataclass_fields__}
-    raw_timing = spec["timing"]
-    require_dict("timing", raw_timing)
-    unknown = set(raw_timing) - timing_fields
-    if unknown:
-        raise ValueError(f"unknown timing keys: {sorted(unknown)}")
-    timing = TimingParams(**raw_timing)
-
-    return Topology(segments=tuple(segments), timing=timing)
+    segments = tuple(_from_fields(SegmentSpec, f"segment {i}", raw)
+                     for i, raw in enumerate(spec["segments"]))
+    return Topology(segments, _from_fields(TimingParams, "timing", spec["timing"]))

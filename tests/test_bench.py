@@ -203,6 +203,17 @@ class TestExports:
             assert us_str_to_ns(text_row[4]) == row.t_complete_ns - row.t_gen_ns
             assert (int(text_row[5]), int(text_row[6])) == (0, 7)
 
+    @pytest.mark.parametrize("outputs, kinds", [
+        ({"csv": "same.out", "trace": "./same.out", "stats": "same.out"}, "csv and trace"),
+        ({"csv": "a.csv", "trace": "sub/../same.out", "stats": "same.out"}, "trace and stats"),
+    ], ids=["dot-slash", "dot-dot"])
+    def test_exports_naming_one_file_rejected_before_the_run(self, tmp_path, outputs, kinds):
+        (tmp_path / "sub").mkdir()
+        scenario = exp1_small().with_changes(outputs=outputs)
+        with pytest.raises(ValueError, match=f"^outputs {kinds} name one file "):
+            run_scenario(scenario, out_dir=str(tmp_path))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
+
     def test_stats_recomputed_from_csv_match(self, tmp_path):
         scenario = exp1_small().with_changes(outputs={"csv": "r.csv"})
         result = run_scenario(scenario, out_dir=str(tmp_path))

@@ -20,7 +20,7 @@ def scenario_doc(segments, cycle_ns, n=30, seed=3, measurement=(0, 7), **timing)
             "segments": [{"device_count": d} for d in segments],
             "timing": {"pdo_cycle_ns": cycle_ns, **timing},
         },
-        "workload": {"num_requests": n, "arrival": "uniform-phase", "seed": seed},
+        "workload": {"num_requests": n, "seed": seed},
         "measurement": {"segment": measurement[0], "device": measurement[1]},
     }
 
@@ -79,6 +79,20 @@ class TestRun:
         rc = main(["run", "/no/such/scenario.json"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["arrival", "link_mbps"])
+    def test_retired_field_exits_2(self, tmp_path, capsys, key):
+        doc = scenario_doc([8], 32_000)
+        if key == "arrival":
+            doc["workload"]["arrival"] = "uniform-phase"
+        else:
+            doc["topology"]["timing"]["link_mbps"] = 100
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and f"['{key}']" in err
 
     def test_malformed_scenario_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -236,6 +250,16 @@ class TestExtrapolate:
         out = capsys.readouterr().out
         assert rc == 0
         assert "predicted worst  415.0 us" in out
+
+    @pytest.mark.parametrize("flags, line", [
+        # exactly 412049.5 ns and 49.5 ns: rounded once, half up, to 0.1 us
+        (["--worst-base-us", "187", "--slope-ns", "900.198"], "predicted worst  412.0 us"),
+        (["--worst-base-us", "0.0495"], "worst base       0.0 us"),
+        (["--worst-base-us", "0.15"], "worst base       0.2 us"),
+    ], ids=["predicted-412049.5ns", "base-49.5ns", "base-150ns"])
+    def test_rounded_once_from_the_exact_value(self, capsys, flags, line):
+        assert main(["extrapolate", "--racks", "1000", "--masters", "4", *flags]) == 0
+        assert line in capsys.readouterr().out.splitlines()
 
     def test_invalid_masters(self, capsys):
         assert main(["extrapolate", "--racks", "1000", "--masters", "0"]) == 2

@@ -431,9 +431,19 @@ class TestValidationAndErrors:
         assert ctrl.traces == {}
         assert engine.next_time_ns() is None
 
+    @pytest.mark.parametrize("t_generated_ns", [0.5, True, "0"])
+    def test_submit_packed_rejects_a_time_that_is_not_an_int(self, t_generated_ns):
+        # a float would carry into every later time, and True would count as 1
+        engine, ctrl = make(chain_topology())
+        writes = ctrl.pack([(0, 0, 1)])
+        with pytest.raises(WrongType, match=r"^t_generated_ns must be an integer, got "):
+            ctrl.submit_packed(1, writes, t_generated_ns=t_generated_ns)
+        assert ctrl.traces == {}
+        assert engine.next_time_ns() is None
+
     def test_several_faults_raise_in_a_fixed_order(self):
         # the first bad target in list order, then an empty list, then the
-        # id's type, a used id and the clock
+        # id's type, a used id, the time's type and the clock
         engine, ctrl = make(chain_topology())
         ctrl.submit(1, [(0, 0, 1)], t_generated_ns=0)
         engine.run_until(10)
@@ -449,7 +459,9 @@ class TestValidationAndErrors:
         with pytest.raises(WrongType, match="request_id"):
             ctrl.submit("x", [(0, 1, 1)], t_generated_ns=0)
         with pytest.raises(DuplicateRequestId):
-            ctrl.submit(1, [(0, 1, 1)], t_generated_ns=0)
+            ctrl.submit(1, [(0, 1, 1)], t_generated_ns=0.5)
+        with pytest.raises(WrongType, match="t_generated_ns"):
+            ctrl.submit(2, [(0, 1, 1)], t_generated_ns=0.5)
         with pytest.raises(SchedulingInPast):
             ctrl.submit(2, [(0, 1, 1)], t_generated_ns=0)
         assert list(ctrl.traces) == [1]
@@ -465,6 +477,7 @@ class TestValidationAndErrors:
         "no-targets": (1, [], 50_000, ValueError),
         "id-type": ("1", [(0, 1, 1)], 50_000, WrongType),
         "used-id": (0, [(0, 1, 1)], 50_000, DuplicateRequestId),
+        "time-type": (1, [(0, 1, 1)], 50_000.0, WrongType),
         "past-clock": (1, [(0, 1, 1)], 49_999, SchedulingInPast),
     }
 

@@ -1,9 +1,12 @@
 """Scenario serialization and the two shipped presets."""
 
 import json
+from importlib.resources import files
+from pathlib import Path
 
 import pytest
 
+from meowsim.errors import WrongType
 from meowsim.scenario import (
     ARRIVAL_GRID_NS,
     PRESET_NAMES,
@@ -55,7 +58,18 @@ class TestPresets:
             assert t.d_frame_head_ns == 12_000
             assert t.d_hop_ns == 900
             assert t.d_latch_ns == 800
-            assert t.link_mbps == 100
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_preset_file_is_its_loaded_scenario(self, name):
+        # a preset carries no field the loader drops or fills in from a default
+        path = files("meowsim").joinpath("data").joinpath("presets").joinpath(f"{name}.json")
+        assert json.loads(path.read_text(encoding="utf-8")) == load_preset(name).to_dict()
+
+    def test_readme_example_is_exp1(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text(encoding="utf-8").split("## Scenario files", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        assert load_scenario_text(block) == load_preset("exp1")
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
@@ -98,7 +112,7 @@ class TestValidation:
     def doc(self, **overrides):
         base = {
             "topology": small_topology().to_dict(),
-            "workload": {"num_requests": 3, "arrival": "uniform-phase", "seed": 1},
+            "workload": {"num_requests": 3, "seed": 1},
             "measurement": {"segment": 0, "device": 1},
         }
         base.update(overrides)
@@ -126,11 +140,35 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown measurement keys"):
             Scenario.from_dict(doc)
 
-    def test_unknown_arrival_law(self):
+    @pytest.mark.parametrize("part, key, value", [
+        ("workload", "arrival", "uniform-phase"),
+        ("timing", "link_mbps", 100),
+    ], ids=["workload.arrival", "timing.link_mbps"])
+    def test_retired_field_rejected(self, part, key, value):
+        # both once had a field and decided nothing; a file that still
+        # carries one is rejected like any unknown key, not read without it
         doc = self.doc()
-        doc["workload"]["arrival"] = "poisson"
-        with pytest.raises(ValueError, match="arrival"):
+        (doc["topology"] if part == "timing" else doc)[part][key] = value
+        with pytest.raises(ValueError, match=rf"^unknown {part} keys: \['{key}'\]$"):
             Scenario.from_dict(doc)
+
+    @pytest.mark.parametrize("part, key", [
+        ("scenario", "workload"), ("measurement", "device"), ("segment 0", "device_count"),
+        ("timing", "pdo_cycle_ns"),
+    ])
+    def test_required_key_missing(self, part, key):
+        doc = self.doc()
+        owner = {"scenario": doc, "measurement": doc["measurement"],
+                 "segment 0": doc["topology"]["segments"][0],
+                 "timing": doc["topology"]["timing"]}[part]
+        del owner[key]
+        with pytest.raises(ValueError, match=rf"^{part} needs '{key}'$"):
+            Scenario.from_dict(doc)
+
+    @pytest.mark.parametrize("part", ["workload", "measurement", "outputs"])
+    def test_part_must_be_an_object(self, part):
+        with pytest.raises(WrongType, match=rf"^{part} must be an object"):
+            Scenario.from_dict(self.doc(**{part: [["csv", "x.csv"]]}))
 
     def test_measurement_must_be_in_topology(self):
         doc = self.doc(measurement={"segment": 0, "device": 9})

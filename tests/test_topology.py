@@ -6,10 +6,10 @@ from meowsim.controller import DeviceController
 from meowsim.engine import Engine
 from meowsim.errors import (
     EmptySegment,
-    IndexOutOfRange,
     MeowError,
     NegativeTiming,
     SegmentCountExceeded,
+    UnknownTarget,
 )
 from meowsim.simulation import analytic_latency
 from meowsim.topology import (
@@ -34,7 +34,6 @@ class TestTimingParams:
         assert t.d_latch_ns == 800
         assert t.d_mm_ns == 0
         assert t.d_jitter_max_ns == 0
-        assert t.link_mbps == 100
 
     def test_fixed_overhead_sum_single_segment(self):
         # d_sb + d_frame_head + d_latch = calibrated overhead before hops
@@ -112,11 +111,11 @@ class TestTopology:
 
     def test_target_validation(self):
         topo = Topology(segments=(SegmentSpec(device_count=8),), timing=timing())
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(UnknownTarget, match=r"^target segment 0 device 8 not in topology$"):
             topo.validate_target(0, 8)
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(UnknownTarget):
             topo.validate_target(1, 0)
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(UnknownTarget):
             topo.validate_target(-1, 0)
 
 
