@@ -23,8 +23,9 @@ life of a request:
                      (marker 3); each rider's trace counts down its
                      segments still to emit and keeps its latest target
                      latch
-  RequestComplete    at the last target's latch time, scheduled when the
-                     rider's last segment emits
+  completion         at the last target's latch, known and checked when the
+                     rider's last segment emits: the slot (last latch,
+                     SouthboundArrived), an event only for completion callbacks
 
 A master emits only at boundaries with writes due: a frame at any other
 boundary carries and changes nothing, so it is no event. At one instant,
@@ -56,6 +57,9 @@ from .simulation import (
 )
 from .topology import Topology, require_int
 
+# EventKind.X is slow to look up (EnumType defines __getattr__); per-request paths use these
+_ARRIVED, _EMIT = EventKind.SOUTHBOUND_ARRIVED, EventKind.MASTER_EMIT
+
 
 @dataclass(slots=True)
 class SegmentTrace:
@@ -78,12 +82,13 @@ class RequestTrace:
     writes: dict[int, tuple[int, int]]  # {segment: (mask, value)}, ascending segments
     hop_ns: int
     segments: dict[int, SegmentTrace] = field(default_factory=dict)
-    config_time_ns: int | None = None  # set when the last target latches
+    config_time_ns: int | None = None  # set when the last frame leaves: last latch - generation
     pending: int = 0  # targeted segments whose frame has not left yet
     last_latch_ns: int = 0  # the latest target latch of the frames that left
 
     @property
     def complete(self) -> bool:
+        """Every frame has left; the request completes at last_latch_ns, maybe ahead of now."""
         return self.config_time_ns is not None
 
     @property
@@ -226,7 +231,7 @@ class DeviceController:
                              pending=len(writes))
         self.traces[request_id] = trace
         t_arrival_ns = t_generated_ns + self.timing.d_sb_ns
-        self.engine.schedule(t_arrival_ns, EventKind.SOUTHBOUND_ARRIVED, trace, t_arrival_ns)
+        self.engine.schedule(t_arrival_ns, _ARRIVED, trace, t_arrival_ns)
 
     def submit(self, request_id: int, targets, t_generated_ns: int) -> None:
         """Check, pack and send a request generated at t_generated_ns.
@@ -252,15 +257,14 @@ class DeviceController:
         masters = self.masters
         segments = trace.segments
         request_id = trace.request_id
-        emit = EventKind.MASTER_EMIT
         # dispatch order is fixed: lowest segment first
         for seg, (mask, value) in trace.writes.items():
             jitter = draw(0, jitter_max)
             stage_ns = t_dispatch + jitter
-            built = engine.has_run(stage_ns, emit, seg)
+            built = engine.has_run(stage_ns, _EMIT, seg)
             pickup = masters[seg].stage(stage_ns, request_id, mask, value, built)
             if pickup is not None:
-                engine.schedule(pickup, emit, seg, order=seg)
+                engine.schedule(pickup, _EMIT, seg, order=seg)
             segments[seg] = SegmentTrace(stage_ns, jitter)
 
     def _on_master_emit(self, seg: int) -> None:
@@ -284,12 +288,12 @@ class DeviceController:
                 trace.last_latch_ns = latch
             trace.pending -= 1
             if not trace.pending:
-                self.engine.schedule(trace.last_latch_ns, EventKind.REQUEST_COMPLETE, rid)
+                trace.config_time_ns = trace.last_latch_ns - trace.t_generated_ns
+                trace.check_ordering()
+                if self.completion_callbacks:
+                    self.engine.schedule(trace.last_latch_ns, EventKind.REQUEST_COMPLETE, trace)
 
-    def _on_request_complete(self, request_id: int) -> None:
-        trace = self.traces[request_id]
-        trace.config_time_ns = self.engine.now - trace.t_generated_ns
-        trace.check_ordering()
+    def _on_request_complete(self, trace: RequestTrace) -> None:
         for callback in self.completion_callbacks:
             callback(trace)
 
@@ -316,7 +320,7 @@ class DeviceController:
         trace = self.traces.get(request_id)
         if trace is None:
             raise UnknownRequest(f"no request {request_id}")
-        if not trace.complete:
+        if not trace.complete or self.engine.now < trace.last_latch_ns:
             raise NotYetComplete(f"request {request_id} still in flight")
         return trace
 
@@ -325,21 +329,25 @@ class DeviceController:
         return self._request_span_ns
 
     def run_until_complete(self, request_id: int) -> RequestTrace:
-        """Drive the engine one event at a time until the request finishes.
+        """Step until the request's last frame leaves, then run to its completion slot.
 
-        The engine stops right after the completion, before the arrivals
-        and frames of that instant run, so a request handed in next at that
-        instant still rides a frame emitted there. An id that was never
+        The engine stops at (last latch, SouthboundArrived), after that
+        instant's completions and before its arrivals and frames, so a request
+        handed in next there still rides a frame emitted there; a zero-latency
+        completion stops where its last frame left. An id that was never
         submitted raises UnknownRequest before any event runs.
         """
         trace = self.traces.get(request_id)
         if trace is None:
             raise UnknownRequest(f"no request {request_id}")
+        engine = self.engine
         # request_span_ns bounds its life from its generation, which may lie ahead of now
         deadline = trace.t_generated_ns + self.request_span_ns()
-        while trace.config_time_ns is None:  # not the complete property: one call per event
-            t = self.engine.next_time_ns()
+        while trace.pending:
+            t = engine.next_time_ns()
             if t is None or t > deadline:
                 raise NotYetComplete(f"request {request_id} missed its latency bound")
-            self.engine.step()
+            engine.step()
+        if trace.last_latch_ns >= engine.now:  # else its slot is long past
+            engine.run_until(trace.last_latch_ns, _ARRIVED)
         return trace

@@ -20,9 +20,10 @@ class EventKind(Enum):
     What ends at an instant runs before what starts there: completions,
     then southbound arrivals, then frame emissions. Arrivals precede
     emissions so that a write staged on a boundary rides it; completions
-    precede both so that a caller stopped at a completion can still hand in
-    a request that rides the frame of that instant. A device's latch is no
-    event: the controller records it when it builds the frame.
+    precede both so that a caller stopped at the slot (instant,
+    SouthboundArrived) can still hand in a request that rides the frame of
+    that instant. A completion is an event only for its listeners, a latch
+    never: the controller records both when it builds the frame.
     """
 
     REQUEST_COMPLETE = "RequestComplete"
@@ -79,8 +80,8 @@ class Engine:
     list, so dispatch never hashes the EventKind.
 
     A run-order cursor holds the latest slot (time, kind, order) run past:
-    step moves it to each event, run_until past every kind at its end, and
-    rewind back below now.
+    step moves it to each event, run_until to its end slot but never back,
+    and rewind back below now.
     """
 
     def __init__(self, seed: int = 0):
@@ -115,19 +116,20 @@ class Engine:
             self._seq += 1
         heapq.heappush(self._heap, (time_ns, kind.rank, order, args))
 
-    def run_until(self, t_end: int) -> int:
-        """Process every event with time <= t_end; the clock ends at t_end, the cursor past it.
+    def run_until(self, t_end: int, before: EventKind | None = None) -> int:
+        """Process every event before the slot (t_end, before), by default past every kind.
 
-        Returns how many events were processed.
+        The clock ends at t_end, the cursor at the slot or past it. Returns the event count.
         """
         if t_end < self._clock:
             raise SchedulingInPast(f"cannot run to {t_end}, clock is {self._clock}")
+        slot = (t_end, len(EventKind) if before is None else before.rank)
         heap = self._heap
         processed = 0
-        while heap and heap[0][0] <= t_end:
+        while heap and heap[0] < slot:
             self.step()
             processed += 1
-        self._clock, self._ran = t_end, (t_end, len(EventKind))
+        self._clock, self._ran = t_end, slot if slot > self._ran else self._ran
         return processed
 
     def step(self) -> None:

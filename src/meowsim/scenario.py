@@ -116,11 +116,11 @@ def load_scenario(path: str) -> Scenario:
 def load_preset(name: str) -> Scenario:
     if name not in PRESET_NAMES:
         raise ValueError(f"unknown preset {name!r}, have {PRESET_NAMES}")
-    root = resources.files("meowsim")
-    text = (
-        root.joinpath("data").joinpath("presets").joinpath(f"{name}.json")
-        .read_text(encoding="utf-8")
-    )
+    preset = resources.files("meowsim") / "data" / "presets" / f"{name}.json"
+    try:
+        text = preset.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise IoFailure(f"cannot read preset {name}: {exc}") from exc
     return load_scenario_text(text)
 
 

@@ -8,8 +8,9 @@ import sys
 
 import pytest
 
-from meowsim import bench
+from meowsim import bench, scenario
 from meowsim.cli import _parse_counts, main
+from meowsim.errors import IoFailure
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data", "golden")
 
@@ -79,6 +80,17 @@ class TestRun:
         rc = main(["run", "/no/such/scenario.json"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_missing_packaged_preset(self, tmp_path, monkeypatch, capsys):
+        # an install whose package data lacks the presets: the package
+        # resources resolve to a directory with no preset file in it
+        monkeypatch.setattr(scenario.resources, "files", lambda package: tmp_path)
+        with pytest.raises(IoFailure, match="cannot read preset exp1"):
+            scenario.load_preset("exp1")
+        assert main(["run", "exp1", "--out-dir", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: IoFailure: cannot read preset exp1")
 
     @pytest.mark.parametrize("key", ["arrival", "link_mbps"])
     def test_retired_field_exits_2(self, tmp_path, capsys, key):

@@ -566,11 +566,13 @@ class TestReporting:
         engine.run_until(174_599)  # every frame left at 160000; (2, 1) latches at 174600
         trace = ctrl.traces[1]
         assert trace.t_master_emit_ns == {0: 160_000, 2: 160_000, 3: 160_000}
-        assert not trace.complete
-        assert trace.config_time_ns is None
+        # the last frame has left, so the completion time is known, but the
+        # request is in flight until the clock reaches its last latch
+        assert trace.complete and trace.config_time_ns == 174_600
+        with pytest.raises(NotYetComplete):
+            ctrl.completion_report(1)
         engine.run_until(174_600)
-        assert trace.complete
-        assert trace.config_time_ns == 174_600
+        assert ctrl.completion_report(1) is trace
 
     def test_unchanged_word_is_in_trace_but_not_latched(self):
         engine, ctrl = make(chain_topology())

@@ -9,7 +9,9 @@ start() called early, late or never. Everything the run produces is hashed
 per case and compared with tests/data/emission_pin.txt: every request's
 trace, every device's latch history, the masters' words, the error of each
 rejected operation, the clock after each operation, and the order of the
-completion callbacks.
+completion callbacks. A second test reruns every case with no callback
+registered, so that no completion is an event, and requires all but the
+callbacks to be equal.
 
 The cases exercise two rules that batch runs never reach:
 
@@ -83,15 +85,16 @@ def draw_targets(draw, topology: Topology) -> list[tuple[int, int, int]]:
     ]
 
 
-def run_case(case: int) -> dict:
+def run_case(case: int, listen: bool = True) -> dict:
     draw = SplitMix64(case).uniform_draw
     topology = draw_topology(draw)
     cycle = topology.timing.pdo_cycle_ns
     engine = Engine(seed=case)
     ctrl = DeviceController(engine, topology)
     callbacks = []
-    ctrl.completion_callbacks.append(
-        lambda trace: callbacks.append([engine.now, trace.request_id]))
+    if listen:
+        ctrl.completion_callbacks.append(
+            lambda trace: callbacks.append([engine.now, trace.request_id]))
 
     n_ops = draw(4, 16)
     start_at = (0, draw(1, n_ops), None)[draw(0, 2)]  # early, late or never
@@ -154,6 +157,16 @@ def test_emission_matches_pin():
     assert len(pinned) == CASES
     mismatched = [case for case in range(CASES) if case_digest(case) != pinned[case]]
     assert mismatched == [], f"{len(mismatched)} cases differ, first {mismatched[:10]}"
+
+
+def test_emission_does_not_depend_on_listeners():
+    # the pin always registers a completion callback; without one, every
+    # operation, error, clock, trace, latch and word must be the same
+    for case in range(CASES):
+        heard, unheard = run_case(case), run_case(case, listen=False)
+        assert unheard.pop("callbacks") == []
+        heard.pop("callbacks")
+        assert heard == unheard, case
 
 
 if __name__ == "__main__":

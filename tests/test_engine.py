@@ -85,6 +85,23 @@ class TestScheduleAndRun:
         assert engine.run_until(100) == 4
         assert seen == [EventKind.REQUEST_COMPLETE, *EventKind]
 
+    def test_run_until_a_slot_stops_before_its_kind(self):
+        engine = Engine()
+        seen = []
+        for kind in EventKind:
+            engine.on(kind, lambda kind=kind: seen.append(kind))
+        for kind in reversed(EventKind):  # the arrival gets order 1
+            engine.schedule(100, kind)
+        assert engine.run_until(100, EventKind.SOUTHBOUND_ARRIVED) == 1
+        assert seen == [EventKind.REQUEST_COMPLETE] and engine.now == 100
+        assert not engine.has_run(100, EventKind.SOUTHBOUND_ARRIVED, 0)
+        # a step past the slot is never undone by running to it again
+        engine.step()
+        assert engine.run_until(100, EventKind.SOUTHBOUND_ARRIVED) == 0
+        assert engine.has_run(100, EventKind.SOUTHBOUND_ARRIVED, 1)
+        assert engine.run_until(100) == 1
+        assert seen == list(EventKind)
+
     def test_step_runs_one_event_and_can_stop_mid_instant(self):
         engine = Engine()
         seen = []

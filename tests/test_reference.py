@@ -21,11 +21,17 @@ event queue and no code from meowsim beyond its public constructors:
 Each generated case submits every request, runs the engine to the model's
 last completion, and compares config times, emit and staging times,
 jitter, the masters' words and every device's latches and activation log.
+A second test submits every request and then calls run_until_complete on
+each in a drawn order, with and without a completion callback, and holds
+the clock, the requests still in flight, the arrivals run and the
+callbacks fired after each call to the model's completion times.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from meowsim import DeviceController, Engine, SegmentSpec, TimingParams, Topology
+from meowsim.errors import NotYetComplete
 
 U64 = (1 << 64) - 1
 # a small pool, so that requests often rewrite a word or leave it unchanged
@@ -133,9 +139,8 @@ def cases(draw):
     return draw(st.integers(0, U64)), counts, phases, timing, requests
 
 
-@settings(max_examples=300, deadline=None)
-@given(cases())
-def test_batch_event_path_matches_reference(case):
+def submit_all(case):
+    """A controller on the case's topology, every request submitted."""
     seed, counts, phases, timing, requests = case
     cycle, d_sb, d_mm, jitter_max, head, hop, latch = timing
     topology = Topology(
@@ -148,7 +153,13 @@ def test_batch_event_path_matches_reference(case):
     ctrl = DeviceController(engine, topology)
     for rid, (t_gen, targets) in enumerate(requests):
         ctrl.submit(rid, targets, t_generated_ns=t_gen)
+    return engine, ctrl
 
+
+@settings(max_examples=300, deadline=None)
+@given(cases())
+def test_batch_event_path_matches_reference(case):
+    engine, ctrl = submit_all(case)
     ref = reference(case)
     engine.run_until(ref["horizon"])
 
@@ -164,3 +175,45 @@ def test_batch_event_path_matches_reference(case):
     for key, latches in ref["latches"].items():
         assert devices[key].latches == latches, key
         assert devices[key].activation_log == rising_bits(latches), key
+
+
+@settings(max_examples=300, deadline=None)
+@given(cases(), st.data(), st.booleans())
+def test_run_until_complete_stops_at_the_model_completion(case, data, listen):
+    # run_until_complete stops at the slot (completion, SouthboundArrived):
+    # every event of an earlier instant has run, and so have the
+    # completions of that instant, but not its arrivals and emissions. A
+    # zero-latency completion stops at its own last frame, so frames of
+    # that instant in later segments stay unsent
+    engine, ctrl = submit_all(case)
+    heard = []
+    if listen:
+        ctrl.completion_callbacks.append(lambda trace: heard.append((engine.now, trace.request_id)))
+    d_sb, requests = case[3][1], case[4]
+    traces = reference(case)["traces"]
+    done = {rid: requests[rid][0] + t["config"] for rid, t in traces.items()}
+    # each request's last frame as its (boundary, segment) emission slot
+    last_frame = {rid: max((seg[2], s) for s, seg in t["segments"].items())
+                  for rid, t in traces.items()}
+    sent = (-1, -1)  # the latest emission slot a call has needed
+    for rid in data.draw(st.permutations(range(len(requests)))):
+        before = engine.now
+        ctrl.run_until_complete(rid)
+        assert engine.now == max(before, done[rid])
+        sent = max(sent, last_frame[rid])
+        clock = engine.now
+        in_flight = {q for q in done if done[q] > clock
+                     or (last_frame[q][0] == clock and last_frame[q] > sent)}
+        # the instant's arrivals have run only where one of its frames has
+        arrived = {q for q, (t_gen, _) in enumerate(requests)
+                   if t_gen + d_sb < clock or t_gen + d_sb == clock == sent[0]}
+        assert {q for q, trace in ctrl.traces.items() if trace.segments} == arrived
+        for q in done:
+            if q in in_flight:
+                with pytest.raises(NotYetComplete):
+                    ctrl.completion_report(q)
+            else:
+                assert ctrl.completion_report(q).config_time_ns == traces[q]["config"]
+        if listen:
+            assert sorted(q for _, q in heard) == sorted(set(done) - in_flight)
+            assert all(t == done[q] for t, q in heard)
