@@ -8,9 +8,9 @@ life of a request:
                      the (segment, device, word) triples, made in the pass
                      that packs each segment's writes into a (mask, value)
                      pair of process images; submit_packed checks the id
-                     and the time and records the trace (a batch run packs
-                     each of its patterns once and hands every request its
-                     pattern's pairs)
+                     and the time and records the trace (a batch run builds
+                     each of its patterns' pairs once, in closed form, and
+                     hands every request its pattern's pairs)
   SouthboundArrived  +d_sb_ns at the device controller; each segment's pair
                      is staged at +d_mm_ns (+drawn jitter) on its master
   MasterEmit         next PDO boundary of each targeted master (marker 2),
@@ -99,14 +99,17 @@ class RequestTrace:
         """When the frame carrying this request reaches and latches the device."""
         return self.segments[segment].first_latch_ns + device * self.hop_ns
 
+    def latches(self):
+        """(segment, device, latch time) of each target whose frame has left, in order."""
+        for seg, st in self.segments.items():
+            if st.first_latch_ns is not None:
+                for device in word_positions(self.writes[seg][0]):
+                    yield seg, device, st.first_latch_ns + device * self.hop_ns
+
     @property
     def t_latched_ns(self) -> dict[tuple[int, int], int]:
         """{(segment, device): latch time} of every target whose frame has left."""
-        return {
-            (seg, device): self.latch_ns(seg, device)
-            for seg, st in self.segments.items() if st.first_latch_ns is not None
-            for device in word_positions(self.writes[seg][0])
-        }
+        return {(seg, device): t for seg, device, t in self.latches()}
 
     def check_ordering(self) -> None:
         for seg, st in self.segments.items():

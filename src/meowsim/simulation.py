@@ -83,6 +83,14 @@ def structural_worst_latency(timing: TimingParams, n_segments: int, device_rank:
     )
 
 
+def repeated_image(word: int, device_count: int) -> int:
+    """The image with word at each of device_count devices; word 0xFFFF gives their mask.
+
+    ((1 << 16n) - 1) // 0xFFFF is the image with 1 at each device.
+    """
+    return word * (((1 << 16 * device_count) - 1) // 0xFFFF)
+
+
 def word_positions(image: int):
     """Positions of the nonzero words of a packed image, in ascending order.
 
@@ -106,11 +114,6 @@ class Frame(NamedTuple):
     before: int  # the master's image before this frame
     after: int  # the image this frame writes down the chain
 
-    @property
-    def changed(self) -> tuple:
-        """((device, new word), ...) of the words this frame changes."""
-        return changed_words(self.before, self.after)
-
 
 class MasterState:
     """One EtherCAT master: its chain's process image and the writes staged for it.
@@ -133,11 +136,6 @@ class MasterState:
         self.image = 0
         # {pickup_ns: [(stage_ns, request_id, mask, value), ...]}
         self.staged: dict[int, list[tuple]] = {}
-
-    @property
-    def words(self) -> list[int]:
-        """The output word of each device, in chain order."""
-        return [self.image >> 16 * p & 0xFFFF for p in range(self.device_count)]
 
     def stage(self, stage_ns: int, request_id: int, mask: int, value: int,
               built: bool = False) -> int | None:

@@ -48,12 +48,11 @@ def _parse_outputs(value) -> int:
 
 
 def _trace_dict(trace: RequestTrace) -> dict:
+    """The complete reply's trace; handle_line dumps it with sorted keys."""
     return {
         "t_generated_ns": trace.t_generated_ns,
-        "t_master_emit_ns": {str(s): t for s, t in sorted(trace.t_master_emit_ns.items())},
-        "t_latched_ns": {
-            f"{s}/{d}": t for (s, d), t in sorted(trace.t_latched_ns.items())
-        },
+        "t_master_emit_ns": {str(s): t for s, t in trace.t_master_emit_ns.items()},
+        "t_latched_ns": {f"{s}/{d}": t for s, d, t in trace.latches()},
         "config_time_ns": trace.config_time_ns,
     }
 

@@ -6,9 +6,9 @@ records exactly one PASS/FAIL line. The lines are printed immediately
 which pytest never captures.
 
 The dispatches fixture observes every event any engine runs. The helpers
-below serve only the tests: reading exports back, a Kolmogorov-Smirnov
-test against the uniform distribution, and serving TCP on a background
-thread.
+below serve only the tests: reading a master's words and a trace line,
+reading exports back, a Kolmogorov-Smirnov test against the uniform
+distribution, and serving TCP on a background thread.
 """
 
 import csv
@@ -17,7 +17,7 @@ import threading
 
 import pytest
 
-from meowsim.bench import CSV_COLUMNS
+from meowsim.bench import CSV_COLUMNS, _trace_line
 from meowsim.engine import Engine
 from meowsim.errors import IoFailure
 
@@ -50,6 +50,16 @@ def dispatches(monkeypatch):
 
     monkeypatch.setattr(Engine, "on", recording_on)
     return seen
+
+
+def master_words(master) -> list[int]:
+    """The output word of each device of a master, in chain order."""
+    return [master.image >> 16 * p & 0xFFFF for p in range(master.device_count)]
+
+
+def format_trace_line(trace) -> str:
+    """The line export_trace writes for one trace."""
+    return _trace_line(trace, {})
 
 
 def read_csv_rows(path: str):

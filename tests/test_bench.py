@@ -5,7 +5,10 @@ import re
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from meowsim import controller as controller_module
 from meowsim.bench import (
     CSV_COLUMNS,
     MIN_SPACING_CYCLES,
@@ -15,7 +18,6 @@ from meowsim.bench import (
     export_csv,
     export_trace,
     extrapolate_worst,
-    format_trace_line,
     pdo_reduction_analysis,
     racks_to_devices_per_segment,
     request_spacing_ns,
@@ -28,10 +30,18 @@ from meowsim.controller import DeviceController
 from meowsim.engine import Engine, EventKind
 from meowsim.errors import IoFailure, MeowError
 from meowsim.scenario import ARRIVAL_GRID_NS, Scenario, load_preset
+from meowsim.simulation import repeated_image
 from meowsim.stats import compute_stats
-from meowsim.topology import SegmentSpec, TimingParams, Topology
+from meowsim.topology import (
+    MAX_SEGMENT_DEVICES,
+    MAX_SEGMENTS,
+    SegmentSpec,
+    TimingParams,
+    Topology,
+    require_int,
+)
 
-from conftest import read_csv_rows, us_str_to_ns
+from conftest import format_trace_line, read_csv_rows, us_str_to_ns
 
 
 def exp1_small(n=40, **changes):
@@ -147,8 +157,9 @@ def deployment(masters, devices, **changes):
 
 
 class TestBatchPathEqualsPerRequestPath:
-    """run_scenario packs each pattern once and hands every request its pairs;
-    submitting each request whole, as its target triples, must give the same run."""
+    """run_scenario builds each pattern's pairs once and hands them to every
+    request; submitting each request whole, as its target triples, must give
+    the same run."""
 
     @staticmethod
     def pattern_targets(topology):
@@ -200,6 +211,44 @@ class TestBatchPathEqualsPerRequestPath:
             shared = result.traces[k].writes
             assert all(t.writes is shared for t in result.traces[k::len(WORD_PATTERNS)])
             assert shared == fresh.pack(targets)
+
+    @pytest.mark.parametrize("scenario", [exp2_small(20), deployment(4, 250, num_requests=20)],
+                             ids=["4x2", "4x250"])
+    def test_intake_checks_per_request_not_per_target(self, monkeypatch, scenario):
+        # submit_packed checks the id and the time; the batch path checks no target
+        calls = Counter()
+
+        def counting_require_int(name, value):
+            calls[name] += 1
+            return require_int(name, value)
+
+        monkeypatch.setattr(controller_module, "require_int", counting_require_int)
+        run_scenario(scenario)
+        assert calls == {"request_id": 20, "t_generated_ns": 20}
+
+
+class TestClosedFormPatterns:
+    """A batch pattern's images, built in closed form, equal pack of every target."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(counts=st.lists(st.integers(1, MAX_SEGMENT_DEVICES), min_size=1,
+                           max_size=MAX_SEGMENTS),
+           word=st.integers(0, 0xFFFF))
+    def test_repeated_image_equals_pack(self, counts, word):
+        topology = Topology(segments=tuple(SegmentSpec(device_count=n) for n in counts),
+                            timing=TimingParams(pdo_cycle_ns=80_000))
+        packed = DeviceController(Engine(), topology).pack(
+            (s, d, word) for s, d in topology.all_targets())
+        closed = {s: (repeated_image(0xFFFF, n), repeated_image(word, n))
+                  for s, n in enumerate(counts)}
+        assert list(packed.items()) == list(closed.items())
+
+    def test_duplicate_last_device_of_a_full_chain_still_raises(self):
+        topology = Topology(segments=(SegmentSpec(device_count=MAX_SEGMENT_DEVICES),),
+                            timing=TimingParams(pdo_cycle_ns=80_000))
+        targets = [(0, d, 0x5555) for d in range(MAX_SEGMENT_DEVICES)]
+        with pytest.raises(ValueError, match="^duplicate"):
+            DeviceController(Engine(), topology).pack([*targets, (0, MAX_SEGMENT_DEVICES - 1, 1)])
 
 
 class TestExports:

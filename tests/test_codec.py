@@ -28,7 +28,9 @@ from meowsim.errors import (
     UnsupportedCommand,
 )
 from meowsim.scenario import load_preset
-from meowsim.simulation import MasterState
+from meowsim.simulation import MasterState, changed_words
+
+from conftest import master_words
 
 # Frozen wire-format oracles, derived by hand from the layout table:
 # header 0x100C = length 12 | type 1; NOP datagram is ten zero header bytes
@@ -300,14 +302,15 @@ class TestEventPathOnTheWire:
             image = master.image.to_bytes(2 * master.device_count, "little")
             raw = encode_frame(EcatFrame((EcatDatagram(cmd=EcatCmd.LWR, data=image),)))
             (dgram,) = decode_frame(raw).datagrams
-            words = held.setdefault(master, [0] * len(master.words))
+            words = held.setdefault(master, [0] * master.device_count)
             before, wkc = list(words), 0
             for p, word in enumerate(before):
                 words[p], _, increment = apply_datagram(word, dgram, 2 * p)
                 wkc += increment
-            assert words == master.words
+            assert words == master_words(master)
             assert wkc == len(words)
-            assert tuple((p, w) for p, w in enumerate(words) if w != before[p]) == frame.changed
+            changed = tuple((p, w) for p, w in enumerate(words) if w != before[p])
+            assert changed == changed_words(frame.before, frame.after)
             sent.append(boundary_ns)
             return frame
 

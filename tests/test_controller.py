@@ -18,6 +18,8 @@ from meowsim.scenario import load_preset
 from meowsim.simulation import analytic_latency, changed_words
 from meowsim.topology import SegmentSpec, TimingParams, Topology
 
+from conftest import master_words
+
 
 def chain_topology(devices=8, cycle_ns=32_000, phase_ns=0, **timing):
     return Topology(
@@ -95,7 +97,7 @@ class TestSingleSegmentPipeline:
         # one latch per written device, as the frame's working counter counts
         latched = [ctrl.devices[(0, d)].latches for d in range(8)]
         assert latched == [[(109_700 + d * 900, 0xFFFF)] for d in range(8)]
-        assert ctrl.masters[0].words == [0xFFFF] * 8
+        assert master_words(ctrl.masters[0]) == [0xFFFF] * 8
 
 
 class TestCoalescing:

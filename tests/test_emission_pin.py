@@ -36,6 +36,8 @@ from meowsim.errors import MeowError
 from meowsim.simulation import boundary_at_or_after
 from meowsim.topology import SegmentSpec, TimingParams, Topology
 
+from conftest import master_words
+
 PIN_PATH = os.path.join(os.path.dirname(__file__), "data", "emission_pin.txt")
 CASES = 3_000
 CYCLES = (1, 2, 3, 5, 8, 100, 999, 32_000)  # plus one random cycle in [1, 32 us]
@@ -141,7 +143,7 @@ def run_case(case: int, listen: bool = True) -> dict:
             for rid, trace in sorted(ctrl.traces.items())
         ],
         "latches": [[s, d, dev.latches] for (s, d), dev in sorted(ctrl.devices.items())],
-        "words": [m.words for m in ctrl.masters],
+        "words": [master_words(m) for m in ctrl.masters],
         "callbacks": callbacks,
     }
 

@@ -33,6 +33,8 @@ from hypothesis import given, settings, strategies as st
 from meowsim import DeviceController, Engine, SegmentSpec, TimingParams, Topology
 from meowsim.errors import NotYetComplete
 
+from conftest import master_words
+
 U64 = (1 << 64) - 1
 # a small pool, so that requests often rewrite a word or leave it unchanged
 WORDS = (0x0000, 0x0001, 0x0003, 0x8000, 0xFFFF)
@@ -169,7 +171,7 @@ def test_batch_event_path_matches_reference(case):
         got = {s: (st_.staged_ns, st_.jitter_ns, st_.emit_ns, st_.first_latch_ns)
                for s, st_ in trace.segments.items()}
         assert got == expected["segments"], rid
-    assert [m.words for m in ctrl.masters] == ref["words"]
+    assert [master_words(m) for m in ctrl.masters] == ref["words"]
     devices = ctrl.devices
     assert set(devices) == set(ref["latches"])
     for key, latches in ref["latches"].items():

@@ -43,3 +43,49 @@ def test_package_imports_only_the_stdlib():
                 imported.add(node.module.partition(".")[0])
     assert {"json", "struct", "socketserver"} <= imported  # the walk saw the imports
     assert sorted(imported - sys.stdlib_module_names) == []
+
+
+def unused_imports(source: str, filename: str = "<source>") -> list[str]:
+    """Names bound by module-level imports that the module never reads.
+
+    A name listed in __all__ counts as read: it is a re-export.
+    """
+    tree = ast.parse(source, filename)
+    bound = {}  # {name: line of the import that binds it}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return [f"{filename}:{line} {name}" for name, line in bound.items() if name not in used]
+
+
+def test_unused_import_check_sees_each_form():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, os.path as osp\n"
+        "import json\n"
+        "from struct import Struct, pack\n"
+        "from .errors import MeowError as Fault\n"
+        "__all__ = ['Fault']\n"
+        "def f(x: Struct) -> None:\n"
+        "    return json.dumps(x)\n"
+    )
+    assert unused_imports(source) == ["<source>:2 os", "<source>:2 osp", "<source>:4 pack"]
+
+
+def test_no_unused_import_in_the_package():
+    package = Path(meowsim.__file__).parent
+    found = [
+        entry
+        for path in sorted(package.glob("*.py"))
+        for entry in unused_imports(path.read_text(encoding="utf-8"), path.name)
+    ]
+    assert found == []

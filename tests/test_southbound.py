@@ -25,6 +25,12 @@ from conftest import serve_background
 
 # one request line per intake fault on exp2's 4x2, and the session's replies
 SINGLE_FAULTS = os.path.join(os.path.dirname(__file__), "data", "golden", "southbound_errors")
+# seeded requests of 1-8 targets on exp2's 4x2, then the replies to them and
+# to one request for every device of WIDE_SEGMENTS
+COMPLETES = os.path.join(os.path.dirname(__file__), "data", "golden", "southbound_complete")
+# (device count, phase) of each segment: unequal chains, most past ten devices,
+# so the reply's "s/d" keys sort as strings ("0/10" before "0/2"), not as numbers
+WIDE_SEGMENTS = ((250, 0), (1, 8_000), (40, 16_000), (8, 0), (100, 24_000), (17, 4_000))
 
 def topology():
     return Topology(
@@ -241,6 +247,24 @@ class TestSession:
         with open(SINGLE_FAULTS + ".replies", encoding="utf-8") as fh:
             expected = fh.read()
         replies = [reply for line in lines for reply in session.handle_line(line)]
+        assert "".join(reply + "\n" for reply in replies) == expected
+
+    def test_ack_and_complete_replies_are_pinned(self):
+        scenario = load_preset("exp2")
+        session = SouthboundSession(scenario.topology, seed=scenario.seed)
+        with open(COMPLETES + ".jsonl", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        with open(COMPLETES + ".replies", encoding="utf-8") as fh:
+            expected = fh.read()
+        replies = [reply for line in lines for reply in session.handle_line(line)]
+        wide = Topology(
+            segments=tuple(SegmentSpec(device_count=n, phase_ns=p) for n, p in WIDE_SEGMENTS),
+            timing=scenario.topology.timing,
+        )
+        every_device = [(s, d, (s << 12 | d) & 0xFFFF) for s, d in wide.all_targets()]
+        replies += SouthboundSession(wide, seed=scenario.seed).handle_line(
+            configure_line(7, every_device))
+        assert [json.loads(r)["type"] for r in replies] == ["ack", "complete"] * 41
         assert "".join(reply + "\n" for reply in replies) == expected
 
     def test_simulated_clock_advances_across_requests(self):
