@@ -4,7 +4,9 @@ Reproduces the two reference experiments (presets exp1 and exp2), sweeps
 chain length, extrapolates the worst case to 1000-rack fabrics, and writes
 per-request CSV, marker traces and summary statistics. A batch run builds
 its two word patterns' images once, in closed form, and checks no target:
-each is the topology's own.
+each is the topology's own. It draws every arrival phase first, then hands
+the requests in one at a time, each at its generation instant, so the
+event queue holds only one request's events.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .controller import DeviceController, RequestTrace
-from .engine import Engine
+from .engine import Engine, EventKind
 from .errors import IoFailure, SegmentCountExceeded
 from .scenario import ARRIVAL_GRID_NS, Scenario, load_preset
 from .simulation import analytic_latency, repeated_image, structural_worst_latency, word_positions
@@ -84,9 +86,15 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None,
         {s: (repeated_image(0xFFFF, n), repeated_image(word, n)) for s, n in enumerate(counts)}
         for word in WORD_PATTERNS
     ]
-    for k in range(scenario.num_requests):
-        phase = ARRIVAL_GRID_NS * engine.rng.uniform_draw(0, phase_slots - 1)
-        controller.submit_packed(k, patterns[k % len(patterns)], k * spacing + phase)
+    draw = engine.rng.uniform_draw
+    phases = [draw(0, phase_slots - 1) for _ in range(scenario.num_requests)]
+    # stop short of the generation instant's arrivals and frames, so a
+    # zero-delay write still rides the frame emitted at that instant
+    arrived = EventKind.SOUTHBOUND_ARRIVED
+    for k, phase in enumerate(phases):
+        t_gen = k * spacing + ARRIVAL_GRID_NS * phase
+        engine.run_until(t_gen, arrived)
+        controller.submit_packed(k, patterns[k % len(patterns)], t_gen)
     traces = [controller.traces[k] for k in range(scenario.num_requests)]
 
     # the last request is generated last, and request_span_ns bounds its life

@@ -106,11 +106,6 @@ class RequestTrace:
                 for device in word_positions(self.writes[seg][0]):
                     yield seg, device, st.first_latch_ns + device * self.hop_ns
 
-    @property
-    def t_latched_ns(self) -> dict[tuple[int, int], int]:
-        """{(segment, device): latch time} of every target whose frame has left."""
-        return {(seg, device): t for seg, device, t in self.latches()}
-
     def check_ordering(self) -> None:
         for seg, st in self.segments.items():
             if st.emit_ns is None:
@@ -129,10 +124,8 @@ class DeviceController:
         self.engine = engine
         self.topology = topology
         self.timing = topology.timing
-        self.masters = [
-            MasterState(seg.phase_ns, topology.timing.pdo_cycle_ns, seg.device_count)
-            for seg in topology.segments
-        ]
+        self.masters = [MasterState(seg.phase_ns, topology.timing.pdo_cycle_ns)
+                        for seg in topology.segments]
         self._device_counts = tuple(seg.device_count for seg in topology.segments)
         # one little-endian word per device: packs a segment's word list into image bytes
         self._image_structs = tuple(struct.Struct(f"<{n}H") for n in self._device_counts)

@@ -12,6 +12,7 @@ from enum import Enum
 from .errors import SchedulingInPast
 
 _U64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15  # splitmix64's state increment
 
 
 class EventKind(Enum):
@@ -53,7 +54,7 @@ class SplitMix64:
         self.state = seed & _U64
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _U64
+        self.state = (self.state + _GOLDEN) & _U64
         z = self.state
         z = ((z ^ (z >> 30)) * 0xBF58476D1FE4E1B4) & _U64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64
@@ -63,8 +64,12 @@ class SplitMix64:
         """Uniform integer in [lo, hi]; always consumes exactly one step.
 
         Plain modulo reduction: the bias is span/2^64 and irrelevant here;
-        what matters is that the mapping is fixed forever.
+        what matters is that the mapping is fixed forever. A one-value span
+        only steps the state: its output, mod 1, would be discarded.
         """
+        if lo == hi:
+            self.state = (self.state + _GOLDEN) & _U64
+            return lo
         if lo > hi:
             raise ValueError(f"uniform_draw needs lo <= hi, got [{lo}, {hi}]")
         return lo + self.next_u64() % (hi - lo + 1)

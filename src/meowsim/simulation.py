@@ -13,7 +13,6 @@ tests hold them to exact integer equality.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import NamedTuple
 
 from .topology import TimingParams
 
@@ -107,14 +106,6 @@ def changed_words(before: int, after: int) -> tuple:
     return tuple((p, after >> 16 * p & 0xFFFF) for p in word_positions(before ^ after))
 
 
-class Frame(NamedTuple):
-    """What one cycle's frame does: the requests it carries, the image it leaves."""
-
-    riders: tuple  # request ids, in staging order
-    before: int  # the master's image before this frame
-    after: int  # the image this frame writes down the chain
-
-
 class MasterState:
     """One EtherCAT master: its chain's process image and the writes staged for it.
 
@@ -129,10 +120,9 @@ class MasterState:
     other boundary would carry and change nothing.
     """
 
-    def __init__(self, phase_ns: int, cycle_ns: int, device_count: int):
+    def __init__(self, phase_ns: int, cycle_ns: int):
         self.phase_ns = phase_ns
         self.cycle_ns = cycle_ns
-        self.device_count = device_count
         self.image = 0
         # {pickup_ns: [(stage_ns, request_id, mask, value), ...]}
         self.staged: dict[int, list[tuple]] = {}
@@ -155,10 +145,13 @@ class MasterState:
         due.append(write)
         return None
 
-    def build_frame(self, boundary_ns: int) -> Frame:
+    def build_frame(self, boundary_ns: int) -> tuple[tuple, int, int]:
         """Fold the writes due at this boundary into the image.
 
-        A boundary with nothing due builds an empty frame.
+        Returns what the frame does: (riders, before, after), the request
+        ids it carries in staging order, the image before it and the image
+        it writes down the chain. A boundary with nothing due builds an
+        empty frame.
         """
         due = self.staged.pop(boundary_ns, ())
         if self.staged and min(self.staged) <= boundary_ns:
@@ -167,12 +160,12 @@ class MasterState:
         if len(due) == 1:  # a batch run's every frame: nothing to order
             ((_, rid, mask, value),) = due
             image = self.image = before & ~mask | value
-            return Frame((rid,), before, image)
+            return (rid,), before, image
         image = before
         for _, _, mask, value in sorted(due, key=itemgetter(0)):
             image = image & ~mask | value
         self.image = image
-        return Frame(tuple(rid for _, rid, _, _ in due), before, image)
+        return tuple(rid for _, rid, _, _ in due), before, image
 
 
 class DeviceState:

@@ -6,9 +6,9 @@ records exactly one PASS/FAIL line. The lines are printed immediately
 which pytest never captures.
 
 The dispatches fixture observes every event any engine runs. The helpers
-below serve only the tests: reading a master's words and a trace line,
-reading exports back, a Kolmogorov-Smirnov test against the uniform
-distribution, and serving TCP on a background thread.
+below serve only the tests: reading a master's words, a trace's latches
+and a trace line, reading exports back, a Kolmogorov-Smirnov test against
+the uniform distribution, and serving TCP on a background thread.
 """
 
 import csv
@@ -52,9 +52,20 @@ def dispatches(monkeypatch):
     return seen
 
 
-def master_words(master) -> list[int]:
-    """The output word of each device of a master, in chain order."""
-    return [master.image >> 16 * p & 0xFFFF for p in range(master.device_count)]
+def image_words(image: int, device_count: int) -> list[int]:
+    """The output word of each of device_count devices in a packed image, in chain order."""
+    return [image >> 16 * p & 0xFFFF for p in range(device_count)]
+
+
+def master_words(controller) -> list[list[int]]:
+    """Each master's words, in segment order, each in chain order."""
+    return [image_words(master.image, seg.device_count)
+            for master, seg in zip(controller.masters, controller.topology.segments)]
+
+
+def latched(trace) -> dict[tuple[int, int], int]:
+    """{(segment, device): latch time} of every target whose frame has left."""
+    return {(seg, device): t for seg, device, t in trace.latches()}
 
 
 def format_trace_line(trace) -> str:

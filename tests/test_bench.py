@@ -33,6 +33,7 @@ from meowsim.scenario import ARRIVAL_GRID_NS, Scenario, load_preset
 from meowsim.simulation import repeated_image
 from meowsim.stats import compute_stats
 from meowsim.topology import (
+    MAX_PDO_CYCLE_NS,
     MAX_SEGMENT_DEVICES,
     MAX_SEGMENTS,
     SegmentSpec,
@@ -41,7 +42,7 @@ from meowsim.topology import (
     require_int,
 )
 
-from conftest import format_trace_line, read_csv_rows, us_str_to_ns
+from conftest import format_trace_line, latched, read_csv_rows, us_str_to_ns
 
 
 def exp1_small(n=40, **changes):
@@ -50,6 +51,15 @@ def exp1_small(n=40, **changes):
 
 def exp2_small(n=25, **changes):
     return load_preset("exp2").with_changes(num_requests=n, outputs=None, **changes)
+
+
+def deployment(masters, devices, **changes):
+    """exp2's timing and seed on masters x devices, measured at segment 0's last device."""
+    exp2 = load_preset("exp2")
+    topology = Topology(segments=(SegmentSpec(device_count=devices),) * masters,
+                        timing=exp2.topology.timing)
+    return exp2.with_changes(topology=topology, measurement=(0, devices - 1),
+                             outputs=None, **changes)
 
 
 class TestRunScenario:
@@ -111,6 +121,25 @@ class TestRunScenario:
         assert all(t == trace.last_latch_ns for t, trace in heard)
         assert [t for t, _ in heard] == sorted(t for t, _ in heard)
 
+    @pytest.mark.parametrize("scenario, peak", [
+        (load_preset("exp1").with_changes(outputs=None), 1),
+        (load_preset("exp2").with_changes(outputs=None), 4),
+        (deployment(4, 250, num_requests=20), 4),
+    ], ids=["exp1", "exp2", "4x250"])
+    def test_queue_holds_one_request(self, monkeypatch, scenario, peak):
+        # each request is handed in at its generation, after the one before
+        # it has finished: its arrival, then one frame per targeted segment
+        schedule = Engine.schedule
+        depths = []
+
+        def measured_schedule(engine, *args, **kwargs):
+            schedule(engine, *args, **kwargs)
+            depths.append(len(engine._heap))
+
+        monkeypatch.setattr(Engine, "schedule", measured_schedule)
+        run_scenario(scenario)
+        assert max(depths) == peak
+
     def test_oracle_check_can_be_skipped(self):
         a = run_scenario(exp1_small(10), check_oracle=True)
         b = run_scenario(exp1_small(10), check_oracle=False)
@@ -147,13 +176,30 @@ class TestRunScenario:
         assert result.stats.max_ns <= 121_900
 
 
-def deployment(masters, devices, **changes):
-    """exp2's timing and seed on masters x devices, measured at segment 0's last device."""
-    exp2 = load_preset("exp2")
-    topology = Topology(segments=(SegmentSpec(device_count=devices),) * masters,
-                        timing=exp2.topology.timing)
-    return exp2.with_changes(topology=topology, measurement=(0, devices - 1),
-                             outputs=None, **changes)
+@st.composite
+def small_scenarios(draw):
+    """Scenarios whose delays may each be zero, on segments that share one
+    phase or draw one each; arrivals then often land on a boundary."""
+    cycle = ARRIVAL_GRID_NS * draw(st.integers(1, MAX_PDO_CYCLE_NS // ARRIVAL_GRID_NS))
+
+    def delay(hi):
+        return draw(st.one_of(st.just(0), st.integers(1, hi)))
+
+    timing = TimingParams(pdo_cycle_ns=cycle, d_sb_ns=delay(200_000), d_mm_ns=delay(50_000),
+                          d_jitter_max_ns=delay(20_000), d_frame_head_ns=delay(20_000),
+                          d_hop_ns=delay(2_000), d_latch_ns=delay(2_000))
+    counts = draw(st.lists(st.integers(1, 8), min_size=1, max_size=MAX_SEGMENTS))
+    phase = st.integers(0, cycle // ARRIVAL_GRID_NS - 1).map(ARRIVAL_GRID_NS.__mul__)
+    if draw(st.booleans()):
+        phases = [draw(phase)] * len(counts)
+    else:
+        phases = [draw(phase) for _ in counts]
+    topology = Topology(segments=tuple(SegmentSpec(n, p) for n, p in zip(counts, phases)),
+                        timing=timing)
+    seg = draw(st.integers(0, len(counts) - 1))
+    return Scenario(topology=topology, num_requests=draw(st.integers(1, 12)),
+                    seed=draw(st.integers(-(1 << 64), 1 << 65)),
+                    measurement=(seg, draw(st.integers(0, counts[seg] - 1))))
 
 
 class TestBatchPathEqualsPerRequestPath:
@@ -167,7 +213,8 @@ class TestBatchPathEqualsPerRequestPath:
                 for word in WORD_PATTERNS]
 
     def replay(self, scenario):
-        """run_scenario's loop, with the same seed and phase draws, through submit."""
+        """run_scenario's draws, but every request submitted whole, through submit,
+        before one run_until."""
         topology = scenario.topology
         engine = Engine(seed=scenario.seed)
         ctrl = DeviceController(engine, topology)
@@ -202,7 +249,7 @@ class TestBatchPathEqualsPerRequestPath:
         for batch, whole in zip(result.traces, traces):
             assert batch.complete and batch.pending == whole.pending == 0
             assert batch.segments == whole.segments  # staged, jitter, emit, first latch
-            assert batch.t_latched_ns == whole.t_latched_ns
+            assert latched(batch) == latched(whole)
             assert batch.config_time_ns == whole.config_time_ns
             assert batch == whole  # and every other field
         # a pattern's requests share one writes dict, which the run left as packed
@@ -211,6 +258,27 @@ class TestBatchPathEqualsPerRequestPath:
             shared = result.traces[k].writes
             assert all(t.writes is shared for t in result.traces[k::len(WORD_PATTERNS)])
             assert shared == fresh.pack(targets)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_scenarios())
+    def test_hand_in_loop_equals_submitting_every_request_first(self, scenario):
+        # run_scenario hands each request in at its generation, stopped short
+        # of that instant's arrivals; a write that arrives on a boundary must
+        # still ride that boundary's frame, as when every request was queued
+        result = run_scenario(scenario)
+        traces, rows = self.replay(scenario)
+        assert result.rows == rows
+        assert result.traces == traces
+
+    def test_zero_delays_ride_the_frame_of_their_own_instant(self):
+        # a 100 ns cycle puts every generation on a boundary of every segment
+        timing = TimingParams(pdo_cycle_ns=ARRIVAL_GRID_NS, d_sb_ns=0, d_mm_ns=0,
+                              d_jitter_max_ns=0, d_frame_head_ns=0, d_hop_ns=0, d_latch_ns=0)
+        topology = Topology(segments=(SegmentSpec(3), SegmentSpec(2)), timing=timing)
+        scenario = Scenario(topology=topology, num_requests=30, seed=5, measurement=(1, 1))
+        result = run_scenario(scenario)
+        assert all(row.t_emit_ns == row.t_gen_ns and row.config_ns == 0 for row in result.rows)
+        assert result.traces == self.replay(scenario)[0]
 
     @pytest.mark.parametrize("scenario", [exp2_small(20), deployment(4, 250, num_requests=20)],
                              ids=["4x2", "4x250"])
@@ -352,12 +420,12 @@ class TestExports:
 
 
 def expected_trace_line(trace) -> str:
-    """A trace line built from t_latched_ns, apart from format_trace_line's own route."""
+    """A trace line built from latched(trace), apart from format_trace_line's own route."""
     segments = " | ".join(
         f"seg {s}: x {st.jitter_ns} staged {st.staged_ns} ② {st.emit_ns}"
         for s, st in sorted(trace.segments.items())
     )
-    latches = ", ".join(f"{s}/{d} {t}" for (s, d), t in sorted(trace.t_latched_ns.items()))
+    latches = ", ".join(f"{s}/{d} {t}" for (s, d), t in sorted(latched(trace).items()))
     head = f"req {trace.request_id:06d} ① {trace.t_generated_ns}"
     return " | ".join(p for p in (head, segments, f"③ {latches}",
                                   f"config {trace.config_time_ns}") if p)
@@ -394,7 +462,7 @@ class TestSparseTraceLines:
                 partial |= emitted == {True, False}
         assert partial  # some line showed a request with only part of its frames gone
         assert all(t.complete for t in traces)
-        assert {rid: sorted(ctrl.traces[rid].t_latched_ns) for rid, _, _ in self.REQUESTS} == {
+        assert {rid: sorted(latched(ctrl.traces[rid])) for rid, _, _ in self.REQUESTS} == {
             rid: sorted(targets) for rid, _, targets in self.REQUESTS}
 
     def test_export_holds_two_masks_per_segment(self, tmp_path):

@@ -30,7 +30,7 @@ from meowsim.errors import (
 from meowsim.scenario import load_preset
 from meowsim.simulation import MasterState, changed_words
 
-from conftest import master_words
+from conftest import image_words
 
 # Frozen wire-format oracles, derived by hand from the layout table:
 # header 0x100C = length 12 | type 1; NOP datagram is ten zero header bytes
@@ -291,29 +291,37 @@ class TestEventPathOnTheWire:
 
     @pytest.fixture
     def sent(self, monkeypatch):
-        build_frame = MasterState.build_frame
+        init, build_frame = DeviceController.__init__, MasterState.build_frame
+        counts = {}  # master -> its chain's device count
         held = {}  # master -> the words its devices hold, applied from the wire
         sent = []
 
+        def init_and_count(controller, engine, topology):
+            init(controller, engine, topology)
+            counts.update(zip(controller.masters, (s.device_count for s in topology.segments)))
+
         def build_and_send(master, boundary_ns):
             frame = build_frame(master, boundary_ns)
-            if not frame.riders:
+            riders, image_before, image_after = frame
+            if not riders:
                 return frame
-            image = master.image.to_bytes(2 * master.device_count, "little")
+            count = counts[master]
+            image = master.image.to_bytes(2 * count, "little")
             raw = encode_frame(EcatFrame((EcatDatagram(cmd=EcatCmd.LWR, data=image),)))
             (dgram,) = decode_frame(raw).datagrams
-            words = held.setdefault(master, [0] * master.device_count)
+            words = held.setdefault(master, [0] * count)
             before, wkc = list(words), 0
             for p, word in enumerate(before):
                 words[p], _, increment = apply_datagram(word, dgram, 2 * p)
                 wkc += increment
-            assert words == master_words(master)
+            assert words == image_words(master.image, count)
             assert wkc == len(words)
             changed = tuple((p, w) for p, w in enumerate(words) if w != before[p])
-            assert changed == changed_words(frame.before, frame.after)
+            assert changed == changed_words(image_before, image_after)
             sent.append(boundary_ns)
             return frame
 
+        monkeypatch.setattr(DeviceController, "__init__", init_and_count)
         monkeypatch.setattr(MasterState, "build_frame", build_and_send)
         return sent
 

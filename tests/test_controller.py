@@ -18,7 +18,7 @@ from meowsim.scenario import load_preset
 from meowsim.simulation import analytic_latency, changed_words
 from meowsim.topology import SegmentSpec, TimingParams, Topology
 
-from conftest import master_words
+from conftest import latched, master_words
 
 
 def chain_topology(devices=8, cycle_ns=32_000, phase_ns=0, **timing):
@@ -49,7 +49,7 @@ class TestSingleSegmentPipeline:
         report = ctrl.run_until_complete(1)
         # gen 0 -> arrive 70000 -> stage 70000 -> boundary 96000
         assert report.t_master_emit_ns == {0: 96_000}
-        assert report.t_latched_ns == {(0, 7): 96_000 + 12_000 + 8 * 900 + 800}
+        assert latched(report) == {(0, 7): 96_000 + 12_000 + 8 * 900 + 800}
         assert report.config_time_ns == 116_000
 
     def test_single_device_on_boundary_rides(self):
@@ -65,7 +65,7 @@ class TestSingleSegmentPipeline:
         engine, ctrl = make(chain_topology())
         ctrl.submit(1, [(0, d, 0xFFFF) for d in range(8)], t_generated_ns=0)
         report = ctrl.run_until_complete(1)
-        latches = [report.t_latched_ns[(0, d)] for d in range(8)]
+        latches = [latched(report)[(0, d)] for d in range(8)]
         assert latches[0] == 109_700
         assert [b - a for a, b in zip(latches, latches[1:])] == [900] * 7
         assert report.config_time_ns == latches[-1] == 116_000
@@ -97,7 +97,7 @@ class TestSingleSegmentPipeline:
         # one latch per written device, as the frame's working counter counts
         latched = [ctrl.devices[(0, d)].latches for d in range(8)]
         assert latched == [[(109_700 + d * 900, 0xFFFF)] for d in range(8)]
-        assert master_words(ctrl.masters[0]) == [0xFFFF] * 8
+        assert master_words(ctrl) == [[0xFFFF] * 8]
 
 
 class TestCoalescing:
@@ -108,8 +108,8 @@ class TestCoalescing:
         r2 = ctrl.run_until_complete(2)
         r1 = ctrl.completion_report(1)
         assert r1.t_master_emit_ns == r2.t_master_emit_ns == {0: 96_000}
-        assert r1.t_latched_ns[(0, 0)] == 109_700
-        assert r2.t_latched_ns[(0, 1)] == 110_600
+        assert latched(r1)[(0, 0)] == 109_700
+        assert latched(r2)[(0, 1)] == 110_600
         assert r1.config_time_ns == 109_700
         assert r2.config_time_ns == 109_600
 
@@ -159,7 +159,7 @@ class TestMultiSegment:
         report = ctrl.run_until_complete(1)
         # arrive 70000, +15400 dispatch -> stage 85400 -> boundary 160000
         assert report.t_master_emit_ns == {3: 160_000}
-        assert report.t_latched_ns == {(3, 1): 160_000 + 12_000 + 2 * 900 + 800}
+        assert latched(report) == {(3, 1): 160_000 + 12_000 + 2 * 900 + 800}
         assert report.config_time_ns == 174_600
 
     def test_fanout_completes_at_slowest_target(self):
@@ -167,9 +167,9 @@ class TestMultiSegment:
         ctrl.submit(1, [(0, 0, 1), (2, 1, 2), (3, 0, 3)], t_generated_ns=0)
         report = ctrl.run_until_complete(1)
         assert sorted(report.t_master_emit_ns) == [0, 2, 3]
-        assert report.t_latched_ns[(0, 0)] == 173_700
-        assert report.t_latched_ns[(2, 1)] == 174_600
-        assert report.t_latched_ns[(3, 0)] == 173_700
+        assert latched(report)[(0, 0)] == 173_700
+        assert latched(report)[(2, 1)] == 174_600
+        assert latched(report)[(3, 0)] == 173_700
         assert report.config_time_ns == 174_600
 
     def test_jitter_drawn_per_segment_ascending(self):
@@ -348,7 +348,7 @@ class TestValidationAndErrors:
         arrivals = [t for t, kind, _ in dispatches if kind is EventKind.SOUTHBOUND_ARRIVED]
         assert arrivals == [70_000]
         # arrive 70000, boundary 96000: the first request keeps its latency
-        assert report.t_latched_ns == {(0, 0): 109_700}
+        assert latched(report) == {(0, 0): 109_700}
         assert report.config_time_ns == analytic_latency(ctrl.timing, 1, 1, 26_000)
 
     def test_report_for_unknown_request(self):
@@ -584,14 +584,14 @@ class TestReporting:
         ctrl.submit(2, [(0, 0, 0x0001)], t_generated_ns=200_000)
         trace = ctrl.run_until_complete(2)
         # arrive 270000, boundary 288000
-        assert trace.t_latched_ns == {(0, 0): 288_000 + 12_000 + 900 + 800}
+        assert latched(trace) == {(0, 0): 288_000 + 12_000 + 900 + 800}
         assert ctrl.devices[(0, 0)].latches == latches_before
 
     def test_completes_at_deepest_device_not_last_listed(self):
         engine, ctrl = make(chain_topology())
         ctrl.submit(1, [(0, 7, 1), (0, 0, 1)], t_generated_ns=0)
         trace = ctrl.run_until_complete(1)
-        assert trace.t_latched_ns == {(0, 7): 116_000, (0, 0): 109_700}
+        assert latched(trace) == {(0, 7): 116_000, (0, 0): 109_700}
         assert trace.config_time_ns == 116_000
         assert engine.now == 116_000
 

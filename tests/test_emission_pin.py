@@ -143,7 +143,7 @@ def run_case(case: int, listen: bool = True) -> dict:
             for rid, trace in sorted(ctrl.traces.items())
         ],
         "latches": [[s, d, dev.latches] for (s, d), dev in sorted(ctrl.devices.items())],
-        "words": [master_words(m) for m in ctrl.masters],
+        "words": master_words(ctrl),
         "callbacks": callbacks,
     }
 

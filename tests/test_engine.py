@@ -1,5 +1,6 @@
 """Event engine: ordering, clock, determinism, seeded RNG."""
 
+import ast
 import inspect
 import json
 import os
@@ -7,6 +8,7 @@ import re
 
 import pytest
 
+from meowsim import engine as engine_module
 from meowsim.engine import Engine, EventKind, SplitMix64
 from meowsim.errors import SchedulingInPast
 
@@ -187,8 +189,11 @@ class TestSplitMix64:
         with open(README_PATH, encoding="utf-8") as fh:
             readme = fh.read()
         determinism = readme.split("## Determinism", 1)[1].split("\n## ", 1)[0]
-        documented = set(HEX64.findall(determinism))
-        in_code = set(HEX64.findall(inspect.getsource(SplitMix64.next_u64)))
+        documented = {int(text, 16) for text in HEX64.findall(determinism)}
+        # every 64-bit int literal in the engine's code, docstrings aside
+        tree = ast.parse(inspect.getsource(engine_module))
+        in_code = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                   and type(node.value) is int and node.value > 0xFFFFFFFF}
         assert len(documented) == 3
         assert documented == in_code
 
@@ -197,6 +202,9 @@ class TestSplitMix64:
         before = rng.state
         assert rng.uniform_draw(7, 7) == 7
         assert rng.state != before  # degenerate draw still consumes a step
+        stepped = SplitMix64(42)
+        stepped.next_u64()
+        assert rng.state == stepped.state  # exactly one
 
     def test_lo_above_hi(self):
         with pytest.raises(ValueError):

@@ -23,6 +23,8 @@ from meowsim.engine import Engine, SplitMix64
 from meowsim.scenario import load_preset
 from meowsim.topology import SegmentSpec, TimingParams, Topology
 
+from conftest import latched
+
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden", "overlap.jsonl")
 REQUESTS = 100
 SEEDS = (1, 2)
@@ -75,7 +77,7 @@ def overlap_run(topology: Topology, seed: int) -> list:
                 for s, st in sorted(trace.segments.items())
             },
             "t_latched_ns": {
-                f"{s}/{d}": t for (s, d), t in sorted(trace.t_latched_ns.items())
+                f"{s}/{d}": t for (s, d), t in sorted(latched(trace).items())
             },
             "config_time_ns": trace.config_time_ns,
         })

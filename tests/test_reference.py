@@ -25,12 +25,16 @@ A second test submits every request and then calls run_until_complete on
 each in a drawn order, with and without a completion callback, and holds
 the clock, the requests still in flight, the arrivals run and the
 callbacks fired after each call to the model's completion times.
+
+RefRng is held to the engine's SplitMix64 on its own, one-value spans
+included: those skip the output mix but must still step the state.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from meowsim import DeviceController, Engine, SegmentSpec, TimingParams, Topology
+from meowsim.engine import SplitMix64
 from meowsim.errors import NotYetComplete
 
 from conftest import master_words
@@ -171,7 +175,7 @@ def test_batch_event_path_matches_reference(case):
         got = {s: (st_.staged_ns, st_.jitter_ns, st_.emit_ns, st_.first_latch_ns)
                for s, st_ in trace.segments.items()}
         assert got == expected["segments"], rid
-    assert [master_words(m) for m in ctrl.masters] == ref["words"]
+    assert master_words(ctrl) == ref["words"]
     devices = ctrl.devices
     assert set(devices) == set(ref["latches"])
     for key, latches in ref["latches"].items():
@@ -219,3 +223,16 @@ def test_run_until_complete_stops_at_the_model_completion(case, data, listen):
         if listen:
             assert sorted(q for _, q in heard) == sorted(set(done) - in_flight)
             assert all(t == done[q] for t, q in heard)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(-(1 << 80), -1), st.integers(0, U64), st.integers(U64 + 1, 1 << 80)),
+       st.lists(st.tuples(st.integers(-(1 << 64), 1 << 64), st.integers(0, 1 << 65),
+                          st.booleans()), max_size=40))
+def test_rng_matches_reference_with_one_value_spans(seed, spans):
+    rng, ref = SplitMix64(seed), RefRng(seed)
+    assert rng.state == ref.state
+    for lo, width, one_value in spans:
+        hi = lo if one_value else lo + width
+        assert rng.uniform_draw(lo, hi) == ref.draw(lo, hi)
+        assert rng.state == ref.state

@@ -14,12 +14,18 @@ from meowsim.simulation import (
 )
 from meowsim.topology import TimingParams
 
-from conftest import master_words
+from conftest import image_words
 
 
 def changed(frame):
-    """((device, new word), ...) of the words a frame changes."""
-    return changed_words(frame.before, frame.after)
+    """((device, new word), ...) of the words a (riders, before, after) frame changes."""
+    _, before, after = frame
+    return changed_words(before, after)
+
+
+def riders(frame):
+    """The request ids a (riders, before, after) frame carries."""
+    return frame[0]
 
 
 class TestNextPdoBoundary:
@@ -110,20 +116,20 @@ def write(*pairs):
 
 class TestMasterState:
     def master(self):
-        return MasterState(phase_ns=0, cycle_ns=32_000, device_count=2)
+        return MasterState(phase_ns=0, cycle_ns=32_000)
 
     def test_image_snapshot(self):
         m = self.master()
         m.stage(10_000, 1, *write((0, 0xBEEF)))
         frame = m.build_frame(32_000)
-        assert frame.riders == (1,)
+        assert riders(frame) == (1,)
         assert changed(frame) == ((0, 0xBEEF),)
-        assert master_words(m) == [0xBEEF, 0]
+        assert image_words(m.image, 2) == [0xBEEF, 0]
         assert m.image == 0xBEEF
         # a word written again with its current value changes nothing
         m.stage(40_000, 2, *write((0, 0xBEEF)))
         frame = m.build_frame(64_000)
-        assert frame.riders == (2,)
+        assert riders(frame) == (2,)
         assert changed(frame) == ()
 
     def test_last_writer_wins_coalescing(self):
@@ -132,7 +138,7 @@ class TestMasterState:
         m.stage(20_000, 2, *write((0, 0x2222)))
         frame = m.build_frame(32_000)
         assert changed(frame) == ((0, 0x2222), (1, 0x0001))
-        assert frame.riders == (1, 2)
+        assert riders(frame) == (1, 2)
 
     def test_coalescing_order_by_stage_time_not_insertion(self):
         m = self.master()
@@ -144,28 +150,28 @@ class TestMasterState:
         # the later-staged write (request 1) lands on top; equal staging
         # times keep staging order (request 4 after request 3)
         assert changed(frame) == ((0, 0x1111), (1, 0x4444))
-        assert frame.riders == (1, 2, 3, 4)
+        assert riders(frame) == (1, 2, 3, 4)
 
     def test_future_writes_stay_pending(self):
         m = self.master()
         m.stage(40_000, 1, *write((0, 0x1111)))
         frame = m.build_frame(32_000)
-        assert frame.riders == changed(frame) == ()
+        assert riders(frame) == changed(frame) == ()
         assert list(m.staged) == [64_000]
-        assert m.build_frame(64_000).riders == (1,)
+        assert riders(m.build_frame(64_000)) == (1,)
 
     def test_write_on_a_built_boundary_rides_the_next(self):
         m = self.master()
         m.build_frame(32_000)
         m.stage(32_000, 1, *write((0, 0x1111)), built=True)
-        assert m.build_frame(64_000).riders == (1,)
+        assert riders(m.build_frame(64_000)) == (1,)
 
     def test_idle_frames_still_emitted(self):
         m = self.master()
         first = m.build_frame(32_000)
         second = m.build_frame(64_000)
         assert first == second == ((), 0, 0)
-        assert master_words(m) == [0, 0]
+        assert image_words(m.image, 2) == [0, 0]
 
     def test_one_write_frame_equals_the_staging_time_fold(self):
         def fold(image, writes):
@@ -178,7 +184,7 @@ class TestMasterState:
             return sum(word << 16 * p for p, word in enumerate(words))
 
         rng = random.Random(19)
-        m = MasterState(phase_ns=0, cycle_ns=32_000, device_count=5)
+        m = MasterState(phase_ns=0, cycle_ns=32_000)
         for k in range(200):
             boundary = 32_000 * (k + 1)
             devices = rng.sample(range(5), rng.randint(1, 5))
@@ -188,7 +194,7 @@ class TestMasterState:
             assert m.stage(stage_ns, k, mask, value) == boundary
             frame = m.build_frame(boundary)
             assert frame == ((k,), before, fold(before, [(stage_ns, k, mask, value)]))
-            assert frame.riders == (k,) and m.image == frame.after
+            assert riders(frame) == (k,) and m.image == frame[2]
 
     @pytest.mark.parametrize("later_write", [False, True])
     def test_skipped_boundary_with_staged_write_asserts(self, later_write):
