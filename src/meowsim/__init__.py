@@ -36,7 +36,6 @@ from .netctl import (
 )
 from .scenario import Scenario, load_preset, load_scenario, resolve_scenario
 from .simulation import (
-    DeviceState,
     MasterState,
     analytic_latency,
     boundary_at_or_after,
@@ -49,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DeviceController",
-    "DeviceState",
     "EcatCmd",
     "EcatDatagram",
     "EcatFrame",

@@ -15,14 +15,12 @@ life of a request:
                      is staged at +d_mm_ns (+drawn jitter) on its master
   MasterEmit         next PDO boundary of each targeted master (marker 2),
                      scheduled by the first write staged for it; the
-                     frame's pass down the chain is resolved here: a frame
-                     that changes words is logged once, as device 0's
-                     latch time with the old and new image, and each
-                     device p whose word it changes latches at
-                     +d_frame_head_ns + (p+1)*d_hop_ns + d_latch_ns
-                     (marker 3); each rider's trace counts down its
-                     segments still to emit and keeps its latest target
-                     latch
+                     frame's pass down the chain is resolved here and
+                     kept only in its riders' traces: each device p whose
+                     word it changes latches at +d_frame_head_ns +
+                     (p+1)*d_hop_ns + d_latch_ns (marker 3), and each
+                     rider's trace counts down its segments still to emit
+                     and keeps its latest target latch
   completion         at the last target's latch, known and checked when the
                      rider's last segment emits: the slot (last latch,
                      SouthboundArrived), an event only for completion callbacks
@@ -48,13 +46,7 @@ from .errors import (
     SchedulingInPast,
     UnknownRequest,
 )
-from .simulation import (
-    DeviceState,
-    MasterState,
-    analytic_latency,
-    changed_words,
-    word_positions,
-)
+from .simulation import MasterState, analytic_latency, word_positions
 from .topology import Topology, require_int
 
 # EventKind.X is slow to look up (EnumType defines __getattr__); per-request paths use these
@@ -129,9 +121,6 @@ class DeviceController:
         self._device_counts = tuple(seg.device_count for seg in topology.segments)
         # one little-endian word per device: packs a segment's word list into image bytes
         self._image_structs = tuple(struct.Struct(f"<{n}H") for n in self._device_counts)
-        # per segment, one (device 0's latch time, old image, new image) per
-        # frame that changed words, in emission order
-        self.frame_log: list[list[tuple[int, int, int]]] = [[] for _ in self.masters]
         self.traces: dict[int, RequestTrace] = {}
         self.completion_callbacks = []
         self._started = False
@@ -265,10 +254,8 @@ class DeviceController:
 
     def _on_master_emit(self, seg: int) -> None:
         boundary = self.engine.now
-        riders, before, after = self.masters[seg].build_frame(boundary)
+        riders = self.masters[seg].build_frame(boundary)
         first_latch = boundary + self._first_latch_offset_ns
-        if after != before:
-            self.frame_log[seg].append((first_latch, before, after))
         traces = self.traces
         hop = self.timing.d_hop_ns
         for rid in riders:
@@ -294,22 +281,6 @@ class DeviceController:
             callback(trace)
 
     # -- reporting ---------------------------------------------------------
-
-    @property
-    def devices(self) -> dict[tuple[int, int], DeviceState]:
-        """{(segment, device): DeviceState} of every device, replayed from frame_log.
-
-        A snapshot: each read builds new DeviceStates from the frames built
-        so far, and one fetched earlier does not grow. Latches are recorded
-        when a frame is built, so they can lie ahead of the clock.
-        """
-        devices = {(s, d): DeviceState(s, d) for s, d in self.topology.all_targets()}
-        hop = self.timing.d_hop_ns
-        for seg, log in enumerate(self.frame_log):
-            for first_latch, before, after in log:
-                for p, word in changed_words(before, after):
-                    devices[(seg, p)].latch(word, first_latch + p * hop)
-        return devices
 
     def completion_report(self, request_id: int) -> RequestTrace:
         """The trace of a finished request."""

@@ -101,11 +101,6 @@ def word_positions(image: int):
         image &= ~(0xFFFF << 16 * p)
 
 
-def changed_words(before: int, after: int) -> tuple:
-    """((device, new word), ...) of the words that differ between two images."""
-    return tuple((p, after >> 16 * p & 0xFFFF) for p in word_positions(before ^ after))
-
-
 class MasterState:
     """One EtherCAT master: its chain's process image and the writes staged for it.
 
@@ -145,36 +140,35 @@ class MasterState:
         due.append(write)
         return None
 
-    def build_frame(self, boundary_ns: int) -> tuple[tuple, int, int]:
+    def build_frame(self, boundary_ns: int) -> tuple:
         """Fold the writes due at this boundary into the image.
 
-        Returns what the frame does: (riders, before, after), the request
-        ids it carries in staging order, the image before it and the image
-        it writes down the chain. A boundary with nothing due builds an
-        empty frame.
+        Returns the request ids the frame carries, in staging order; the
+        image it writes down the chain is then self.image. A boundary with
+        nothing due builds an empty frame.
         """
         due = self.staged.pop(boundary_ns, ())
         if self.staged and min(self.staged) <= boundary_ns:
             raise AssertionError("staged write missed its boundary")
-        before = self.image
         if len(due) == 1:  # a batch run's every frame: nothing to order
             ((_, rid, mask, value),) = due
-            image = self.image = before & ~mask | value
-            return (rid,), before, image
-        image = before
+            self.image = self.image & ~mask | value
+            return (rid,)
+        image = self.image
         for _, _, mask, value in sorted(due, key=itemgetter(0)):
             image = image & ~mask | value
         self.image = image
-        return tuple(rid for _, rid, _, _ in due), before, image
+        return tuple(rid for _, rid, _, _ in due)
 
 
 class DeviceState:
     """One slave: the output words it latched, and when.
 
-    The controller keeps no DeviceState while it runs: it logs each frame
-    that changes words once, when it builds the frame, and
-    DeviceController.devices replays that log into DeviceStates on read.
-    The history can therefore hold latches still ahead of the clock.
+    The controller keeps no device history, so nothing in it builds one. A
+    caller that wants latch histories records them around
+    MasterState.build_frame: each device p whose word a frame changes
+    latches the new word at the frame's boundary + d_frame_head_ns +
+    (p+1)*d_hop_ns + d_latch_ns, which can lie ahead of the clock.
     """
 
     def __init__(self, segment: int, position: int):

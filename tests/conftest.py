@@ -7,8 +7,9 @@ which pytest never captures.
 
 The dispatches fixture observes every event any engine runs. The helpers
 below serve only the tests: reading a master's words, a trace's latches
-and a trace line, reading exports back, a Kolmogorov-Smirnov test against
-the uniform distribution, and serving TCP on a background thread.
+and a trace line, recording each device's latch history, reading exports
+back, a Kolmogorov-Smirnov test against the uniform distribution, and
+serving TCP on a background thread.
 """
 
 import csv
@@ -20,6 +21,7 @@ import pytest
 from meowsim.bench import CSV_COLUMNS, _trace_line
 from meowsim.engine import Engine
 from meowsim.errors import IoFailure
+from meowsim.simulation import DeviceState, word_positions
 
 ACCEPTANCE_LINES = []
 
@@ -66,6 +68,48 @@ def master_words(controller) -> list[list[int]]:
 def latched(trace) -> dict[tuple[int, int], int]:
     """{(segment, device): latch time} of every target whose frame has left."""
     return {(seg, device): t for seg, device, t in trace.latches()}
+
+
+def changed_words(before: int, after: int) -> tuple:
+    """((device, new word), ...) of the words that differ between two images."""
+    return tuple((p, after >> 16 * p & 0xFFFF) for p in word_positions(before ^ after))
+
+
+class LatchRecorder:
+    """Each device's latch history, recorded beside a controller that keeps none.
+
+    Attach it before the controller builds its first frame. It wraps each
+    master's build_frame on the instance and reads the image before and
+    after: a frame at boundary B first latches at B + d_frame_head_ns +
+    d_hop_ns + d_latch_ns, and device p latches its changed word p *
+    d_hop_ns later. devices maps (segment, device) to a DeviceState, for
+    every device of the topology; latches can lie ahead of the clock.
+    """
+
+    def __init__(self, controller):
+        if any(st.emit_ns is not None
+               for trace in controller.traces.values() for st in trace.segments.values()):
+            raise RuntimeError("attach a LatchRecorder before the controller's first frame")
+        timing = controller.timing
+        hop = timing.d_hop_ns
+        offset = timing.d_frame_head_ns + hop + timing.d_latch_ns
+        self.devices = {(s, d): DeviceState(s, d) for s, d in controller.topology.all_targets()}
+
+        def record(seg, master):
+            build = master.build_frame
+
+            def build_and_record(boundary_ns):
+                before = master.image
+                riders = build(boundary_ns)
+                first_latch = boundary_ns + offset
+                for p, word in changed_words(before, master.image):
+                    self.devices[(seg, p)].latch(word, first_latch + p * hop)
+                return riders
+
+            master.build_frame = build_and_record
+
+        for seg, master in enumerate(controller.masters):
+            record(seg, master)
 
 
 def format_trace_line(trace) -> str:

@@ -1,7 +1,9 @@
 """Benchmark runner: exports, sweeps, extrapolation, PDO-cycle analysis."""
 
+import gc
 import json
 import re
+import types
 from collections import Counter
 
 import pytest
@@ -60,6 +62,26 @@ def deployment(masters, devices, **changes):
                         timing=exp2.topology.timing)
     return exp2.with_changes(topology=topology, measurement=(0, devices - 1),
                              outputs=None, **changes)
+
+
+def reachable_objects(controller) -> int:
+    """How many objects gc.get_referents reaches from a controller, past its traces.
+
+    The traces, topology and timing are not entered. Classes, functions and
+    modules are counted but not entered either, since they reach the whole
+    program.
+    """
+    skip = {id(controller.traces), id(controller.topology), id(controller.timing)}
+    opaque = (type, types.FunctionType, types.BuiltinFunctionType, types.ModuleType)
+    seen, stack = set(), [controller]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or id(obj) in skip:
+            continue
+        seen.add(id(obj))
+        if not isinstance(obj, opaque):
+            stack.extend(gc.get_referents(obj))
+    return len(seen)
 
 
 class TestRunScenario:
@@ -139,6 +161,27 @@ class TestRunScenario:
         monkeypatch.setattr(Engine, "schedule", measured_schedule)
         run_scenario(scenario)
         assert max(depths) == peak
+
+    @pytest.mark.parametrize("scenario", [
+        exp1_small, exp2_small, lambda n: deployment(4, 250, num_requests=n),
+    ], ids=["exp1", "exp2", "4x250"])
+    def test_controller_state_does_not_grow_with_requests(self, monkeypatch, scenario):
+        # one trace per request and nothing per frame or device: past its
+        # traces, the controller holds as many objects after 100 requests as
+        # after 10 (a count, not bytes, so it holds on every Python version)
+        controllers = []
+        init = DeviceController.__init__
+
+        def capturing_init(controller, *args):
+            init(controller, *args)
+            controllers.append(controller)
+
+        monkeypatch.setattr(DeviceController, "__init__", capturing_init)
+        for requests in (10, 100):
+            run_scenario(scenario(requests))
+        small, large = controllers
+        assert len(large.traces) == 100
+        assert reachable_objects(small) == reachable_objects(large)
 
     def test_oracle_check_can_be_skipped(self):
         a = run_scenario(exp1_small(10), check_oracle=True)

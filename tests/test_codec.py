@@ -28,9 +28,9 @@ from meowsim.errors import (
     UnsupportedCommand,
 )
 from meowsim.scenario import load_preset
-from meowsim.simulation import MasterState, changed_words
+from meowsim.simulation import MasterState
 
-from conftest import image_words
+from conftest import changed_words, image_words
 
 # Frozen wire-format oracles, derived by hand from the layout table:
 # header 0x100C = length 12 | type 1; NOP datagram is ten zero header bytes
@@ -301,10 +301,10 @@ class TestEventPathOnTheWire:
             counts.update(zip(controller.masters, (s.device_count for s in topology.segments)))
 
         def build_and_send(master, boundary_ns):
-            frame = build_frame(master, boundary_ns)
-            riders, image_before, image_after = frame
+            image_before = master.image
+            riders = build_frame(master, boundary_ns)
             if not riders:
-                return frame
+                return riders
             count = counts[master]
             image = master.image.to_bytes(2 * count, "little")
             raw = encode_frame(EcatFrame((EcatDatagram(cmd=EcatCmd.LWR, data=image),)))
@@ -317,9 +317,9 @@ class TestEventPathOnTheWire:
             assert words == image_words(master.image, count)
             assert wkc == len(words)
             changed = tuple((p, w) for p, w in enumerate(words) if w != before[p])
-            assert changed == changed_words(image_before, image_after)
+            assert changed == changed_words(image_before, master.image)
             sent.append(boundary_ns)
-            return frame
+            return riders
 
         monkeypatch.setattr(DeviceController, "__init__", init_and_count)
         monkeypatch.setattr(MasterState, "build_frame", build_and_send)

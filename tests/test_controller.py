@@ -2,8 +2,6 @@
 
 import pytest
 
-from meowsim import bench, simulation
-from meowsim.bench import run_scenario
 from meowsim.controller import DeviceController
 from meowsim.engine import Engine, EventKind, SplitMix64
 from meowsim.errors import (
@@ -15,10 +13,10 @@ from meowsim.errors import (
     WrongType,
 )
 from meowsim.scenario import load_preset
-from meowsim.simulation import analytic_latency, changed_words
+from meowsim.simulation import analytic_latency
 from meowsim.topology import SegmentSpec, TimingParams, Topology
 
-from conftest import latched, master_words
+from conftest import LatchRecorder, latched, master_words
 
 
 def chain_topology(devices=8, cycle_ns=32_000, phase_ns=0, **timing):
@@ -91,11 +89,12 @@ class TestSingleSegmentPipeline:
 
     def test_frame_wkc_counts_every_device(self):
         engine, ctrl = make(chain_topology())
+        devices = LatchRecorder(ctrl).devices
         ctrl.submit(1, [(0, d, 0xFFFF) for d in range(8)], t_generated_ns=0)
         engine.run_until(116_000)  # past the carrying frame's last device visit
         assert ctrl.traces[1].t_master_emit_ns == {0: 96_000}
         # one latch per written device, as the frame's working counter counts
-        latched = [ctrl.devices[(0, d)].latches for d in range(8)]
+        latched = [devices[(0, d)].latches for d in range(8)]
         assert latched == [[(109_700 + d * 900, 0xFFFF)] for d in range(8)]
         assert master_words(ctrl) == [[0xFFFF] * 8]
 
@@ -115,30 +114,33 @@ class TestCoalescing:
 
     def test_same_word_last_writer_wins(self):
         engine, ctrl = make(chain_topology())
+        devices = LatchRecorder(ctrl).devices
         ctrl.submit(1, [(0, 0, 0x000F)], t_generated_ns=0)
         ctrl.submit(2, [(0, 0, 0x00F0)], t_generated_ns=1_000)
         ctrl.run_until_complete(2)
-        dev = ctrl.devices[(0, 0)]
+        dev = devices[(0, 0)]
         assert dev.latches[-1][1] == 0x00F0  # staged later, lands on top
         assert [bit for bit, _ in dev.activation_log] == [4, 5, 6, 7]
         assert ctrl.traces[1].complete  # still completes on its ridden frame
 
     def test_resend_of_same_word_latches_nothing(self):
         engine, ctrl = make(chain_topology())
+        devices = LatchRecorder(ctrl).devices
         ctrl.submit(1, [(0, 0, 0x0001)], t_generated_ns=0)
         ctrl.run_until_complete(1)
-        log_before = list(ctrl.devices[(0, 0)].activation_log)
+        log_before = list(devices[(0, 0)].activation_log)
         ctrl.submit(2, [(0, 0, 0x0001)], t_generated_ns=200_000)
         report = ctrl.run_until_complete(2)
         assert report.config_time_ns == 101_700
-        assert ctrl.devices[(0, 0)].activation_log == log_before
+        assert devices[(0, 0)].activation_log == log_before
 
     def test_bit_activation_times_strictly_increase(self):
         engine, ctrl = make(chain_topology())
+        devices = LatchRecorder(ctrl).devices
         for rid, word, gen in ((1, 0x0001, 0), (2, 0x0000, 200_000), (3, 0x0001, 400_000)):
             ctrl.submit(rid, [(0, 0, word)], t_generated_ns=gen)
             ctrl.run_until_complete(rid)
-        times = [t for bit, t in ctrl.devices[(0, 0)].activation_log if bit == 0]
+        times = [t for bit, t in devices[(0, 0)].activation_log if bit == 0]
         assert len(times) == 2
         assert times[0] < times[1]
 
@@ -146,10 +148,11 @@ class TestCoalescing:
         # each frame latches the word the frame before it carried, even
         # while that frame's latch is still pending at the device
         engine, ctrl = make(chain_topology(devices=1, d_latch_ns=40_000))
+        devices = LatchRecorder(ctrl).devices
         for rid, word, gen in ((1, 1, 0), (2, 0, 32_000), (3, 1, 64_000)):
             ctrl.submit(rid, [(0, 0, word)], t_generated_ns=gen)
         ctrl.run_until_complete(3)
-        assert ctrl.devices[(0, 0)].activation_log == [(0, 148_900), (0, 212_900)]
+        assert devices[(0, 0)].activation_log == [(0, 148_900), (0, 212_900)]
 
 
 class TestMultiSegment:
@@ -578,14 +581,23 @@ class TestReporting:
 
     def test_unchanged_word_is_in_trace_but_not_latched(self):
         engine, ctrl = make(chain_topology())
+        devices = LatchRecorder(ctrl).devices
         ctrl.submit(1, [(0, 0, 0x0001)], t_generated_ns=0)
         ctrl.run_until_complete(1)
-        latches_before = list(ctrl.devices[(0, 0)].latches)
+        latches_before = list(devices[(0, 0)].latches)
         ctrl.submit(2, [(0, 0, 0x0001)], t_generated_ns=200_000)
         trace = ctrl.run_until_complete(2)
         # arrive 270000, boundary 288000
         assert latched(trace) == {(0, 0): 288_000 + 12_000 + 900 + 800}
-        assert ctrl.devices[(0, 0)].latches == latches_before
+        assert devices[(0, 0)].latches == latches_before
+
+    def test_latch_recorder_attaches_only_before_the_first_frame(self):
+        engine, ctrl = make(chain_topology())
+        ctrl.submit(1, [(0, 0, 0x0001)], t_generated_ns=0)
+        LatchRecorder(ctrl)  # submitted, not yet emitted
+        ctrl.run_until_complete(1)
+        with pytest.raises(RuntimeError, match="before the controller's first frame"):
+            LatchRecorder(ctrl)
 
     def test_completes_at_deepest_device_not_last_listed(self):
         engine, ctrl = make(chain_topology())
@@ -594,62 +606,3 @@ class TestReporting:
         assert latched(trace) == {(0, 7): 116_000, (0, 0): 109_700}
         assert trace.config_time_ns == 116_000
         assert engine.now == 116_000
-
-
-class TestFrameLog:
-    """One log entry per frame that changes words; devices are replayed from it."""
-
-    def run_recorded(self, monkeypatch, scenario):
-        controllers = []
-
-        class Recorded(DeviceController):
-            def __init__(self, *args):
-                super().__init__(*args)
-                controllers.append(self)
-
-        monkeypatch.setattr(bench, "DeviceController", Recorded)
-        run_scenario(scenario)
-        (ctrl,) = controllers
-        return ctrl
-
-    @pytest.mark.parametrize("preset, entries", [("exp1", 1_000), ("exp2", 4_000)])
-    def test_one_entry_per_frame_on_presets(self, monkeypatch, preset, entries):
-        ctrl = self.run_recorded(monkeypatch, load_preset(preset).with_changes(outputs=None))
-        assert sum(len(log) for log in ctrl.frame_log) == entries
-
-    def test_deployment_logs_frames_not_devices(self, monkeypatch):
-        exp2 = load_preset("exp2")
-        topology = Topology(segments=(SegmentSpec(device_count=250),) * 4,
-                            timing=exp2.topology.timing)
-        ctrl = self.run_recorded(monkeypatch, exp2.with_changes(
-            topology=topology, num_requests=20, measurement=(0, 249), outputs=None))
-        assert [len(log) for log in ctrl.frame_log] == [20] * 4
-        assert all(len(changed_words(before, after)) == 250
-                   for log in ctrl.frame_log for _, before, after in log)
-
-    def test_construction_creates_no_device_state(self, monkeypatch):
-        created = []
-        init = simulation.DeviceState.__init__
-
-        def counting_init(self, *args):
-            created.append(args)
-            init(self, *args)
-
-        monkeypatch.setattr(simulation.DeviceState, "__init__", counting_init)
-        topology = Topology(segments=(SegmentSpec(device_count=743),) * 6,
-                            timing=TimingParams(pdo_cycle_ns=80_000))
-        engine, ctrl = make(topology)
-        ctrl.submit(1, [(5, 742, 1)], t_generated_ns=0)
-        ctrl.run_until_complete(1)
-        assert created == []
-        assert len(ctrl.devices) == 6 * 743  # the view builds them on read
-
-    def test_devices_view_is_a_snapshot(self):
-        engine, ctrl = make(chain_topology())
-        ctrl.submit(1, [(0, 0, 0x0001)], t_generated_ns=0)
-        ctrl.run_until_complete(1)
-        earlier = ctrl.devices[(0, 0)]
-        ctrl.submit(2, [(0, 0, 0x0003)], t_generated_ns=200_000)
-        ctrl.run_until_complete(2)
-        assert earlier.latches == [(109_700, 0x0001)]
-        assert ctrl.devices[(0, 0)].latches == [(109_700, 0x0001), (301_700, 0x0003)]

@@ -9,9 +9,11 @@ start() called early, late or never. Everything the run produces is hashed
 per case and compared with tests/data/emission_pin.txt: every request's
 trace, every device's latch history, the masters' words, the error of each
 rejected operation, the clock after each operation, and the order of the
-completion callbacks. A second test reruns every case with no callback
-registered, so that no completion is an event, and requires all but the
-callbacks to be equal.
+completion callbacks. The controller keeps no device history, so the
+latch histories are recorded beside it by conftest's LatchRecorder. A
+second test reruns every case twice more: with no callback registered, so
+that no completion is an event, it requires all but the callbacks to be
+equal; with no recorder attached, all but the latch histories.
 
 The cases exercise two rules that batch runs never reach:
 
@@ -36,7 +38,7 @@ from meowsim.errors import MeowError
 from meowsim.simulation import boundary_at_or_after
 from meowsim.topology import SegmentSpec, TimingParams, Topology
 
-from conftest import master_words
+from conftest import LatchRecorder, master_words
 
 PIN_PATH = os.path.join(os.path.dirname(__file__), "data", "emission_pin.txt")
 CASES = 3_000
@@ -87,12 +89,13 @@ def draw_targets(draw, topology: Topology) -> list[tuple[int, int, int]]:
     ]
 
 
-def run_case(case: int, listen: bool = True) -> dict:
+def run_case(case: int, listen: bool = True, record: bool = True) -> dict:
     draw = SplitMix64(case).uniform_draw
     topology = draw_topology(draw)
     cycle = topology.timing.pdo_cycle_ns
     engine = Engine(seed=case)
     ctrl = DeviceController(engine, topology)
+    recorder = LatchRecorder(ctrl) if record else None
     callbacks = []
     if listen:
         ctrl.completion_callbacks.append(
@@ -142,7 +145,8 @@ def run_case(case: int, listen: bool = True) -> dict:
               for s, st in sorted(trace.segments.items())]]
             for rid, trace in sorted(ctrl.traces.items())
         ],
-        "latches": [[s, d, dev.latches] for (s, d), dev in sorted(ctrl.devices.items())],
+        "latches": [[s, d, dev.latches] for (s, d), dev in sorted(recorder.devices.items())]
+                   if record else None,
         "words": master_words(ctrl),
         "callbacks": callbacks,
     }
@@ -162,10 +166,14 @@ def test_emission_matches_pin():
 
 
 def test_emission_does_not_depend_on_listeners():
-    # the pin always registers a completion callback; without one, every
-    # operation, error, clock, trace, latch and word must be the same
+    # the pin always registers a completion callback and records latches;
+    # without a callback, every operation, error, clock, trace, latch and
+    # word must be the same, and without the recorder, all but the latches
     for case in range(CASES):
         heard, unheard = run_case(case), run_case(case, listen=False)
+        unrecorded = run_case(case, record=False)
+        assert unrecorded.pop("latches") is None
+        assert unrecorded == {k: v for k, v in heard.items() if k != "latches"}, case
         assert unheard.pop("callbacks") == []
         heard.pop("callbacks")
         assert heard == unheard, case

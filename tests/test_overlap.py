@@ -23,7 +23,7 @@ from meowsim.engine import Engine, SplitMix64
 from meowsim.scenario import load_preset
 from meowsim.topology import SegmentSpec, TimingParams, Topology
 
-from conftest import latched
+from conftest import LatchRecorder, latched
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden", "overlap.jsonl")
 REQUESTS = 100
@@ -46,6 +46,7 @@ def topologies() -> dict:
 def overlap_run(topology: Topology, seed: int) -> list:
     engine = Engine(seed=seed)
     ctrl = DeviceController(engine, topology)
+    recorder = LatchRecorder(ctrl)
     draw = SplitMix64(seed ^ 0x5EED).uniform_draw
     devices = list(topology.all_targets())
     step = topology.timing.pdo_cycle_ns // 8  # gaps land on boundaries too
@@ -81,7 +82,7 @@ def overlap_run(topology: Topology, seed: int) -> list:
             },
             "config_time_ns": trace.config_time_ns,
         })
-    for (s, d), dev in sorted(ctrl.devices.items()):
+    for (s, d), dev in sorted(recorder.devices.items()):
         records.append({
             "device": f"{s}/{d}",
             "activation_log": [list(entry) for entry in dev.activation_log],

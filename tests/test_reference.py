@@ -20,7 +20,8 @@ event queue and no code from meowsim beyond its public constructors:
 
 Each generated case submits every request, runs the engine to the model's
 last completion, and compares config times, emit and staging times,
-jitter, the masters' words and every device's latches and activation log.
+jitter, the masters' words and every device's latches and activation log,
+the latches recorded beside the controller by conftest's LatchRecorder.
 A second test submits every request and then calls run_until_complete on
 each in a drawn order, with and without a completion callback, and holds
 the clock, the requests still in flight, the arrivals run and the
@@ -37,7 +38,7 @@ from meowsim import DeviceController, Engine, SegmentSpec, TimingParams, Topolog
 from meowsim.engine import SplitMix64
 from meowsim.errors import NotYetComplete
 
-from conftest import master_words
+from conftest import LatchRecorder, master_words
 
 U64 = (1 << 64) - 1
 # a small pool, so that requests often rewrite a word or leave it unchanged
@@ -166,6 +167,7 @@ def submit_all(case):
 @given(cases())
 def test_batch_event_path_matches_reference(case):
     engine, ctrl = submit_all(case)
+    devices = LatchRecorder(ctrl).devices
     ref = reference(case)
     engine.run_until(ref["horizon"])
 
@@ -176,7 +178,6 @@ def test_batch_event_path_matches_reference(case):
                for s, st_ in trace.segments.items()}
         assert got == expected["segments"], rid
     assert master_words(ctrl) == ref["words"]
-    devices = ctrl.devices
     assert set(devices) == set(ref["latches"])
     for key, latches in ref["latches"].items():
         assert devices[key].latches == latches, key

@@ -9,12 +9,17 @@ from meowsim.simulation import (
     MasterState,
     analytic_latency,
     boundary_at_or_after,
-    changed_words,
     structural_worst_latency,
 )
 from meowsim.topology import TimingParams
 
-from conftest import image_words
+from conftest import changed_words, image_words
+
+
+def build(master, boundary_ns):
+    """(riders, image before, image after) of the frame the master builds at a boundary."""
+    before = master.image
+    return master.build_frame(boundary_ns), before, master.image
 
 
 def changed(frame):
@@ -121,14 +126,14 @@ class TestMasterState:
     def test_image_snapshot(self):
         m = self.master()
         m.stage(10_000, 1, *write((0, 0xBEEF)))
-        frame = m.build_frame(32_000)
+        frame = build(m, 32_000)
         assert riders(frame) == (1,)
         assert changed(frame) == ((0, 0xBEEF),)
         assert image_words(m.image, 2) == [0xBEEF, 0]
         assert m.image == 0xBEEF
         # a word written again with its current value changes nothing
         m.stage(40_000, 2, *write((0, 0xBEEF)))
-        frame = m.build_frame(64_000)
+        frame = build(m, 64_000)
         assert riders(frame) == (2,)
         assert changed(frame) == ()
 
@@ -136,7 +141,7 @@ class TestMasterState:
         m = self.master()
         m.stage(10_000, 1, *write((0, 0x1111), (1, 0x0001)))
         m.stage(20_000, 2, *write((0, 0x2222)))
-        frame = m.build_frame(32_000)
+        frame = build(m, 32_000)
         assert changed(frame) == ((0, 0x2222), (1, 0x0001))
         assert riders(frame) == (1, 2)
 
@@ -146,7 +151,7 @@ class TestMasterState:
         m.stage(10_000, 2, *write((0, 0x2222)))
         m.stage(10_000, 3, *write((1, 0x3333)))
         m.stage(10_000, 4, *write((1, 0x4444)))
-        frame = m.build_frame(32_000)
+        frame = build(m, 32_000)
         # the later-staged write (request 1) lands on top; equal staging
         # times keep staging order (request 4 after request 3)
         assert changed(frame) == ((0, 0x1111), (1, 0x4444))
@@ -155,21 +160,21 @@ class TestMasterState:
     def test_future_writes_stay_pending(self):
         m = self.master()
         m.stage(40_000, 1, *write((0, 0x1111)))
-        frame = m.build_frame(32_000)
+        frame = build(m, 32_000)
         assert riders(frame) == changed(frame) == ()
         assert list(m.staged) == [64_000]
-        assert riders(m.build_frame(64_000)) == (1,)
+        assert m.build_frame(64_000) == (1,)
 
     def test_write_on_a_built_boundary_rides_the_next(self):
         m = self.master()
         m.build_frame(32_000)
         m.stage(32_000, 1, *write((0, 0x1111)), built=True)
-        assert riders(m.build_frame(64_000)) == (1,)
+        assert m.build_frame(64_000) == (1,)
 
     def test_idle_frames_still_emitted(self):
         m = self.master()
-        first = m.build_frame(32_000)
-        second = m.build_frame(64_000)
+        first = build(m, 32_000)
+        second = build(m, 64_000)
         assert first == second == ((), 0, 0)
         assert image_words(m.image, 2) == [0, 0]
 
@@ -192,7 +197,7 @@ class TestMasterState:
             stage_ns = boundary - rng.randrange(32_000)  # picked up at this boundary
             before = m.image
             assert m.stage(stage_ns, k, mask, value) == boundary
-            frame = m.build_frame(boundary)
+            frame = build(m, boundary)
             assert frame == ((k,), before, fold(before, [(stage_ns, k, mask, value)]))
             assert riders(frame) == (k,) and m.image == frame[2]
 
