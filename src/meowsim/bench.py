@@ -15,6 +15,7 @@ import csv
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -149,6 +150,21 @@ def require_parent_dir(path: str, what: str) -> None:
         raise IoFailure(f"cannot write {what} {path}: {parent} is not a directory")
 
 
+@contextmanager
+def open_export(path: str, what: str):
+    """The text file every export is written through: UTF-8, and newline=""
+    so that a "\\n" is written as is, on every platform.
+
+    An OSError while opening, writing or closing it raises
+    IoFailure("cannot write {what} {path}: ...").
+    """
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise IoFailure(f"cannot write {what} {path}: {exc}") from exc
+
+
 def _export_paths(scenario: Scenario, out_dir: str | None) -> dict:
     """{kind: path} of the scenario's exports: distinct files, each with a directory to go in."""
     paths = {kind: os.path.join(out_dir or ".", rel)
@@ -170,22 +186,19 @@ CSV_COLUMNS = (
 
 def export_csv(rows, path: str) -> None:
     """Per-request results, times in us with one exact decimal."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(CSV_COLUMNS)
-            for row in rows:
-                writer.writerow((
-                    row.request_id,
-                    ns_to_us_str(row.t_gen_ns),
-                    ns_to_us_str(row.t_emit_ns),
-                    ns_to_us_str(row.t_complete_ns),
-                    ns_to_us_str(row.config_ns),
-                    row.segment,
-                    row.device,
-                ))
-    except OSError as exc:
-        raise IoFailure(f"cannot write CSV {path}: {exc}") from exc
+    with open_export(path, "CSV") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        for row in rows:
+            writer.writerow((
+                row.request_id,
+                ns_to_us_str(row.t_gen_ns),
+                ns_to_us_str(row.t_emit_ns),
+                ns_to_us_str(row.t_complete_ns),
+                ns_to_us_str(row.config_ns),
+                row.segment,
+                row.device,
+            ))
 
 
 def _trace_line(trace: RequestTrace, positions: dict) -> str:
@@ -211,26 +224,20 @@ def _trace_line(trace: RequestTrace, positions: dict) -> str:
 def export_trace(traces, stats: RunStats, path: str) -> None:
     """Marker trace: one line per request, integer ns, jitter footer."""
     positions = {}  # a pattern's requests share one mask per segment
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("# request traces, times in integer ns\n")
-            for trace in traces:
-                fh.write(_trace_line(trace, positions) + "\n")
-            fh.write(
-                f"# ④ jitter max-min {stats.jitter_ns} ns "
-                f"(min {stats.min_ns}, max {stats.max_ns})\n"
-            )
-    except OSError as exc:
-        raise IoFailure(f"cannot write trace {path}: {exc}") from exc
+    with open_export(path, "trace") as fh:
+        fh.write("# request traces, times in integer ns\n")
+        for trace in traces:
+            fh.write(_trace_line(trace, positions) + "\n")
+        fh.write(
+            f"# ④ jitter max-min {stats.jitter_ns} ns "
+            f"(min {stats.min_ns}, max {stats.max_ns})\n"
+        )
 
 
 def export_stats(stats: RunStats, path: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(stats.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write stats {path}: {exc}") from exc
+    with open_export(path, "stats") as fh:
+        json.dump(stats.to_dict(), fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 # -- sweep and extrapolation -------------------------------------------------

@@ -92,13 +92,10 @@ def _cmd_sweep(args) -> int:
     print(f"slope {result.slope_ns_per_device:.1f} ns/device")
     print(f"fit at N=8: {result.predict_best_ns(8):.1f} ns")
     if args.csv:
-        try:
-            with open(args.csv, "w", encoding="utf-8") as fh:
-                fh.write("devices,best_ns,worst_ns\n")
-                for point in result.points:
-                    fh.write(f"{point.device_count},{point.best_ns},{point.worst_ns}\n")
-        except OSError as exc:
-            raise IoFailure(f"cannot write sweep CSV {args.csv}: {exc}") from exc
+        with bench.open_export(args.csv, "sweep CSV") as fh:
+            fh.write("devices,best_ns,worst_ns\n")
+            for point in result.points:
+                fh.write(f"{point.device_count},{point.best_ns},{point.worst_ns}\n")
         print(f"wrote sweep  {args.csv}")
     return 0
 

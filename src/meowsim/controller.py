@@ -23,14 +23,14 @@ life of a request:
                      and keeps its latest target latch
   completion         at the last target's latch, known and checked when the
                      rider's last segment emits: the slot (last latch,
-                     SouthboundArrived), an event only for completion callbacks
+                     SouthboundArrived), read from the trace, never an event
 
 A master emits only at boundaries with writes due: a frame at any other
 boundary carries and changes nothing, so it is no event. At one instant,
-completions run before arrivals, and arrivals before emissions in segment
-order (EventKind order). One rule decides which frame a staged write rides:
-a master's frame at boundary B is on the wire once the engine has run past
-that frame's slot (B, MasterEmit, segment), whether or not it emitted there.
+arrivals run before emissions, and emissions in segment order (EventKind
+order). One rule decides which frame a staged write rides: a master's
+frame at boundary B is on the wire once the engine has run past that
+frame's slot (B, MasterEmit, segment), whether or not it emitted there.
 A write staged at or before B rides B's frame unless that slot has run.
 """
 
@@ -122,7 +122,6 @@ class DeviceController:
         # one little-endian word per device: packs a segment's word list into image bytes
         self._image_structs = tuple(struct.Struct(f"<{n}H") for n in self._device_counts)
         self.traces: dict[int, RequestTrace] = {}
-        self.completion_callbacks = []
         self._started = False
         # the topology is immutable, so the bound and the event path's
         # offsets are worked out once
@@ -138,7 +137,6 @@ class DeviceController:
 
         engine.on(EventKind.SOUTHBOUND_ARRIVED, self._stage)
         engine.on(EventKind.MASTER_EMIT, self._on_master_emit)
-        engine.on(EventKind.REQUEST_COMPLETE, self._on_request_complete)
 
     # -- submission ------------------------------------------------------
 
@@ -273,12 +271,6 @@ class DeviceController:
             if not trace.pending:
                 trace.config_time_ns = trace.last_latch_ns - trace.t_generated_ns
                 trace.check_ordering()
-                if self.completion_callbacks:
-                    self.engine.schedule(trace.last_latch_ns, EventKind.REQUEST_COMPLETE, trace)
-
-    def _on_request_complete(self, trace: RequestTrace) -> None:
-        for callback in self.completion_callbacks:
-            callback(trace)
 
     # -- reporting ---------------------------------------------------------
 
@@ -298,10 +290,11 @@ class DeviceController:
     def run_until_complete(self, request_id: int) -> RequestTrace:
         """Step until the request's last frame leaves, then run to its completion slot.
 
-        The engine stops at (last latch, SouthboundArrived), after that
-        instant's completions and before its arrivals and frames, so a request
-        handed in next there still rides a frame emitted there; a zero-latency
-        completion stops where its last frame left. An id that was never
+        The engine stops at (last latch, SouthboundArrived), before that
+        instant's arrivals and frames, so a request handed in next there
+        still rides a frame emitted there; a zero-latency completion stops
+        where its last frame left. A request that finished earlier returns
+        its trace with the clock unmoved. An id that was never
         submitted raises UnknownRequest before any event runs.
         """
         trace = self.traces.get(request_id)

@@ -18,16 +18,13 @@ _GOLDEN = 0x9E3779B97F4A7C15  # splitmix64's state increment
 class EventKind(Enum):
     """Event kinds in same-instant run order.
 
-    What ends at an instant runs before what starts there: completions,
-    then southbound arrivals, then frame emissions. Arrivals precede
-    emissions so that a write staged on a boundary rides it; completions
-    precede both so that a caller stopped at the slot (instant,
+    Southbound arrivals run before frame emissions, so that a write staged
+    on a boundary rides it, and a caller stopped at the slot (instant,
     SouthboundArrived) can still hand in a request that rides the frame of
-    that instant. A completion is an event only for its listeners, a latch
-    never: the controller records both when it builds the frame.
+    that instant. Neither a latch nor a completion is an event: the
+    controller records both when it builds the frame.
     """
 
-    REQUEST_COMPLETE = "RequestComplete"
     SOUTHBOUND_ARRIVED = "SouthboundArrived"
     MASTER_EMIT = "MasterEmit"
 

@@ -105,8 +105,6 @@ class NetworkController:
         self.rules: dict[str, ProactiveRule] = {}
         self._next_path_id = 1
         self._next_request_id = 1
-        self._request_to_path: dict[int, int] = {}
-        device_controller.completion_callbacks.append(self._on_completion)
 
     # -- flow detection ----------------------------------------------------
 
@@ -184,8 +182,8 @@ class NetworkController:
     def activate(self, path_id: int) -> int:
         """Reserved -> Configuring; returns the configure request id.
 
-        Completion flips the path Active. If the submit fails, the entry
-        stays Reserved and no request id is used up.
+        wait flips the path Active. If the submit fails, the entry stays
+        Reserved and no request id is used up.
         """
         entry = self._entry(path_id, PathState.RESERVED)
         request_id = self._next_request_id
@@ -194,16 +192,23 @@ class NetworkController:
         self._next_request_id += 1
         entry.state = PathState.CONFIGURING
         entry.request_id = request_id
-        self._request_to_path[request_id] = path_id
         return request_id
 
-    def activate_and_wait(self, path_id: int) -> OpticalPathEntry:
-        request_id = self.activate(path_id)
-        self.device_controller.run_until_complete(request_id)
-        entry = self.table[path_id]
-        if entry.state is not PathState.ACTIVE:
-            raise AssertionError(f"path {path_id} is {entry.state.value} after its completion")
+    def wait(self, path_id: int) -> OpticalPathEntry:
+        """Configuring -> Active: run until the path's configure request completes.
+
+        The config time is read from the request's trace. A request that
+        finished while the engine ran for another leaves the clock unmoved.
+        """
+        entry = self._entry(path_id, PathState.CONFIGURING)
+        trace = self.device_controller.run_until_complete(entry.request_id)
+        entry.state = PathState.ACTIVE
+        entry.config_time_ns = trace.config_time_ns
         return entry
+
+    def activate_and_wait(self, path_id: int) -> OpticalPathEntry:
+        self.activate(path_id)
+        return self.wait(path_id)
 
     def release(self, path_id: int) -> None:
         """Active -> Released; the hops' words return to the free sets.
@@ -214,16 +219,6 @@ class NetworkController:
         for hop in entry.hops:
             self.resources.give_back(*hop)
         entry.state = PathState.RELEASED
-
-    def _on_completion(self, trace) -> None:
-        path_id = self._request_to_path.get(trace.request_id)
-        if path_id is None:
-            return
-        entry = self.table[path_id]
-        if entry.state is not PathState.CONFIGURING:
-            raise AssertionError(f"path {path_id} completed while {entry.state.value}")
-        entry.state = PathState.ACTIVE
-        entry.config_time_ns = trace.config_time_ns
 
     # -- introspection -------------------------------------------------------
 

@@ -248,15 +248,14 @@ class TestBoundaryCoincidence:
         ctrl.submit(2, [(0, 0, 1)], t_generated_ns=80_000)
         assert ctrl.run_until_complete(2).t_master_emit_ns == {0: 160_000}
 
-    def test_same_instant_frames_run_in_segment_order(self):
+    def test_same_instant_frames_run_in_segment_order(self, dispatches):
         engine, ctrl = make(quad_topology())
-        seen = []
-        ctrl.completion_callbacks.append(lambda trace: seen.append(trace.request_id))
         ctrl.submit(1, [(3, 0, 1)], t_generated_ns=0)  # staged first
         ctrl.submit(2, [(0, 0, 1)], t_generated_ns=0)
         engine.run_until(300_000)
         assert ctrl.traces[1].config_time_ns == ctrl.traces[2].config_time_ns
-        assert seen == [2, 1]
+        emits = [(t, args) for t, kind, args in dispatches if kind is EventKind.MASTER_EMIT]
+        assert emits == [(160_000, (0,)), (160_000, (3,))]
 
     @staticmethod
     def zero_latency_pair():
@@ -517,16 +516,6 @@ class TestValidationAndErrors:
 
 
 class TestReporting:
-    def test_completion_callback_fires(self):
-        engine, ctrl = make(chain_topology())
-        seen = []
-        ctrl.completion_callbacks.append(seen.append)
-        ctrl.submit(1, [(0, 7, 1)], t_generated_ns=0)
-        ctrl.run_until_complete(1)
-        assert len(seen) == 1
-        assert seen[0].request_id == 1
-        assert seen[0].config_time_ns == 116_000
-
     def test_request_span_bounds_observed_latency(self):
         engine, ctrl = make(chain_topology())
         span = ctrl.request_span_ns()
@@ -557,13 +546,11 @@ class TestReporting:
 
     def test_one_record_per_request(self):
         engine, ctrl = make(chain_topology())
-        seen = []
-        ctrl.completion_callbacks.append(seen.append)
         ctrl.submit(1, [(0, 7, 1)], t_generated_ns=0)
         trace = ctrl.traces[1]
         assert ctrl.run_until_complete(1) is trace
         assert ctrl.completion_report(1) is trace
-        assert seen == [trace] and seen[0] is trace
+        assert trace.request_id == 1 and trace.config_time_ns == 116_000
 
     def test_in_flight_after_every_segment_emitted(self):
         engine, ctrl = make(quad_topology(jitter_ns=0))

@@ -8,12 +8,10 @@ run_until to a boundary or to the current instant, run_until_complete, and
 start() called early, late or never. Everything the run produces is hashed
 per case and compared with tests/data/emission_pin.txt: every request's
 trace, every device's latch history, the masters' words, the error of each
-rejected operation, the clock after each operation, and the order of the
-completion callbacks. The controller keeps no device history, so the
-latch histories are recorded beside it by conftest's LatchRecorder. A
-second test reruns every case twice more: with no callback registered, so
-that no completion is an event, it requires all but the callbacks to be
-equal; with no recorder attached, all but the latch histories.
+rejected operation and the clock after each operation. The controller
+keeps no device history, so the latch histories are recorded beside it by
+conftest's LatchRecorder. A second test reruns every case with no
+recorder attached and requires all but the latch histories to be equal.
 
 The cases exercise two rules that batch runs never reach:
 
@@ -21,8 +19,8 @@ The cases exercise two rules that batch runs never reach:
   for the next boundary, also when nothing else rides that instant's frame,
   and also when a zero-latency completion stopped run_until_complete
   partway through the instant;
-- emissions at one instant run in segment order, so the completions and
-  callbacks of one instant keep their order.
+- emissions at one instant run in segment order, so the completions of
+  one instant keep their order.
 
 Regenerate the pin with `PYTHONPATH=src python tests/test_emission_pin.py`
 only when a change to the timing model is intended.
@@ -89,17 +87,13 @@ def draw_targets(draw, topology: Topology) -> list[tuple[int, int, int]]:
     ]
 
 
-def run_case(case: int, listen: bool = True, record: bool = True) -> dict:
+def run_case(case: int, record: bool = True) -> dict:
     draw = SplitMix64(case).uniform_draw
     topology = draw_topology(draw)
     cycle = topology.timing.pdo_cycle_ns
     engine = Engine(seed=case)
     ctrl = DeviceController(engine, topology)
     recorder = LatchRecorder(ctrl) if record else None
-    callbacks = []
-    if listen:
-        ctrl.completion_callbacks.append(
-            lambda trace: callbacks.append([engine.now, trace.request_id]))
 
     n_ops = draw(4, 16)
     start_at = (0, draw(1, n_ops), None)[draw(0, 2)]  # early, late or never
@@ -148,7 +142,6 @@ def run_case(case: int, listen: bool = True, record: bool = True) -> dict:
         "latches": [[s, d, dev.latches] for (s, d), dev in sorted(recorder.devices.items())]
                    if record else None,
         "words": master_words(ctrl),
-        "callbacks": callbacks,
     }
 
 
@@ -165,18 +158,14 @@ def test_emission_matches_pin():
     assert mismatched == [], f"{len(mismatched)} cases differ, first {mismatched[:10]}"
 
 
-def test_emission_does_not_depend_on_listeners():
-    # the pin always registers a completion callback and records latches;
-    # without a callback, every operation, error, clock, trace, latch and
-    # word must be the same, and without the recorder, all but the latches
+def test_emission_does_not_depend_on_the_recorder():
+    # the pin records latches; without the recorder, every operation,
+    # error, clock, trace and word must be the same
     for case in range(CASES):
-        heard, unheard = run_case(case), run_case(case, listen=False)
-        unrecorded = run_case(case, record=False)
+        recorded, unrecorded = run_case(case), run_case(case, record=False)
         assert unrecorded.pop("latches") is None
-        assert unrecorded == {k: v for k, v in heard.items() if k != "latches"}, case
-        assert unheard.pop("callbacks") == []
-        heard.pop("callbacks")
-        assert heard == unheard, case
+        recorded.pop("latches")
+        assert recorded == unrecorded, case
 
 
 if __name__ == "__main__":

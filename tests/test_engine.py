@@ -54,27 +54,27 @@ class TestScheduleAndRun:
 
     def test_cursor_follows_step_and_run_until(self):
         engine = Engine()
-        emit, complete = EventKind.MASTER_EMIT, EventKind.REQUEST_COMPLETE
-        assert not engine.has_run(0, complete, 0)
+        arrive, emit = EventKind.SOUTHBOUND_ARRIVED, EventKind.MASTER_EMIT
+        assert not engine.has_run(0, arrive, 0)
 
-        def emit_then_complete(segment):
-            # a completion queued at now sorts before the emission running
-            engine.schedule(engine.now, complete)
+        def emit_then_arrive(segment):
+            # an arrival queued at now sorts before the emission running
+            engine.schedule(engine.now, arrive)
 
-        engine.on(emit, emit_then_complete)
+        engine.on(emit, emit_then_arrive)
         engine.schedule(10, emit, 1, order=1)
         engine.schedule(10, emit, 2, order=2)
         engine.step()
         assert engine.has_run(10, emit, 1) and not engine.has_run(10, emit, 2)
-        engine.step()  # the completion queued by segment 1 moves nothing back
+        engine.step()  # the arrival queued by segment 1 moves nothing back
         assert engine.now == 10
         assert engine.has_run(10, emit, 1) and not engine.has_run(10, emit, 2)
         engine.step()
-        assert engine.has_run(10, emit, 2) and not engine.has_run(11, complete, 0)
-        assert engine.run_until(25) == 1  # segment 2's completion
-        assert engine.has_run(25, emit, 99) and not engine.has_run(26, complete, 0)
+        assert engine.has_run(10, emit, 2) and not engine.has_run(11, arrive, 0)
+        assert engine.run_until(25) == 1  # segment 2's arrival
+        assert engine.has_run(25, emit, 99) and not engine.has_run(26, arrive, 0)
         engine.rewind()
-        assert engine.has_run(24, emit, 99) and not engine.has_run(25, complete, 0)
+        assert engine.has_run(24, emit, 99) and not engine.has_run(25, arrive, 0)
 
     def test_same_instant_runs_in_lifecycle_order(self):
         engine = Engine()
@@ -83,9 +83,9 @@ class TestScheduleAndRun:
             engine.on(kind, lambda kind=kind: seen.append(kind))
         for kind in reversed(EventKind):
             engine.schedule(100, kind)
-        engine.schedule(99, EventKind.REQUEST_COMPLETE)
-        assert engine.run_until(100) == 4
-        assert seen == [EventKind.REQUEST_COMPLETE, *EventKind]
+        engine.schedule(99, EventKind.MASTER_EMIT)
+        assert engine.run_until(100) == 3
+        assert seen == [EventKind.MASTER_EMIT, *EventKind]
 
     def test_run_until_a_slot_stops_before_its_kind(self):
         engine = Engine()
@@ -94,30 +94,34 @@ class TestScheduleAndRun:
             engine.on(kind, lambda kind=kind: seen.append(kind))
         for kind in reversed(EventKind):  # the arrival gets order 1
             engine.schedule(100, kind)
-        assert engine.run_until(100, EventKind.SOUTHBOUND_ARRIVED) == 1
-        assert seen == [EventKind.REQUEST_COMPLETE] and engine.now == 100
+        engine.schedule(100, EventKind.MASTER_EMIT)  # order 2
+        assert engine.run_until(100, EventKind.SOUTHBOUND_ARRIVED) == 0
+        assert seen == [] and engine.now == 100
         assert not engine.has_run(100, EventKind.SOUTHBOUND_ARRIVED, 0)
+        assert engine.run_until(100, EventKind.MASTER_EMIT) == 1
+        assert seen == [EventKind.SOUTHBOUND_ARRIVED]
+        assert not engine.has_run(100, EventKind.MASTER_EMIT, 0)
         # a step past the slot is never undone by running to it again
         engine.step()
-        assert engine.run_until(100, EventKind.SOUTHBOUND_ARRIVED) == 0
-        assert engine.has_run(100, EventKind.SOUTHBOUND_ARRIVED, 1)
+        assert engine.run_until(100, EventKind.MASTER_EMIT) == 0
+        assert engine.has_run(100, EventKind.MASTER_EMIT, 0)
         assert engine.run_until(100) == 1
-        assert seen == list(EventKind)
+        assert seen == [*EventKind, EventKind.MASTER_EMIT]
 
     def test_step_runs_one_event_and_can_stop_mid_instant(self):
         engine = Engine()
         seen = []
-        for kind in EventKind:
-            engine.on(kind, lambda kind=kind: seen.append(kind))
-        engine.schedule(100, EventKind.MASTER_EMIT)
-        engine.schedule(100, EventKind.REQUEST_COMPLETE)
+        engine.on(EventKind.SOUTHBOUND_ARRIVED, lambda: seen.append("arrival"))
+        engine.on(EventKind.MASTER_EMIT, seen.append)
+        engine.schedule(100, EventKind.MASTER_EMIT, 1, order=1)
+        engine.schedule(100, EventKind.MASTER_EMIT, 0, order=0)
         engine.step()
-        assert seen == [EventKind.REQUEST_COMPLETE]
+        assert seen == [0]
         assert (engine.now, engine.next_time_ns()) == (100, 100)
         # an arrival handed in now still runs before the queued emission
         engine.schedule(100, EventKind.SOUTHBOUND_ARRIVED)
         assert engine.run_until(100) == 2
-        assert seen[1:] == [EventKind.SOUTHBOUND_ARRIVED, EventKind.MASTER_EMIT]
+        assert seen[1:] == ["arrival", 1]
 
     def test_schedule_at_now_runs_after_queued(self):
         engine = Engine()
@@ -125,10 +129,10 @@ class TestScheduleAndRun:
 
         def first():
             seen.append("first")
-            engine.schedule(engine.now, EventKind.REQUEST_COMPLETE)
+            engine.schedule(engine.now, EventKind.SOUTHBOUND_ARRIVED)
 
         engine.on(EventKind.MASTER_EMIT, first)
-        engine.on(EventKind.REQUEST_COMPLETE, lambda: seen.append("second"))
+        engine.on(EventKind.SOUTHBOUND_ARRIVED, lambda: seen.append("second"))
         engine.schedule(50, EventKind.MASTER_EMIT)
         engine.run_until(50)
         assert seen == ["first", "second"]
@@ -153,7 +157,7 @@ class TestScheduleAndRun:
         engine.schedule(40, EventKind.SOUTHBOUND_ARRIVED, "no one listens")
         engine.step()
         assert (engine.now, engine.next_time_ns()) == (40, None)
-        engine.schedule(70, EventKind.REQUEST_COMPLETE)
+        engine.schedule(70, EventKind.MASTER_EMIT)
         assert engine.run_until(100) == 1
         assert (engine.now, engine.next_time_ns()) == (100, None)
 

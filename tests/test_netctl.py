@@ -311,7 +311,7 @@ class TestLifecycleWithSimulation:
         assert entry.state is PathState.RESERVED
         nc.activate(entry.path_id)
         assert entry.state is PathState.CONFIGURING
-        dc.run_until_complete(entry.request_id)
+        assert nc.wait(entry.path_id) is entry
         assert entry.state is PathState.ACTIVE
         # submitted at engine time 0: stage 70000, boundary 96000, rank 1
         assert entry.config_time_ns == 109_700
@@ -405,46 +405,58 @@ nc.check_conservation()
         assert proc.returncode == 1
         assert "AssertionError: (0, 0): words both free and held" in proc.stderr
 
-    def test_completion_of_a_path_not_configuring_raises(self):
+    def test_wait_reads_each_path_from_its_own_trace(self):
+        nc = network_controller(words_per_device=1)  # the two paths on two devices
+        dc = nc.device_controller
+        first, second = nc.allocate("tor1", "tor2"), nc.allocate("tor1", "tor3")
+        nc.activate(first.path_id)
+        nc.activate(second.path_id)
+        nc.wait(second.path_id)
+        clock = dc.engine.now
+        assert first.state is PathState.CONFIGURING  # finished, but not yet waited on
+        # path 1's request finished while the engine ran for path 2's
+        nc.wait(first.path_id)
+        assert dc.engine.now == clock
+        assert first.state is second.state is PathState.ACTIVE
+        assert first.config_time_ns == dc.traces[first.request_id].config_time_ns == 109_700
+        assert second.config_time_ns == dc.traces[second.request_id].config_time_ns == 110_600
+
+    def test_wait_needs_a_configuring_path(self):
         nc = network_controller(words_per_device=4)
         entry = nc.allocate("tor1", "tor2")
-        request_id = nc.activate(entry.path_id)
-        entry.state = PathState.RESERVED  # corrupted before the completion runs
-        with pytest.raises(AssertionError, match="path 1 completed while Reserved"):
-            nc.device_controller.run_until_complete(request_id)
-
-    def test_path_left_inactive_by_its_completion_raises(self):
-        nc = network_controller(words_per_device=4)
-        entry = nc.allocate("tor1", "tor2")
-
-        def release_behind_its_back(trace):
-            entry.state = PathState.RELEASED
-
-        nc.device_controller.completion_callbacks.append(release_behind_its_back)
-        with pytest.raises(AssertionError, match="path 1 is Released after its completion"):
-            nc.activate_and_wait(entry.path_id)
+        with pytest.raises(WrongState, match="path 1 is Reserved, not Configuring"):
+            nc.wait(entry.path_id)
+        nc.activate_and_wait(entry.path_id)
+        clock = nc.device_controller.engine.now
+        with pytest.raises(WrongState, match="path 1 is Active, not Configuring"):
+            nc.wait(entry.path_id)
+        with pytest.raises(UnknownPath):
+            nc.wait(42)
+        assert nc.device_controller.engine.now == clock
 
     def test_path_state_checked_under_optimize(self):
-        # -O strips assert statements; the completion's state check must still raise
+        # -O strips assert statements; wait must still configure the path
+        # and its state check must still raise
         script = """if __debug__:
     raise SystemExit("not running under -O")
 from meowsim.controller import DeviceController
 from meowsim.engine import Engine
-from meowsim.netctl import NetworkController, OcsResourceModel, PathState
+from meowsim.netctl import NetworkController, OcsResourceModel
 from meowsim.topology import SegmentSpec, TimingParams, Topology
 topo = Topology(segments=(SegmentSpec(device_count=2),),
                 timing=TimingParams(pdo_cycle_ns=32_000))
 nc = NetworkController(OcsResourceModel(topo, words_per_device=4),
                        DeviceController(Engine(seed=0), topo))
 entry = nc.allocate("tor1", "tor2")
-request_id = nc.activate(entry.path_id)
-entry.state = PathState.RESERVED  # corrupted before the completion runs
-nc.device_controller.run_until_complete(request_id)
+nc.activate(entry.path_id)
+print(nc.wait(entry.path_id).state.value, entry.config_time_ns)
+nc.wait(entry.path_id)
 """
         proc = subprocess.run([sys.executable, "-O", "-c", script],
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 1
-        assert "AssertionError: path 1 completed while Reserved" in proc.stderr
+        assert proc.stdout == "Active 109700\n"
+        assert "WrongState: path 1 is Active, not Configuring" in proc.stderr
 
 
 class BookkeeperReference:

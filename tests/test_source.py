@@ -89,3 +89,65 @@ def test_no_unused_import_in_the_package():
         for entry in unused_imports(path.read_text(encoding="utf-8"), path.name)
     ]
     assert found == []
+
+
+def text_writes(source: str) -> list[tuple[int, str | None, ast.Call]]:
+    """(line, enclosing function, call) of each call opening a file to write text.
+
+    A call counts where it is to open, whose mode is its second positional
+    argument or mode=, or to some .open, whose mode is its first; it writes
+    text where the mode has "w", "a", "x" or "+" and no "b". A mode that is
+    not a literal counts as a write.
+    """
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Name) and node.func.id == "open"
+                or isinstance(node.func, ast.Attribute) and node.func.attr == "open"):
+            at = 1 if isinstance(node.func, ast.Name) else 0
+            modes = [kw.value for kw in node.keywords if kw.arg == "mode"] + node.args[at:at + 1]
+            mode = modes[0] if modes else ast.Constant("r")
+            if not isinstance(mode, ast.Constant) or (
+                    set(mode.value) & set("wax+") and "b" not in mode.value):
+                found.append((node.lineno, function, node))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_text_write_check_sees_each_form():
+    source = (
+        "open(p, 'x')\n"
+        "def a(p):\n"
+        "    open(p, 'w')\n"
+        "    open(p, mode='a', encoding='utf-8')\n"
+        "    p.open('r+')\n"
+        "    open(p, m)\n"
+        "def b(p):\n"
+        "    open(p)\n"
+        "    open(p, 'rb')\n"
+        "    open(p, 'wb')\n"
+        "    p.open()\n"
+        "    p.open('w+b')\n"
+    )
+    assert [(line, function) for line, function, _ in text_writes(source)] == [
+        (1, None), (3, "a"), (4, "a"), (5, "a"), (6, "a")]
+
+
+def test_every_text_write_goes_through_open_export():
+    # one helper opens each export, so every platform writes the same bytes
+    # ("\n", never "\r\n") and every write failure reads the same way
+    package = Path(meowsim.__file__).parent
+    found = [
+        (path.name, function, call)
+        for path in sorted(package.glob("*.py"))
+        for _, function, call in text_writes(path.read_text(encoding="utf-8"))
+    ]
+    assert [(name, function) for name, function, _ in found] == [("bench.py", "open_export")]
+    keywords = {kw.arg: kw.value.value for kw in found[0][2].keywords}
+    assert keywords == {"encoding": "utf-8", "newline": ""}
