@@ -516,6 +516,15 @@ class TestValidationAndErrors:
 
 
 class TestReporting:
+    def test_completion_callback_fires(self):
+        # completion is read from the trace run_until_complete returns
+        engine, ctrl = make(chain_topology())
+        ctrl.submit(1, [(0, 7, 1)], t_generated_ns=0)
+        trace = ctrl.run_until_complete(1)
+        assert trace.complete
+        assert trace.request_id == 1
+        assert trace.config_time_ns == 116_000
+
     def test_request_span_bounds_observed_latency(self):
         engine, ctrl = make(chain_topology())
         span = ctrl.request_span_ns()
@@ -550,7 +559,6 @@ class TestReporting:
         trace = ctrl.traces[1]
         assert ctrl.run_until_complete(1) is trace
         assert ctrl.completion_report(1) is trace
-        assert trace.request_id == 1 and trace.config_time_ns == 116_000
 
     def test_in_flight_after_every_segment_emitted(self):
         engine, ctrl = make(quad_topology(jitter_ns=0))
