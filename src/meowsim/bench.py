@@ -6,7 +6,9 @@ per-request CSV, marker traces and summary statistics. A batch run builds
 its two word patterns' images once, in closed form, and checks no target:
 each is the topology's own. It draws every arrival phase first, then hands
 the requests in one at a time, each at its generation instant, so the
-event queue holds only one request's events.
+event queue holds only one request's events. A sweep is one batch run on
+its longest chain, read at the position of every requested length, with
+the oracle checked at each.
 """
 
 from __future__ import annotations
@@ -63,45 +65,16 @@ def request_spacing_ns(controller: DeviceController) -> int:
     return cycle * max(MIN_SPACING_CYCLES, span // cycle + 2)
 
 
-def run_scenario(scenario: Scenario, out_dir: str | None = None,
-                 check_oracle: bool = True) -> RunResult:
-    """Simulate the scenario's request batch and summarize the measurement.
+def _measure_rows(topology: Topology, traces, target, check_oracle: bool) -> list:
+    """One RequestRow per trace, read at target (segment, device).
 
-    With check_oracle every event-simulated configuration time is compared
-    against the closed-form latency oracle (exact integer equality), with
-    the PDO wait and dispatch jitter read back from the trace.
+    With check_oracle each configuration time is compared against the
+    closed-form latency oracle (exact integer equality), with the PDO wait
+    and dispatch jitter read back from the trace.
     """
-    paths = _export_paths(scenario, out_dir)  # checked before the work, not after it
-    topology = scenario.topology
+    seg_m, dev_m = target
     timing = topology.timing
-    engine = Engine(seed=scenario.seed)
-    controller = DeviceController(engine, topology)
-
     cycle = timing.pdo_cycle_ns
-    spacing = request_spacing_ns(controller)
-    phase_slots = cycle // ARRIVAL_GRID_NS
-
-    # a pattern writes its word to every device; its requests share its images
-    counts = [seg.device_count for seg in topology.segments]
-    patterns = [
-        {s: (repeated_image(0xFFFF, n), repeated_image(word, n)) for s, n in enumerate(counts)}
-        for word in WORD_PATTERNS
-    ]
-    draw = engine.rng.uniform_draw
-    phases = [draw(0, phase_slots - 1) for _ in range(scenario.num_requests)]
-    # stop short of the generation instant's arrivals and frames, so a
-    # zero-delay write still rides the frame emitted at that instant
-    arrived = EventKind.SOUTHBOUND_ARRIVED
-    for k, phase in enumerate(phases):
-        t_gen = k * spacing + ARRIVAL_GRID_NS * phase
-        engine.run_until(t_gen, arrived)
-        controller.submit_packed(k, patterns[k % len(patterns)], t_gen)
-    traces = [controller.traces[k] for k in range(scenario.num_requests)]
-
-    # the last request is generated last, and request_span_ns bounds its life
-    engine.run_until(traces[-1].t_generated_ns + controller.request_span_ns())
-
-    seg_m, dev_m = scenario.measurement
     rank = topology.device_rank(seg_m, dev_m)
     phase_m = topology.segments[seg_m].phase_ns
     rows = []
@@ -125,7 +98,46 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None,
                     f"request {request_id}: simulated {config} ns != oracle {expected} ns"
                 )
         rows.append(RequestRow(request_id, t_gen, t_emit, t_complete, config, seg_m, dev_m))
+    return rows
 
+
+def run_scenario(scenario: Scenario, out_dir: str | None = None,
+                 check_oracle: bool = True) -> RunResult:
+    """Simulate the scenario's request batch and summarize the measurement.
+
+    With check_oracle every request's configuration time at the measured
+    device is checked against the latency oracle (see _measure_rows).
+    """
+    paths = _export_paths(scenario, out_dir)  # checked before the work, not after it
+    topology = scenario.topology
+    engine = Engine(seed=scenario.seed)
+    controller = DeviceController(engine, topology)
+
+    cycle = topology.timing.pdo_cycle_ns
+    spacing = request_spacing_ns(controller)
+    phase_slots = cycle // ARRIVAL_GRID_NS
+
+    # a pattern writes its word to every device; its requests share its images
+    counts = [seg.device_count for seg in topology.segments]
+    patterns = [
+        {s: (repeated_image(0xFFFF, n), repeated_image(word, n)) for s, n in enumerate(counts)}
+        for word in WORD_PATTERNS
+    ]
+    draw = engine.rng.uniform_draw
+    phases = [draw(0, phase_slots - 1) for _ in range(scenario.num_requests)]
+    # stop short of the generation instant's arrivals and frames, so a
+    # zero-delay write still rides the frame emitted at that instant
+    arrived = EventKind.SOUTHBOUND_ARRIVED
+    for k, phase in enumerate(phases):
+        t_gen = k * spacing + ARRIVAL_GRID_NS * phase
+        engine.run_until(t_gen, arrived)
+        controller.submit_packed(k, patterns[k % len(patterns)], t_gen)
+    traces = [controller.traces[k] for k in range(scenario.num_requests)]
+
+    # the last request is generated last, and request_span_ns bounds its life
+    engine.run_until(traces[-1].t_generated_ns + controller.request_span_ns())
+
+    rows = _measure_rows(topology, traces, scenario.measurement, check_oracle)
     stats = compute_stats([row.config_ns for row in rows])
     written = {}
     if "csv" in paths:
@@ -260,29 +272,38 @@ class SweepResult:
 
 
 def sweep_devices(base: Scenario, device_counts=range(1, 9)) -> SweepResult:
-    """Re-run the scenario at several chain lengths; fit best vs count.
+    """Measure several chain lengths in one run; fit best vs count.
 
-    The same seed is used throughout, so the PDO-wait sequence is identical
-    across counts and the best case moves exactly with the cascade length.
+    One run on a chain of the longest requested length is read at each
+    count n, at position n - 1, with the oracle checked there. This gives
+    what a run per length would: a device's configuration time depends only
+    on its rank, its PDO wait and its jitter, none of which the devices
+    behind it change. Request spacing is a whole number of cycles at every
+    length, so each request keeps its phase, and its draws come in the same
+    order: every phase first, then one jitter per request.
     """
     if base.topology.segment_count != 1:
         raise ValueError("device sweep needs a single-segment scenario")
-    counts = list(device_counts)
+    # every count must be a valid chain before the run; a range stops at its
+    # first bad count, however long it is
+    counts = []
+    for n in device_counts:
+        SegmentSpec(device_count=n)
+        counts.append(n)
     if len(set(counts)) < 2:
         raise ValueError(f"need at least two points to fit: two distinct device counts, "
                          f"got {counts}")
     phase = base.topology.segments[0].phase_ns
+    longest = max(counts)
+    topology = Topology(segments=(SegmentSpec(device_count=longest, phase_ns=phase),),
+                        timing=base.topology.timing)
+    scenario = base.with_changes(topology=topology, measurement=(0, longest - 1),
+                                 outputs=None)
+    traces = run_scenario(scenario, check_oracle=False).traces
     points = []
     for n in counts:
-        topology = Topology(
-            segments=(SegmentSpec(device_count=n, phase_ns=phase),),
-            timing=base.topology.timing,
-        )
-        scenario = base.with_changes(
-            topology=topology, measurement=(0, n - 1), outputs=None
-        )
-        result = run_scenario(scenario)
-        points.append(SweepPoint(n, result.stats.min_ns, result.stats.max_ns))
+        configs = [row.config_ns for row in _measure_rows(topology, traces, (0, n - 1), True)]
+        points.append(SweepPoint(n, min(configs), max(configs)))
     slope, intercept = _least_squares([(p.device_count, p.best_ns) for p in points])
     return SweepResult(points=tuple(points), slope_ns_per_device=slope,
                        intercept_ns=intercept)

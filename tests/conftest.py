@@ -5,7 +5,8 @@ records exactly one PASS/FAIL line. The lines are printed immediately
 (visible with -s or on failure) and repeated in the terminal summary,
 which pytest never captures.
 
-The dispatches fixture observes every event any engine runs. The helpers
+The dispatches fixture observes every event any engine runs; the
+no_simulation fixture fails a test whose code starts a run. The helpers
 below serve only the tests: reading a master's words, a trace's latches
 and a trace line, recording each device's latch history, reading exports
 back, a Kolmogorov-Smirnov test against the uniform distribution, and
@@ -18,6 +19,7 @@ import threading
 
 import pytest
 
+from meowsim import bench
 from meowsim.bench import CSV_COLUMNS, _trace_line
 from meowsim.engine import Engine
 from meowsim.errors import IoFailure
@@ -32,6 +34,14 @@ def criterion():
         ACCEPTANCE_LINES.append(line)
         print(line)
     return _record
+
+
+@pytest.fixture
+def no_simulation(monkeypatch):
+    """Fail the test if a run starts: bad flags and paths are caught before it."""
+    def started(*args, **kwargs):
+        raise AssertionError("a simulation started")
+    monkeypatch.setattr(bench, "Engine", started)
 
 
 @pytest.fixture

@@ -10,12 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meowsim import bench
 from meowsim import controller as controller_module
 from meowsim.bench import (
     CSV_COLUMNS,
     MIN_SPACING_CYCLES,
     WORD_PATTERNS,
     RequestRow,
+    SweepPoint,
     default_worst_base_ns,
     export_csv,
     export_trace,
@@ -30,7 +32,7 @@ from meowsim.bench import (
 )
 from meowsim.controller import DeviceController
 from meowsim.engine import Engine, EventKind
-from meowsim.errors import IoFailure, MeowError
+from meowsim.errors import EmptySegment, IoFailure, MeowError, SegmentTooLong
 from meowsim.scenario import ARRIVAL_GRID_NS, Scenario, load_preset
 from meowsim.simulation import repeated_image
 from meowsim.stats import compute_stats
@@ -200,7 +202,7 @@ class TestRunScenario:
 
 
 @st.composite
-def small_scenarios(draw):
+def small_scenarios(draw, max_segments=MAX_SEGMENTS):
     """Scenarios whose delays may each be zero, on segments that share one
     phase or draw one each; arrivals then often land on a boundary."""
     cycle = ARRIVAL_GRID_NS * draw(st.integers(1, MAX_PDO_CYCLE_NS // ARRIVAL_GRID_NS))
@@ -211,7 +213,7 @@ def small_scenarios(draw):
     timing = TimingParams(pdo_cycle_ns=cycle, d_sb_ns=delay(200_000), d_mm_ns=delay(50_000),
                           d_jitter_max_ns=delay(20_000), d_frame_head_ns=delay(20_000),
                           d_hop_ns=delay(2_000), d_latch_ns=delay(2_000))
-    counts = draw(st.lists(st.integers(1, 8), min_size=1, max_size=MAX_SEGMENTS))
+    counts = draw(st.lists(st.integers(1, 8), min_size=1, max_size=max_segments))
     phase = st.integers(0, cycle // ARRIVAL_GRID_NS - 1).map(ARRIVAL_GRID_NS.__mul__)
     if draw(st.booleans()):
         phases = [draw(phase)] * len(counts)
@@ -524,7 +526,87 @@ class TestDeploymentScale:
         assert stats.max_ns <= structural
 
 
+def per_length_points(base, counts):
+    """The sweep's points from a run per chain length, each measured at its last device."""
+    phase = base.topology.segments[0].phase_ns
+    points = []
+    for n in counts:
+        topology = Topology(segments=(SegmentSpec(device_count=n, phase_ns=phase),),
+                            timing=base.topology.timing)
+        stats = run_scenario(base.with_changes(topology=topology, measurement=(0, n - 1),
+                                               outputs=None)).stats
+        points.append(SweepPoint(n, stats.min_ns, stats.max_ns))
+    return tuple(points)
+
+
+def chain_spacing_ns(base, n):
+    topology = Topology(segments=(SegmentSpec(n),), timing=base.topology.timing)
+    return request_spacing_ns(DeviceController(Engine(), topology))
+
+
 class TestSweep:
+    @settings(max_examples=100, deadline=None)
+    @given(small_scenarios(max_segments=1),
+           st.lists(st.integers(1, 40), min_size=2, max_size=6)
+           .filter(lambda counts: len(set(counts)) > 1))
+    def test_one_run_equals_a_run_per_length(self, base, counts):
+        # unsorted, repeated and gapped counts; zero and non-zero delays,
+        # cycles from 100 ns, so the spacing often differs between lengths
+        assert sweep_devices(base, counts).points == per_length_points(base, counts)
+
+    def test_one_run_equals_a_run_per_length_across_spacings(self):
+        # an 8 us cycle spaces requests further apart on the longer chain; the
+        # phases, waits and jitters must still be those of a run per length
+        base = exp1_small(30).with_changes(
+            topology=Topology(segments=(SegmentSpec(8, 3_000),),
+                              timing=TimingParams(pdo_cycle_ns=8_000, d_sb_ns=70_000,
+                                                  d_jitter_max_ns=5_000, d_frame_head_ns=12_000,
+                                                  d_hop_ns=900, d_latch_ns=800)))
+        counts = (40, 1, 13, 8)
+        assert chain_spacing_ns(base, 1) != chain_spacing_ns(base, 40)
+        points = sweep_devices(base, counts).points
+        assert points == per_length_points(base, counts)
+        assert len({p.worst_ns - p.best_ns for p in points}) == 1
+        assert points[0].best_ns - points[1].best_ns == 39 * 900
+
+    def test_one_run_for_the_whole_sweep(self, monkeypatch):
+        calls = []
+        original = bench.run_scenario
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].topology.segments[0].device_count)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "run_scenario", counted)
+        sweep_devices(load_preset("exp1").with_changes(outputs=None), range(1, 9))
+        assert calls == [8]
+
+    def test_oracle_checked_at_every_position_read(self, monkeypatch):
+        checks = {}  # {rank: [(wait, jitter) of each request checked there]}
+        original = bench.analytic_latency
+
+        def recorded(timing, n_segments, rank, wait_ns, jitter_ns=0):
+            checks.setdefault(rank, []).append((wait_ns, jitter_ns))
+            return original(timing, n_segments, rank, wait_ns, jitter_ns)
+
+        monkeypatch.setattr(bench, "analytic_latency", recorded)
+        base = exp2_small(30).with_changes(
+            topology=Topology(segments=(SegmentSpec(8),), timing=exp2_small().topology.timing))
+        sweep_devices(base, (1, 3, 8))
+        assert set(checks) == {1, 3, 8}
+        assert checks[1] == checks[3] == checks[8]  # each request, once at each rank
+        assert len(checks[1]) == 30
+        assert len(set(checks[1])) > 1
+
+    @pytest.mark.parametrize("counts, error", [
+        ((1, 0), EmptySegment),
+        ((1, 744), SegmentTooLong),
+        (range(1, 10**15), SegmentTooLong),  # stops at 744, with no list of every count
+    ], ids=["empty", "too-long", "long-range"])
+    def test_every_count_checked_before_the_run(self, no_simulation, counts, error):
+        with pytest.raises(error):
+            sweep_devices(exp1_small(), counts)
+
     def test_slope_is_exactly_the_hop_cost(self):
         result = sweep_devices(exp1_small(), range(1, 9))
         assert result.slope_ns_per_device == 900.0

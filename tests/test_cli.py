@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from meowsim import bench, scenario
+from meowsim import scenario
 from meowsim.cli import _parse_counts, main
 from meowsim.errors import IoFailure
 
@@ -40,14 +40,6 @@ def exp2_file(tmp_path):
     path = tmp_path / "exp2_small.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
-
-
-@pytest.fixture
-def no_simulation(monkeypatch):
-    """Fail the test if a run starts: bad flags and paths are caught before it."""
-    def started(*args, **kwargs):
-        raise AssertionError("a simulation started")
-    monkeypatch.setattr(bench, "Engine", started)
 
 
 def test_parse_counts():
@@ -230,6 +222,14 @@ def test_paper_figure_stdout_matches_golden(capsys, argv, golden):
     assert main(argv) == 0
     with open(os.path.join(GOLDEN_DIR, golden), "rb") as fh:
         assert capsys.readouterr().out.encode("utf-8") == fh.read()
+
+
+def test_sweep_csv_matches_golden(tmp_path, capsys):
+    path = tmp_path / "sweep_exp1.csv"
+    assert main(["sweep", "--scenario", "exp1", "--devices", "1..8", "--csv", str(path)]) == 0
+    capsys.readouterr()
+    with open(os.path.join(GOLDEN_DIR, "sweep_exp1.csv"), "rb") as fh:
+        assert path.read_bytes() == fh.read()
 
 
 def test_netctl_stdout_matches_golden(capsys):
