@@ -46,7 +46,7 @@ from .errors import (
     SchedulingInPast,
     UnknownRequest,
 )
-from .simulation import MasterState, analytic_latency, word_positions
+from .simulation import MasterState, analytic_latency
 from .topology import Topology, require_int
 
 # EventKind.X is slow to look up (EnumType defines __getattr__); per-request paths use these
@@ -66,7 +66,8 @@ class RequestTrace:
     """The one record of a request; the markers 1/2/3 of the trace format.
 
     writes may be shared with other requests (a batch run hands every
-    request of a pattern the same dict), so nothing mutates it.
+    request of a pattern the same dict), so nothing mutates it. A target's
+    latch time is latch_ns(segment, device); nothing scans the masks for it.
     """
 
     request_id: int
@@ -90,13 +91,6 @@ class RequestTrace:
     def latch_ns(self, segment: int, device: int) -> int:
         """When the frame carrying this request reaches and latches the device."""
         return self.segments[segment].first_latch_ns + device * self.hop_ns
-
-    def latches(self):
-        """(segment, device, latch time) of each target whose frame has left, in order."""
-        for seg, st in self.segments.items():
-            if st.first_latch_ns is not None:
-                for device in word_positions(self.writes[seg][0]):
-                    yield seg, device, st.first_latch_ns + device * self.hop_ns
 
     def check_ordering(self) -> None:
         for seg, st in self.segments.items():
@@ -166,11 +160,13 @@ class DeviceController:
         lanes = {}  # {segment: (mask words, value words)}
         seg = None
         for segment, device, word in targets:
-            require_int("segment", segment)
-            require_int("device", device)
-            require_int("word", word)
+            # one cheap test passes plain ints; require_int names any other field
+            if not (type(segment) is int and type(device) is int and type(word) is int):
+                require_int("segment", segment)
+                require_int("device", device)
+                require_int("word", word)
             if not 0 <= word <= 0xFFFF:
-                raise ValueError(f"output word must fit 16 bits, got {word:#x}")
+                raise ValueError(f"output word must fit 16 bits, got {hex(word):.200}")
             if segment != seg:  # targets mostly come in runs of one segment
                 seg = segment
                 words = lanes.get(seg)
@@ -204,7 +200,7 @@ class DeviceController:
         """
         require_int("request_id", request_id)
         if request_id in self.traces:
-            raise DuplicateRequestId(f"request {request_id} already submitted")
+            raise DuplicateRequestId(f"request {request_id!s:.200} already submitted")
         require_int("t_generated_ns", t_generated_ns)
         if t_generated_ns < self.engine.now:
             raise SchedulingInPast(

@@ -8,7 +8,9 @@ Errors:   {"type":"error","request_id":N,"code":"UnknownTarget","message":...}
 
 outputs is a JSON int, ASCII decimal digits or 0x and ASCII hex digits. A
 request with several faults is answered for its first bad target, then an
-empty list, then the id's type, then a used id.
+empty list, then the id's type, then a used id. An error message quotes at
+most 200 characters of a client value. The complete reply's t_latched_ns
+holds exactly the request's targets.
 
 The same handler runs in-process (SouthboundSession.handle_line) or behind
 a TCP listener. Concurrent connections are serialized onto the single
@@ -30,6 +32,10 @@ from .errors import MeowError
 from .stats import ns_to_us_str
 from .topology import Topology
 
+# the one encoder of every reply (json.dumps builds one per call given
+# sort_keys); a reply is a tree of fresh dicts, so no cycle check
+_encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
+
 # the longest TCP line read, newline included: a request for every device of
 # a full 6x743 topology is ~231 KB in json.dumps's default form
 MAX_LINE_BYTES = 1 << 20
@@ -41,20 +47,10 @@ def _parse_outputs(value) -> int:
         if not (value.isascii() and value.isalnum()):
             raise ValueError(f"outputs must be decimal or 0x-prefixed hex digits, "
                              f"got {value!r:.200}")
-        return int(value, 16 if value.lower().startswith("0x") else 10)
+        return int(value, 16 if value[:2] in ("0x", "0X") else 10)
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    raise ValueError(f"outputs must be an integer or hex string, got {value!r}")
-
-
-def _trace_dict(trace: RequestTrace) -> dict:
-    """The complete reply's trace; handle_line dumps it with sorted keys."""
-    return {
-        "t_generated_ns": trace.t_generated_ns,
-        "t_master_emit_ns": {str(s): t for s, t in trace.t_master_emit_ns.items()},
-        "t_latched_ns": {f"{s}/{d}": t for s, d, t in trace.latches()},
-        "config_time_ns": trace.config_time_ns,
-    }
+    raise ValueError(f"outputs must be an integer or hex string, got {value!r:.200}")
 
 
 class SouthboundSession:
@@ -64,6 +60,8 @@ class SouthboundSession:
         self.engine = Engine(seed=seed)
         self.controller = DeviceController(self.engine, topology)
         self._lock = threading.Lock()
+        self._latch_keys = [[f"{s}/{d}" for d in range(seg.device_count)]  # formatted once
+                            for s, seg in enumerate(topology.segments)]
 
     def handle_line(self, line: str) -> list[str]:
         """Process one request line; returns the reply lines in order.
@@ -73,18 +71,17 @@ class SouthboundSession:
         """
         with self._lock:
             try:
-                return [json.dumps(reply, sort_keys=True) for reply in self._handle(line)]
+                return list(map(_encode, self._handle(line)))
             except Exception as exc:  # one client's line must not stop the server
                 import logging  # here, not at the top: it adds ~9 ms to start-up
 
                 logging.getLogger(__name__).exception("southbound line failed: %.200r", line)
-                return [json.dumps(self._error(None, "InternalError", repr(exc)),
-                                   sort_keys=True)]
+                return [_encode(self._error(None, "InternalError", repr(exc)))]
 
     @classmethod
     def bad_message(cls, reason: str) -> list[str]:
         """The reply lines to a line that could not be read as text."""
-        return [json.dumps(cls._error(None, "BadMessage", reason), sort_keys=True)]
+        return [_encode(cls._error(None, "BadMessage", reason))]
 
     def _handle(self, line: str):
         try:
@@ -97,7 +94,7 @@ class SouthboundSession:
         request_id = message.get("request_id")
         if message.get("type") != "configure":
             return [self._error(request_id, "BadMessage",
-                                f"unknown message type {message.get('type')!r}")]
+                                f"unknown message type {message.get('type')!r:.200}")]
         try:
             targets = ((raw["segment"], raw["device"], _parse_outputs(raw["outputs"]))
                        for raw in message["targets"])
@@ -108,15 +105,25 @@ class SouthboundSession:
         except MeowError as exc:
             return [self._error(request_id, type(exc).__name__, str(exc))]
 
-        ack = {"type": "ack", "request_id": request_id}
         trace = self.controller.run_until_complete(request_id)
-        complete = {
+        return [{"type": "ack", "request_id": request_id}, {
             "type": "complete",
             "request_id": request_id,
             "config_time_us": float(ns_to_us_str(trace.config_time_ns)),
-            "trace": _trace_dict(trace),
+            "trace": self._trace_dict(trace, message["targets"]),
+        }]
+
+    def _trace_dict(self, trace: RequestTrace, targets: list) -> dict:
+        """The complete reply's trace; submit accepted targets, so each names
+        a device of the topology once and t_latched_ns holds exactly them."""
+        keys, latch_ns = self._latch_keys, trace.latch_ns
+        return {
+            "t_generated_ns": trace.t_generated_ns,
+            "t_master_emit_ns": {str(s): st.emit_ns for s, st in trace.segments.items()},
+            "t_latched_ns": {keys[raw["segment"]][raw["device"]]:
+                             latch_ns(raw["segment"], raw["device"]) for raw in targets},
+            "config_time_ns": trace.config_time_ns,
         }
-        return [ack, complete]
 
     @staticmethod
     def _error(request_id, code: str, message: str) -> dict:
@@ -152,9 +159,8 @@ class _LineHandler(socketserver.StreamRequestHandler):
             self.reply(replies)
 
     def reply(self, replies: list[str]) -> None:
-        # one write per line: wfile is unbuffered, so separate writes would
-        # leave as separate segments
-        self.wfile.write("".join(reply + "\n" for reply in replies).encode("utf-8"))
+        # one send per line: separate sends would leave as separate segments
+        self.connection.sendall(("\n".join(replies) + "\n").encode())
 
 
 class SouthboundServer(socketserver.ThreadingTCPServer):

@@ -28,12 +28,12 @@ MAX_PDO_CYCLE_NS = 100_000
 def require_int(name: str, value) -> None:
     """Reject anything but a real int (bools and floats included)."""
     if not isinstance(value, int) or isinstance(value, bool):
-        raise WrongType(f"{name} must be an integer, got {value!r}")
+        raise WrongType(f"{name} must be an integer, got {value!r:.200}")
 
 
 def require_dict(name: str, value) -> None:
     if not isinstance(value, dict):
-        raise WrongType(f"{name} must be an object, got {value!r}")
+        raise WrongType(f"{name} must be an object, got {value!r:.200}")
 
 
 def require_keys(name: str, value, allowed, required=()) -> None:
@@ -132,7 +132,8 @@ class Topology:
     def validate_target(self, segment: int, device: int) -> None:
         if not (0 <= segment < len(self.segments)
                 and 0 <= device < self.segments[segment].device_count):
-            raise UnknownTarget(f"target segment {segment} device {device} not in topology")
+            raise UnknownTarget(f"target segment {segment!s:.200} device {device!s:.200} "
+                                "not in topology")
 
     def device_rank(self, segment: int, device: int) -> int:
         """1-based chain position used by the latency model (1 = nearest)."""

@@ -76,8 +76,19 @@ def master_words(controller) -> list[list[int]]:
 
 
 def latched(trace) -> dict[tuple[int, int], int]:
-    """{(segment, device): latch time} of every target whose frame has left."""
-    return {(seg, device): t for seg, device, t in trace.latches()}
+    """{(segment, device): latch time} of every target whose frame has left.
+
+    A naive scan of each segment's mask, one word at a time, apart from the
+    routes src/ takes to the same times.
+    """
+    latches = {}
+    for seg, st in trace.segments.items():
+        if st.first_latch_ns is not None:
+            mask = trace.writes[seg][0]
+            for device in range((mask.bit_length() + 15) // 16):
+                if mask >> 16 * device & 0xFFFF:
+                    latches[seg, device] = st.first_latch_ns + device * trace.hop_ns
+    return latches
 
 
 def changed_words(before: int, after: int) -> tuple:

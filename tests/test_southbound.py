@@ -19,9 +19,10 @@ from meowsim.southbound import (
     SouthboundSession,
     _parse_outputs,
 )
+from meowsim.stats import ns_to_us_str
 from meowsim.topology import MAX_SEGMENT_DEVICES, MAX_SEGMENTS, SegmentSpec, TimingParams, Topology
 
-from conftest import serve_background
+from conftest import latched, serve_background
 
 # one request line per intake fault on exp2's 4x2, and the session's replies
 SINGLE_FAULTS = os.path.join(os.path.dirname(__file__), "data", "golden", "southbound_errors")
@@ -202,6 +203,52 @@ class TestSession:
         # the shared simulation keeps running: a valid request still
         # completes at the oracle's latency for its boundary wait
         assert_completes_at_oracle_latency(session, 6)
+
+    LONG_TEXT = "x" * 100_000
+    LONG_WORDS = "x " * 50_000  # not alphanumeric, so _parse_outputs' own message
+    LONG_LIST = list(range(50_000))
+    LONG_HEX = "0x" + "F" * 100_000
+    LONG_INT = int("9" * 4_000)  # json.loads converts up to 4300 digits
+
+    @pytest.mark.parametrize("field, value, code, message", [
+        ("segment", LONG_TEXT, "BadMessage",
+         f"segment must be an integer, got {LONG_TEXT!r:.200}"),
+        ("device", LONG_TEXT, "BadMessage",
+         f"device must be an integer, got {LONG_TEXT!r:.200}"),
+        ("outputs", LONG_LIST, "BadMessage",
+         f"outputs must be an integer or hex string, got {LONG_LIST!r:.200}"),
+        ("outputs", LONG_WORDS, "BadMessage",
+         f"outputs must be decimal or 0x-prefixed hex digits, got {LONG_WORDS!r:.200}"),
+        ("outputs", LONG_HEX, "BadMessage",
+         f"output word must fit 16 bits, got {LONG_HEX.lower():.200}"),
+        ("request_id", LONG_LIST, "BadMessage",
+         f"request_id must be an integer, got {LONG_LIST!r:.200}"),
+        ("type", LONG_TEXT, "BadMessage", f"unknown message type {LONG_TEXT!r:.200}"),
+        ("segment", LONG_INT, "UnknownTarget",
+         f"target segment {LONG_INT!s:.200} device 0 not in topology"),
+    ], ids=["segment", "device", "outputs-list", "outputs-text", "outputs-hex",
+            "request-id", "type", "segment-int"])
+    def test_error_quotes_at_most_200_characters_of_a_client_value(self, field, value, code,
+                                                                   message):
+        target = {"segment": 0, "device": 0, "outputs": 1}
+        request = {"type": "configure", "request_id": 3, "targets": [target]}
+        (target if field in target else request)[field] = value
+        session = SouthboundSession(topology())
+        (reply,) = session.handle_line(json.dumps(request))
+        err = json.loads(reply)
+        assert (err["type"], err["code"], err["message"]) == ("error", code, message)
+        assert len(reply) < 400
+        assert session.controller.traces == {}
+
+    def test_duplicate_id_quotes_at_most_200_digits(self):
+        session = SouthboundSession(topology())
+        line = configure_line(self.LONG_INT, [(0, 0, 1)])
+        session.handle_line(line)
+        (reply,) = session.handle_line(line)
+        err = json.loads(reply)
+        # the id itself is echoed whole: it is the reply's key, not a quote
+        assert (err["code"], err["request_id"]) == ("DuplicateRequestId", self.LONG_INT)
+        assert err["message"] == f"request {self.LONG_INT!s:.200} already submitted"
 
     def test_unexpected_failure_replies_internal_error(self, monkeypatch, caplog):
         session = SouthboundSession(topology())
@@ -456,3 +503,54 @@ def test_any_lines_leave_the_session_serving(lines):
     traces = session.controller.traces
     assert all(trace.complete for trace in traces.values())
     assert_completes_at_oracle_latency(session, max(traces, default=0) + 1)
+
+
+@st.composite
+def requests_on_chains(draw):
+    """A topology of 1-6 segments of up to 20 devices, and 1-3 requests on it.
+
+    Each request names a random subset of the devices in random list order,
+    each word as a JSON int, decimal digits or 0x hex. Chains past ten
+    devices put "0/10" before "0/2" in sorted keys.
+    """
+    timing = load_preset("exp2").topology.timing
+    chains = draw(st.lists(st.tuples(st.integers(1, 20),
+                                     st.integers(0, timing.pdo_cycle_ns - 1)),
+                           min_size=1, max_size=MAX_SEGMENTS))
+    topo = Topology(segments=tuple(SegmentSpec(n, phase) for n, phase in chains), timing=timing)
+    devices = list(topo.all_targets())
+    word_forms = st.sampled_from((lambda w: w, str, lambda w: f"0x{w:X}"))
+    requests = []
+    for rid in range(draw(st.integers(1, 3))):
+        targets = draw(st.lists(st.sampled_from(devices), min_size=1, unique=True))
+        requests.append((rid, [(s, d, draw(word_forms)(draw(st.integers(0, 0xFFFF))))
+                               for s, d in targets]))
+    return topo, requests
+
+
+@settings(max_examples=100, deadline=None)
+@given(requests_on_chains())
+def test_complete_reply_equals_a_naive_scan_of_the_trace(case):
+    """Each complete reply is, byte for byte, json.dumps with sorted keys of a
+    reply whose t_latched_ns scans the trace's masks word by word; it holds
+    exactly the request's targets."""
+    topo, requests = case
+    session = SouthboundSession(topo, seed=1)
+    for rid, targets in requests:
+        ack, complete = session.handle_line(configure_line(rid, targets))
+        trace = session.controller.traces[rid]
+        latches = latched(trace)
+        assert sorted(latches) == sorted((s, d) for s, d, _ in targets)
+        expected = {
+            "type": "complete",
+            "request_id": rid,
+            "config_time_us": float(ns_to_us_str(trace.config_time_ns)),
+            "trace": {
+                "t_generated_ns": trace.t_generated_ns,
+                "t_master_emit_ns": {str(s): st.emit_ns for s, st in trace.segments.items()},
+                "t_latched_ns": {f"{s}/{d}": t for (s, d), t in latches.items()},
+                "config_time_ns": trace.config_time_ns,
+            },
+        }
+        assert ack == json.dumps({"type": "ack", "request_id": rid}, sort_keys=True)
+        assert complete == json.dumps(expected, sort_keys=True)
