@@ -547,7 +547,7 @@ def test_complete_reply_equals_a_naive_scan_of_the_trace(case):
             "config_time_us": float(ns_to_us_str(trace.config_time_ns)),
             "trace": {
                 "t_generated_ns": trace.t_generated_ns,
-                "t_master_emit_ns": {str(s): st.emit_ns for s, st in trace.segments.items()},
+                "t_master_emit_ns": {str(s): seg.emit_ns for s, seg in trace.segments.items()},
                 "t_latched_ns": {f"{s}/{d}": t for (s, d), t in latches.items()},
                 "config_time_ns": trace.config_time_ns,
             },
