@@ -3,12 +3,12 @@
 Reproduces the two reference experiments (presets exp1 and exp2), sweeps
 chain length, extrapolates the worst case to 1000-rack fabrics, and writes
 per-request CSV, marker traces and summary statistics. A batch run builds
-its two word patterns' images once, in closed form, and checks no target:
-each is the topology's own. It draws every arrival phase first, then hands
-the requests in one at a time, each at its generation instant, so the
-event queue holds only one request's events. A sweep is one batch run on
-its longest chain, read at the position of every requested length, with
-the oracle checked at each.
+its two word patterns' images once, in closed form, and makes no intake
+check: its targets, fresh ids and rising times are its own. It draws every
+arrival phase first, then hands the requests in one at a time, each at its
+generation instant, so the event queue holds only one request's events. A
+sweep is one batch run on its longest chain, read at the position of every
+requested length, with the oracle checked at each.
 """
 
 from __future__ import annotations
@@ -126,12 +126,13 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None,
     draw = engine.rng.uniform_draw
     phases = [draw(0, phase_slots - 1) for _ in range(scenario.num_requests)]
     # stop short of the generation instant's arrivals and frames, so a
-    # zero-delay write still rides the frame emitted at that instant
+    # zero-delay write still rides the frame emitted at that instant; the
+    # ids are fresh and the times rise, so nothing here needs submit's checks
     arrived = EventKind.SOUTHBOUND_ARRIVED
     for k, phase in enumerate(phases):
         t_gen = k * spacing + ARRIVAL_GRID_NS * phase
         engine.run_until(t_gen, arrived)
-        controller.submit_packed(k, patterns[k % len(patterns)], t_gen)
+        controller._submit_packed(k, patterns[k % len(patterns)], t_gen)
     traces = [controller.traces[k] for k in range(scenario.num_requests)]
 
     # the last request is generated last, and request_span_ns bounds its life
@@ -155,8 +156,10 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None,
 
 # -- exports ---------------------------------------------------------------
 
-def require_parent_dir(path: str, what: str) -> None:
-    """Raise IoFailure unless the directory path would be written into exists."""
+def require_file_path(path: str, what: str) -> None:
+    """Raise IoFailure unless path can name a file: not a directory, in one that exists."""
+    if not os.path.basename(path) or os.path.isdir(path):  # "", "sub/", "." or "sub"
+        raise IoFailure(f"cannot write {what} {path}: it names a directory")
     parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
         raise IoFailure(f"cannot write {what} {path}: {parent} is not a directory")
@@ -178,7 +181,7 @@ def open_export(path: str, what: str):
 
 
 def _export_paths(scenario: Scenario, out_dir: str | None) -> dict:
-    """{kind: path} of the scenario's exports: distinct files, each with a directory to go in."""
+    """{kind: path} of the scenario's exports: distinct files that require_file_path passes."""
     paths = {kind: os.path.join(out_dir or ".", rel)
              for kind, rel in (scenario.outputs or {}).items()}
     kinds = {}  # {normalised path: first kind that names it}
@@ -186,7 +189,7 @@ def _export_paths(scenario: Scenario, out_dir: str | None) -> dict:
         other = kinds.setdefault(os.path.normpath(path), kind)
         if other != kind:
             raise ValueError(f"outputs {other} and {kind} name one file {path}")
-        require_parent_dir(path, kind)
+        require_file_path(path, kind)
     return paths
 
 

@@ -81,7 +81,7 @@ def _cmd_sweep(args) -> int:
     base = resolve_scenario(args.scenario)
     counts = _parse_counts(args.devices)
     if args.csv:
-        bench.require_parent_dir(args.csv, "sweep CSV")
+        bench.require_file_path(args.csv, "sweep CSV")
     result = bench.sweep_devices(base, counts)
     print("devices,best_us,worst_us")
     for point in result.points:
@@ -208,7 +208,7 @@ def _checked(name: str, raw) -> dict:
     for key, value in raw.items():
         kind = _NETCTL_FIELDS.get(key, object)
         if not isinstance(value, kind) or kind is int and isinstance(value, bool):
-            raise WrongType(f"{key} has the wrong type: {value!r}")
+            raise WrongType(f"{key} has the wrong type: {value!r:.200}")
     return raw
 
 
@@ -252,7 +252,7 @@ def _netctl_execute(controller: NetworkController, command: dict) -> dict:
         return {"path_id": command["path_id"], "state": "Released"}
     if verb == "dump-table":
         return {"table": controller.dump_table()}
-    raise ValueError(f"unknown verb {verb!r}")
+    raise ValueError(f"unknown verb {verb!r:.200}")
 
 
 def _cmd_netctl(args) -> int:

@@ -111,10 +111,6 @@ class EcatFrame:
     def content_length(self) -> int:
         return sum(d.byte_length for d in self.datagrams)
 
-    @property
-    def byte_length(self) -> int:
-        return _HEADER.size + self.content_length
-
 
 def encode_frame(frame: EcatFrame) -> bytes:
     """Serialize a frame to canonical wire bytes."""

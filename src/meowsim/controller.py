@@ -3,24 +3,26 @@
 One controller drives up to six masters over a single event engine. The
 life of a request:
 
-  t_generated_ns     generated at the network controller (marker 1); submit
-                     is pack then submit_packed: pack is the one check of
-                     the (segment, device, word) triples, made in the pass
-                     that packs each segment's writes into a (mask, value)
-                     pair of process images; submit_packed checks the id
-                     and the time and records the trace (a batch run builds
-                     each of its patterns' pairs once, in closed form, and
-                     hands every request its pattern's pairs)
+  t_generated_ns     generated at the network controller (marker 1);
+                     submit, the one public intake, makes every check:
+                     pack checks the (segment, device, word) triples in
+                     the pass that packs each segment's writes into a
+                     (mask, value) pair of process images, then submit
+                     checks the id and the time; only then is the trace
+                     recorded (a batch run builds each of its patterns'
+                     pairs once, in closed form, and hands every request
+                     its pattern's pairs to the private, unchecked half)
   SouthboundArrived  +d_sb_ns at the device controller; each segment's pair
                      is staged at +d_mm_ns (+drawn jitter) on its master
   MasterEmit         next PDO boundary of each targeted master (marker 2),
                      scheduled by the first write staged for it; the
                      frame's pass down the chain is resolved here and
-                     kept only in its riders' traces: each device p whose
-                     word it changes latches at +d_frame_head_ns +
-                     (p+1)*d_hop_ns + d_latch_ns (marker 3), and each
-                     rider's trace counts down its segments still to emit
-                     and keeps its latest target latch
+                     kept only in its riders' traces: a rider's target p
+                     latches when the frame passes it, at +d_frame_head_ns
+                     + (p+1)*d_hop_ns + d_latch_ns (marker 3), whether or
+                     not its word changes, and each rider's trace counts
+                     down its segments still to emit and keeps its latest
+                     target latch
   completion         at the last target's latch, known and checked when the
                      rider's last segment emits: the slot (last latch,
                      SouthboundArrived), read from the trace, never an event
@@ -191,13 +193,16 @@ class DeviceController:
                            int.from_bytes(pack(*value_words), "little"))
         return writes
 
-    def submit_packed(self, request_id: int, writes: dict[int, tuple[int, int]],
-                      t_generated_ns: int) -> None:
-        """Send a request's packed writes, generated at t_generated_ns, down the southbound.
+    def submit(self, request_id: int, targets, t_generated_ns: int) -> None:
+        """Check, pack and send a request generated at t_generated_ns.
 
-        writes is what pack returned; it is kept, not copied, and never
-        mutated. Nothing is recorded or scheduled when this raises.
+        targets is an iterable of (segment, device, word) triples. pack's
+        checks run first, so a request with several faults gets the error
+        of its first bad target, then of an empty list, then of the id's
+        type, a used id, the time's type and the clock. Nothing is recorded
+        or scheduled when this raises.
         """
+        writes = self.pack(targets)
         require_int("request_id", request_id)
         if request_id in self.traces:
             raise DuplicateRequestId(f"request {request_id!s:.200} already submitted")
@@ -206,22 +211,21 @@ class DeviceController:
             raise SchedulingInPast(
                 f"cannot generate a request at {t_generated_ns}, clock is {self.engine.now}"
             )
+        self._submit_packed(request_id, writes, t_generated_ns)
+
+    def _submit_packed(self, request_id: int, writes: dict[int, tuple[int, int]],
+                       t_generated_ns: int) -> None:
+        """Record a checked request's trace and schedule its southbound arrival.
+
+        writes is kept, not copied, and never mutated. The caller vouches
+        for everything: writes as pack would return them, an unused id and
+        a time not before the clock.
+        """
         trace = RequestTrace(request_id, t_generated_ns, writes, self.timing.d_hop_ns,
                              pending=len(writes))
         self.traces[request_id] = trace
         t_arrival_ns = t_generated_ns + self.timing.d_sb_ns
         self.engine.schedule(t_arrival_ns, _ARRIVED, trace, t_arrival_ns)
-
-    def submit(self, request_id: int, targets, t_generated_ns: int) -> None:
-        """Check, pack and send a request generated at t_generated_ns.
-
-        targets is an iterable of (segment, device, word) triples. pack's
-        checks run before submit_packed's, so a request with several faults
-        gets the error of its first bad target, then of an empty list, then
-        of the id's type, a used id, the time's type and the clock. Nothing
-        is recorded or scheduled when this raises.
-        """
-        self.submit_packed(request_id, self.pack(targets), t_generated_ns)
 
     # -- event handlers ---------------------------------------------------
 

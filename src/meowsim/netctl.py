@@ -110,7 +110,7 @@ class NetworkController:
 
     def add_rule(self, rule: ProactiveRule) -> None:
         if rule.rule_id in self.rules:
-            raise ValueError(f"duplicate rule id {rule.rule_id!r}")
+            raise ValueError(f"duplicate rule id {rule.rule_id!r:.200}")
         if any(r.priority == rule.priority for r in self.rules.values()):
             raise ValueError(f"duplicate rule priority {rule.priority}")
         self.rules[rule.rule_id] = rule
@@ -167,7 +167,7 @@ class NetworkController:
     def allocate(self, src_tor: str, dst_tor: str) -> OpticalPathEntry:
         """First-fit allocation of one cross-connect word; entry starts Reserved."""
         if src_tor == dst_tor:
-            raise ValueError(f"src and dst must differ, both {src_tor!r}")
+            raise ValueError(f"src and dst must differ, both {src_tor!r:.200}")
         hop = self.resources.first_fit()
         if hop is None:
             raise NoCapacity("no free cross-connect word on any device")

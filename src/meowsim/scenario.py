@@ -58,7 +58,7 @@ class Scenario:
             require_keys("outputs", self.outputs, ("csv", "trace", "stats"))
             for kind, path in self.outputs.items():
                 if not isinstance(path, str):
-                    raise WrongType(f"output {kind} must be a path string, got {path!r}")
+                    raise WrongType(f"output {kind} must be a path string, got {path!r:.200}")
             object.__setattr__(self, "outputs", dict(self.outputs))
 
     # -- serialization -----------------------------------------------------

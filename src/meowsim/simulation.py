@@ -143,9 +143,10 @@ class MasterState:
     def build_frame(self, boundary_ns: int) -> tuple:
         """Fold the writes due at this boundary into the image.
 
-        Returns the request ids the frame carries, in staging order; the
-        image it writes down the chain is then self.image. A boundary with
-        nothing due builds an empty frame.
+        Returns the request ids the frame carries in the order their
+        writes reached stage (arrival order); only the fold is sorted, by
+        staging time. The image it writes down the chain is then
+        self.image. A boundary with nothing due builds an empty frame.
         """
         due = self.staged.pop(boundary_ns, ())
         if self.staged and min(self.staged) <= boundary_ns:

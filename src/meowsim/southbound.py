@@ -119,7 +119,7 @@ class SouthboundSession:
         keys, latch_ns = self._latch_keys, trace.latch_ns
         return {
             "t_generated_ns": trace.t_generated_ns,
-            "t_master_emit_ns": {str(s): st.emit_ns for s, st in trace.segments.items()},
+            "t_master_emit_ns": trace.t_master_emit_ns,  # int keys: JSON writes them as strings
             "t_latched_ns": {keys[raw["segment"]][raw["device"]]:
                              latch_ns(raw["segment"], raw["device"]) for raw in targets},
             "config_time_ns": trace.config_time_ns,

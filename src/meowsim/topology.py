@@ -41,7 +41,7 @@ def require_keys(name: str, value, allowed, required=()) -> None:
     require_dict(name, value)
     unknown = set(value) - set(allowed)
     if unknown:
-        raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
+        raise ValueError(f"unknown {name} keys: {sorted(unknown)!s:.200}")
     for key in required:
         if key not in value:
             raise ValueError(f"{name} needs {key!r}")
@@ -168,7 +168,7 @@ def build_topology(spec: dict) -> Topology:
     """
     require_keys("topology", spec, ("segments", "timing"), ("segments", "timing"))
     if not isinstance(spec["segments"], list):
-        raise WrongType(f"segments must be a list, got {spec['segments']!r}")
+        raise WrongType(f"segments must be a list, got {spec['segments']!r:.200}")
     segments = tuple(_from_fields(SegmentSpec, f"segment {i}", raw)
                      for i, raw in enumerate(spec["segments"]))
     return Topology(segments, _from_fields(TimingParams, "timing", spec["timing"]))

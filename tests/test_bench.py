@@ -105,6 +105,30 @@ class TestRunScenario:
         # such write rides its boundary (zero wait), never a cycle late
         run_scenario(with_pdo_cycle(exp1_small(400), 100_000), check_oracle=True)
 
+    # each check below guards against a broken program, simulated here
+    def test_request_unfinished_at_the_horizon_raises(self, monkeypatch):
+        # a zero bound puts the horizon at the last request's generation
+        monkeypatch.setattr(DeviceController, "request_span_ns", lambda self: 0)
+        with pytest.raises(AssertionError, match=r"^request 4 did not finish by the horizon$"):
+            run_scenario(exp1_small(5))
+
+    def test_emit_off_a_boundary_raises(self):
+        scenario = exp1_small(3)
+        traces = run_scenario(scenario).traces
+        traces[1].segments[0].emit_ns += 1
+        t_emit = traces[1].segments[0].emit_ns
+        with pytest.raises(AssertionError,
+                           match=f"^request 1: emit {t_emit} is not a PDO boundary$"):
+            bench._measure_rows(scenario.topology, traces, scenario.measurement, True)
+
+    def test_oracle_mismatch_raises(self, monkeypatch):
+        config = run_scenario(exp1_small(3)).rows[0].config_ns
+        oracle = bench.analytic_latency
+        monkeypatch.setattr(bench, "analytic_latency", lambda *args: oracle(*args) + 1)
+        with pytest.raises(AssertionError, match=f"^request 0: simulated {config} ns "
+                                                 f"!= oracle {config + 1} ns$"):
+            run_scenario(exp1_small(3))
+
     @pytest.mark.parametrize("preset, expected", [
         ("exp1", {"SouthboundArrived": 1000, "MasterEmit": 1000}),
         ("exp2", {"SouthboundArrived": 1000, "MasterEmit": 4000}),
@@ -308,7 +332,8 @@ class TestBatchPathEqualsPerRequestPath:
     @pytest.mark.parametrize("scenario", [exp2_small(20), deployment(4, 250, num_requests=20)],
                              ids=["4x2", "4x250"])
     def test_intake_checks_per_request_not_per_target(self, monkeypatch, scenario):
-        # submit_packed checks the id and the time; the batch path checks no target
+        # submit makes every intake check; the batch path makes none, since
+        # its ids, times and images are its own
         calls = Counter()
 
         def counting_require_int(name, value):
@@ -317,7 +342,7 @@ class TestBatchPathEqualsPerRequestPath:
 
         monkeypatch.setattr(controller_module, "require_int", counting_require_int)
         run_scenario(scenario)
-        assert calls == {"request_id": 20, "t_generated_ns": 20}
+        assert calls == {}
 
 
 class TestClosedFormPatterns:

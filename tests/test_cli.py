@@ -149,6 +149,22 @@ class TestRun:
         assert err.startswith("error: IoFailure: cannot write")
         assert f"{out_dir} is not a directory" in err
 
+    @pytest.mark.parametrize("trace, path", [("sub", "./sub"), ("", "./"), ("sub/", "./sub/")],
+                             ids=["directory", "empty", "trailing-separator"])
+    def test_export_path_naming_a_directory_rejected_before_simulation(
+            self, tmp_path, monkeypatch, capsys, no_simulation, trace, path):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        doc = scenario_doc([8], 32_000)
+        doc["outputs"] = {"csv": "r.csv", "trace": trace}
+        (tmp_path / "s.json").write_text(json.dumps(doc), encoding="utf-8")
+        rc = main(["run", "s.json"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: IoFailure: cannot write trace {path}: it names a directory\n"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["s.json", "sub"]
+
 
 class TestSweep:
     def test_slope_and_csv(self, exp1_file, tmp_path, capsys):
@@ -185,6 +201,14 @@ class TestSweep:
         assert rc == 2
         assert out == ""
         assert err.startswith("error: IoFailure: cannot write sweep CSV")
+
+    def test_csv_naming_a_directory_rejected_before_sweep(self, exp1_file, tmp_path, capsys,
+                                                          no_simulation):
+        rc = main(["sweep", "--scenario", exp1_file, "--csv", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: IoFailure: cannot write sweep CSV {tmp_path}: it names a directory\n"
 
     def test_too_long_chain_rejected_before_sweep(self, exp1_file, capsys, no_simulation):
         rc = main(["sweep", "--scenario", exp1_file, "--devices", "740..744"])
@@ -393,6 +417,29 @@ class TestNetctl:
         assert "." in lines[3]["config_time_us"]
         assert lines[4]["table"][0]["state"] == "Active"
         assert lines[5]["state"] == "Released"
+
+    LONG = "x" * 100_000
+
+    # a command-file value is quoted to 200 characters in the error line; an
+    # unknown verb is also echoed whole in the line's "verb" field
+    @pytest.mark.parametrize("commands, error, message, short_line", [
+        ([{"verb": "allocate", "src_tor": [LONG], "dst_tor": "b"}],
+         "WrongType", "src_tor has the wrong type: " + repr([LONG])[:200], True),
+        ([{"verb": "allocate", "src_tor": LONG, "dst_tor": LONG}],
+         "ValueError", "src and dst must differ, both " + repr(LONG)[:200], True),
+        ([{"verb": "add-rule", "rule_id": LONG, "priority": 1},
+          {"verb": "add-rule", "rule_id": LONG, "priority": 2}],
+         "ValueError", "duplicate rule id " + repr(LONG)[:200], True),
+        ([{"verb": LONG}], "ValueError", "unknown verb " + repr(LONG)[:200], False),
+    ], ids=["wrong-type", "same-tor", "duplicate-rule", "unknown-verb"])
+    def test_error_quotes_at_most_200_characters(self, tmp_path, capsys, commands, error,
+                                                 message, short_line):
+        rc = main(["netctl", "exp1", self.write_commands(tmp_path, commands)])
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert rc == 1
+        reply = json.loads(last)
+        assert (reply["ok"], reply["error"], reply["message"]) == (False, error, message)
+        assert len(last) < 400 or not short_line
 
     def test_failures_set_exit_code(self, tmp_path, capsys):
         commands = self.write_commands(tmp_path, [

@@ -130,6 +130,17 @@ class TestFrameInvariants:
         with pytest.raises(ValueError):
             EcatDatagram(cmd=EcatCmd.LWR, data=b"\x00" * 1487)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("idx", 0x100, "idx must fit one byte, got 256"),
+        ("idx", -1, "idx must fit one byte, got -1"),
+        ("address", 1 << 32, "address must fit four bytes, got 4294967296"),
+        ("irq", 0x10000, "irq must fit two bytes, got 65536"),
+        ("wkc", -1, "wkc must fit two bytes, got -1"),
+    ], ids=["idx-high", "idx-negative", "address", "irq", "wkc"])
+    def test_header_field_out_of_range_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            EcatDatagram(cmd=EcatCmd.LWR, **{field: value})
+
 
 def random_datagram(rng: random.Random) -> EcatDatagram:
     return EcatDatagram(
@@ -276,6 +287,32 @@ class TestConformanceVectors:
         frame = decode_frame(LWR_FRAME_BYTES)
         assert summarize_frame(frame) == (
             "LWR idx=0 addr=0x00000000 len=2 irq=0 data=efbe wkc=0"
+        )
+
+
+    @pytest.mark.parametrize("line", ["zz LWR", "0e100b"], ids=["not-hex", "no-summary"])
+    def test_unparsable_line_named(self, line):
+        with pytest.raises(ValueError, match=r"^conformance vector line 2: "):
+            check_conformance_vectors(f"# a comment\n{line}\n")
+
+    def test_summary_mismatch_raises(self):
+        expected = "NOP idx=0 addr=0x00000000 len=2 irq=0 data=efbe wkc=0"
+        with pytest.raises(AssertionError) as info:
+            check_conformance_vectors(f"{LWR_FRAME_BYTES.hex()} {expected}")
+        assert str(info.value) == (
+            f"vector 0: summary mismatch\n  expected: {expected}\n"
+            f"  got:      LWR idx=0 addr=0x00000000 len=2 irq=0 data=efbe wkc=0"
+        )
+
+    def test_reencode_mismatch_raises(self):
+        # reserved frame-header bit 11 set: it decodes, but re-encodes without it
+        raw = "0e18" + LWR_FRAME_BYTES.hex()[4:]
+        summary = summarize_frame(decode_frame(LWR_FRAME_BYTES))
+        with pytest.raises(AssertionError) as info:
+            check_conformance_vectors(f"{raw} {summary}")
+        assert str(info.value) == (
+            f"vector 0: re-encode mismatch\n  expected: {raw}\n"
+            f"  got:      {LWR_FRAME_BYTES.hex()}"
         )
 
 

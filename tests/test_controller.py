@@ -307,14 +307,14 @@ class TestValidationAndErrors:
 
     def test_submit_packed_rejects_used_id_and_past_time(self, dispatches):
         engine, ctrl = make(chain_topology())
-        writes = ctrl.pack([(0, 0, 1)])
-        ctrl.submit_packed(1, writes, t_generated_ns=0)
+        targets = [(0, 0, 1)]
+        ctrl.submit(1, targets, t_generated_ns=0)
         first = ctrl.traces[1]
         with pytest.raises(DuplicateRequestId):
-            ctrl.submit_packed(1, writes, t_generated_ns=100)
+            ctrl.submit(1, targets, t_generated_ns=100)
         engine.run_until(50_000)
         with pytest.raises(SchedulingInPast):
-            ctrl.submit_packed(2, writes, t_generated_ns=49_999)
+            ctrl.submit(2, targets, t_generated_ns=49_999)
         # neither rejected call recorded or scheduled anything
         assert ctrl.traces == {1: first}
         engine.run_until(300_000)
@@ -429,9 +429,8 @@ class TestValidationAndErrors:
     @pytest.mark.parametrize("request_id", [True, "7", None, 1.0])
     def test_submit_packed_rejects_an_id_that_is_not_an_int(self, request_id):
         engine, ctrl = make(chain_topology())
-        writes = ctrl.pack([(0, 0, 1)])
         with pytest.raises(WrongType, match=r"^request_id must be an integer, got "):
-            ctrl.submit_packed(request_id, writes, t_generated_ns=0)
+            ctrl.submit(request_id, [(0, 0, 1)], t_generated_ns=0)
         assert ctrl.traces == {}
         assert engine.next_time_ns() is None
 
@@ -439,11 +438,33 @@ class TestValidationAndErrors:
     def test_submit_packed_rejects_a_time_that_is_not_an_int(self, t_generated_ns):
         # a float would carry into every later time, and True would count as 1
         engine, ctrl = make(chain_topology())
-        writes = ctrl.pack([(0, 0, 1)])
         with pytest.raises(WrongType, match=r"^t_generated_ns must be an integer, got "):
-            ctrl.submit_packed(1, writes, t_generated_ns=t_generated_ns)
+            ctrl.submit(1, [(0, 0, 1)], t_generated_ns=t_generated_ns)
         assert ctrl.traces == {}
         assert engine.next_time_ns() is None
+
+    # images that skip pack's checks would leave a request that never
+    # completes, drive master 3 for segment -1, fail inside an event handler
+    # or report a latency for no target; submit refuses each as pack does
+    @pytest.mark.parametrize("targets, error, message", [
+        ([], ValueError, r"^request needs at least one target$"),
+        ([(-1, 0, 1)], UnknownTarget, r"^target segment -1 device 0 not in topology$"),
+        ([(9, 0, 1)], UnknownTarget, r"^target segment 9 device 0 not in topology$"),
+        ([(0, 2, 1)], UnknownTarget, r"^target segment 0 device 2 not in topology$"),
+    ], ids=["no-targets", "segment-minus-1", "segment-9", "device-past-the-chain"])
+    def test_submit_refuses_what_pack_refuses(self, targets, error, message):
+        engine, ctrl = make(load_preset("exp2").topology)
+        with pytest.raises(error, match=message):
+            ctrl.submit(1, targets, t_generated_ns=0)
+        assert ctrl.traces == {}
+        assert engine.next_time_ns() is None
+        ctrl.submit(1, [(3, 1, 1)], t_generated_ns=0)  # the id is still free
+        assert ctrl.run_until_complete(1).complete
+
+    def test_submit_is_the_one_public_intake(self):
+        public = {name for name in dir(DeviceController) if not name.startswith("_")}
+        assert public == {"completion_report", "pack", "request_span_ns",
+                          "run_until_complete", "start", "submit"}
 
     def test_several_faults_raise_in_a_fixed_order(self):
         # the first bad target in list order, then an empty list, then the
@@ -531,6 +552,15 @@ class TestReporting:
         ctrl.submit(1, [(0, d, 0xFFFF) for d in range(8)], t_generated_ns=0)
         report = ctrl.run_until_complete(1)
         assert report.config_time_ns <= span
+
+    def test_request_that_outlives_its_bound_raises(self):
+        # a bound below the request's true life stands in for a broken one
+        engine, ctrl = make(chain_topology())
+        ctrl._request_span_ns = 69_999  # the request arrives at 70000
+        ctrl.submit(1, [(0, 0, 1)], t_generated_ns=0)
+        with pytest.raises(NotYetComplete, match=r"^request 1 missed its latency bound$"):
+            ctrl.run_until_complete(1)
+        assert engine.now == 0 and ctrl.traces[1].pending == 1
 
     @pytest.mark.parametrize("name", ["exp1", "exp2", "4x250"])
     def test_request_span_is_the_formula_worked_out_once(self, name, monkeypatch):

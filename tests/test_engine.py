@@ -143,6 +143,13 @@ class TestScheduleAndRun:
         with pytest.raises(SchedulingInPast):
             engine.schedule(99, EventKind.MASTER_EMIT)
 
+    def test_run_until_into_the_past_raises(self):
+        engine = Engine()
+        engine.run_until(100)
+        with pytest.raises(SchedulingInPast, match=r"^cannot run to 99, clock is 100$"):
+            engine.run_until(99)
+        assert engine.now == 100
+
     def test_clock_monotone_over_processing(self):
         engine = Engine()
         times = []

@@ -384,6 +384,28 @@ class TestLifecycleWithSimulation:
         assert refill.hops == ((0, 0, 1),)  # lowest word came back
         nc.check_conservation()
 
+    # each corruption stands in for a bookkeeping bug the ledger must catch
+    def test_word_held_by_two_paths_caught(self):
+        engine, dc, nc = self.make()
+        first, second = nc.allocate("a", "b"), nc.allocate("a", "c")
+        second.hops = first.hops
+        with pytest.raises(AssertionError, match=r"^word 1 on \(0,0\) held twice$"):
+            nc.check_conservation()
+
+    def test_word_both_free_and_held_caught(self):
+        engine, dc, nc = self.make()
+        entry = nc.allocate("a", "b")
+        nc.resources.free[(0, 0)].add(entry.hops[0][2])
+        with pytest.raises(AssertionError, match=r"^\(0, 0\): words both free and held$"):
+            nc.check_conservation()
+
+    def test_leaked_word_caught(self):
+        engine, dc, nc = self.make()
+        nc.allocate("a", "b")
+        nc.resources.free[(0, 1)].discard(3)
+        with pytest.raises(AssertionError, match=r"^\(0, 1\): words leaked \(\[3\]\)$"):
+            nc.check_conservation()
+
     def test_corrupted_ledger_caught_under_optimize(self):
         # -O strips assert statements; the ledger check must still raise
         script = """if __debug__:

@@ -124,6 +124,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="seed"):
             Scenario.from_dict(doc)
 
+    def test_output_path_not_a_string_quoted_to_200_characters(self):
+        path = ["x" * 100_000]
+        with pytest.raises(WrongType) as info:
+            Scenario.from_dict(self.doc(outputs={"csv": path}))
+        assert str(info.value) == "output csv must be a path string, got " + repr(path)[:200]
+
     def test_unknown_scenario_key(self):
         with pytest.raises(ValueError, match="unknown scenario keys"):
             Scenario.from_dict(self.doc(extra=1))

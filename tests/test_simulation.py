@@ -105,6 +105,12 @@ class TestAnalyticLatency:
         with pytest.raises(ValueError):
             analytic_latency(exp2_timing(), 4, 2, 0, 7_001)
 
+    def test_segment_and_rank_domain(self):
+        with pytest.raises(ValueError, match=r"^n_segments must be >= 1, got 0$"):
+            analytic_latency(exp1_timing(), 0, 8, 0, 0)
+        with pytest.raises(ValueError, match=r"^device_rank is 1-based, got 0$"):
+            analytic_latency(exp1_timing(), 1, 0, 0, 0)
+
     def test_structural_worst(self):
         assert structural_worst_latency(exp2_timing(), 4, 2, 100) == 186_900
         assert structural_worst_latency(exp1_timing(), 1, 8, 100) == 121_900

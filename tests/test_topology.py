@@ -10,6 +10,7 @@ from meowsim.errors import (
     NegativeTiming,
     SegmentCountExceeded,
     UnknownTarget,
+    WrongType,
 )
 from meowsim.simulation import analytic_latency
 from meowsim.topology import (
@@ -144,6 +145,21 @@ class TestBuildTopology:
         bad["segments"][0]["devices"] = 8
         with pytest.raises(ValueError, match="devices"):
             build_topology(bad)
+
+    def test_unknown_key_quoted_to_200_characters(self):
+        key = "k" * 100_000
+        bad = self.spec()
+        bad["segments"][0][key] = 8
+        with pytest.raises(ValueError) as info:
+            build_topology(bad)
+        assert str(info.value) == "unknown segment 0 keys: " + str([key])[:200]
+
+    def test_segments_not_a_list_quoted_to_200_characters(self):
+        bad = self.spec()
+        bad["segments"] = "s" * 100_000
+        with pytest.raises(WrongType) as info:
+            build_topology(bad)
+        assert str(info.value) == "segments must be a list, got " + repr(bad["segments"])[:200]
 
     @pytest.mark.parametrize("phase_ns", [32_000, 200_000])
     def test_phase_of_a_cycle_or_more_rejected(self, phase_ns):
