@@ -9,6 +9,9 @@ arrival phase first, then hands the requests in one at a time, each at its
 generation instant, so the event queue holds only one request's events. A
 sweep is one batch run on its longest chain, read at the position of every
 requested length, with the oracle checked at each.
+
+A request's RequestTrace is its one record: the statistics, the sweep and
+every export read it, and every latch time through RequestTrace.latch_ns.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .controller import DeviceController, RequestTrace
 from .engine import Engine, EventKind
@@ -38,23 +40,10 @@ MIN_SPACING_CYCLES = 4
 WORD_PATTERNS = (0x5555, 0xAAAA)
 
 
-class RequestRow(NamedTuple):
-    """One CSV row: the measurement-target view of one request."""
-
-    request_id: int
-    t_gen_ns: int
-    t_emit_ns: int
-    t_complete_ns: int
-    config_ns: int
-    segment: int
-    device: int
-
-
 @dataclass
 class RunResult:
     scenario: Scenario
     stats: RunStats
-    rows: list
     traces: list  # RequestTrace in request order
     written: dict
 
@@ -65,8 +54,8 @@ def request_spacing_ns(controller: DeviceController) -> int:
     return cycle * max(MIN_SPACING_CYCLES, span // cycle + 2)
 
 
-def _measure_rows(topology: Topology, traces, target, check_oracle: bool) -> list:
-    """One RequestRow per trace, read at target (segment, device).
+def _config_times(topology: Topology, traces, target, check_oracle: bool) -> list:
+    """Each trace's configuration time at target (segment, device).
 
     With check_oracle each configuration time is compared against the
     closed-form latency oracle (exact integer equality), with the PDO wait
@@ -77,16 +66,15 @@ def _measure_rows(topology: Topology, traces, target, check_oracle: bool) -> lis
     cycle = timing.pdo_cycle_ns
     rank = topology.device_rank(seg_m, dev_m)
     phase_m = topology.segments[seg_m].phase_ns
-    rows = []
+    configs = []
     for trace in traces:
-        request_id, t_gen = trace.request_id, trace.t_generated_ns
+        request_id = trace.request_id
         if not trace.complete:
             raise AssertionError(f"request {request_id} did not finish by the horizon")
-        seg_trace = trace.segments[seg_m]
-        t_emit = seg_trace.emit_ns
-        t_complete = trace.latch_ns(seg_m, dev_m)
-        config = t_complete - t_gen
+        config = trace.latch_ns(seg_m, dev_m) - trace.t_generated_ns
         if check_oracle:
+            seg_trace = trace.segments[seg_m]
+            t_emit = seg_trace.emit_ns
             if (t_emit - phase_m) % cycle:
                 raise AssertionError(f"request {request_id}: emit {t_emit} is not a PDO boundary")
             wait = t_emit - seg_trace.staged_ns
@@ -97,8 +85,8 @@ def _measure_rows(topology: Topology, traces, target, check_oracle: bool) -> lis
                 raise AssertionError(
                     f"request {request_id}: simulated {config} ns != oracle {expected} ns"
                 )
-        rows.append(RequestRow(request_id, t_gen, t_emit, t_complete, config, seg_m, dev_m))
-    return rows
+        configs.append(config)
+    return configs
 
 
 def run_scenario(scenario: Scenario, out_dir: str | None = None,
@@ -106,7 +94,7 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None,
     """Simulate the scenario's request batch and summarize the measurement.
 
     With check_oracle every request's configuration time at the measured
-    device is checked against the latency oracle (see _measure_rows).
+    device is checked against the latency oracle (see _config_times).
     """
     paths = _export_paths(scenario, out_dir)  # checked before the work, not after it
     topology = scenario.topology
@@ -138,11 +126,10 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None,
     # the last request is generated last, and request_span_ns bounds its life
     engine.run_until(traces[-1].t_generated_ns + controller.request_span_ns())
 
-    rows = _measure_rows(topology, traces, scenario.measurement, check_oracle)
-    stats = compute_stats([row.config_ns for row in rows])
+    stats = compute_stats(_config_times(topology, traces, scenario.measurement, check_oracle))
     written = {}
     if "csv" in paths:
-        export_csv(rows, paths["csv"])
+        export_csv(traces, scenario.measurement, paths["csv"])
         written["csv"] = paths["csv"]
     if "trace" in paths:
         export_trace(traces, stats, paths["trace"])
@@ -150,8 +137,7 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None,
     if "stats" in paths:
         export_stats(stats, paths["stats"])
         written["stats"] = paths["stats"]
-    return RunResult(scenario=scenario, stats=stats, rows=rows, traces=traces,
-                     written=written)
+    return RunResult(scenario=scenario, stats=stats, traces=traces, written=written)
 
 
 # -- exports ---------------------------------------------------------------
@@ -199,38 +185,39 @@ CSV_COLUMNS = (
 )
 
 
-def export_csv(rows, path: str) -> None:
-    """Per-request results, times in us with one exact decimal."""
+def export_csv(traces, target, path: str) -> None:
+    """Per-request results at target (segment, device), times in us with one exact decimal."""
+    seg, dev = target
     with open_export(path, "CSV") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for row in rows:
+        for trace in traces:
+            t_gen, t_complete = trace.t_generated_ns, trace.latch_ns(seg, dev)
             writer.writerow((
-                row.request_id,
-                ns_to_us_str(row.t_gen_ns),
-                ns_to_us_str(row.t_emit_ns),
-                ns_to_us_str(row.t_complete_ns),
-                ns_to_us_str(row.config_ns),
-                row.segment,
-                row.device,
+                trace.request_id,
+                ns_to_us_str(t_gen),
+                ns_to_us_str(trace.segments[seg].emit_ns),
+                ns_to_us_str(t_complete),
+                ns_to_us_str(t_complete - t_gen),
+                seg,
+                dev,
             ))
 
 
 def _trace_line(trace: RequestTrace, positions: dict) -> str:
     """One trace line; positions caches {mask: its device positions} across lines."""
-    segments, hop = trace.segments, trace.hop_ns
+    segments, latch_ns = trace.segments, trace.latch_ns
     parts = [f"req {trace.request_id:06d} ① {trace.t_generated_ns}"]
     latches = []
     for seg in sorted(segments):
         st = segments[seg]
         parts.append(f"seg {seg}: x {st.jitter_ns} staged {st.staged_ns} ② {st.emit_ns}")
-        first = st.first_latch_ns
-        if first is not None:  # as t_latched_ns: only targets whose frame has left
+        if st.emit_ns is not None:  # as t_latched_ns: only targets whose frame has left
             mask = trace.writes[seg][0]
             devices = positions.get(mask)
             if devices is None:
                 devices = positions[mask] = tuple(word_positions(mask))
-            latches.extend(f"{seg}/{d} {first + d * hop}" for d in devices)
+            latches.extend(f"{seg}/{d} {latch_ns(seg, d)}" for d in devices)
     parts.append(f"③ {', '.join(latches)}")
     parts.append(f"config {trace.config_time_ns}")
     return " | ".join(parts)
@@ -305,7 +292,7 @@ def sweep_devices(base: Scenario, device_counts=range(1, 9)) -> SweepResult:
     traces = run_scenario(scenario, check_oracle=False).traces
     points = []
     for n in counts:
-        configs = [row.config_ns for row in _measure_rows(topology, traces, (0, n - 1), True)]
+        configs = _config_times(topology, traces, (0, n - 1), True)
         points.append(SweepPoint(n, min(configs), max(configs)))
     slope, intercept = _least_squares([(p.device_count, p.best_ns) for p in points])
     return SweepResult(points=tuple(points), slope_ns_per_device=slope,

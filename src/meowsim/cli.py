@@ -21,7 +21,7 @@ from .netctl import FlowStats, NetworkController, OcsResourceModel, ProactiveRul
 from .scenario import resolve_scenario
 from .southbound import SouthboundServer
 from .stats import ns_to_us_str
-from .topology import SegmentSpec, require_dict
+from .topology import require_dict
 
 # extrapolate's --worst-base-us (us) and --slope-ns (ns) stop here: no
 # deployment comes near it, and below it every prediction fits a float
@@ -65,16 +65,16 @@ def _flag_ints(flag: str, parts, form: str, count: int | None = None) -> list[in
 
 
 def _parse_counts(text: str):
-    """--devices as chain lengths; each must be a valid segment, checked before any run."""
+    """--devices as chain lengths: a range for LO..HI, else a list.
+
+    sweep_devices checks each count before its run, and stops a range at its
+    first bad count, however long the range is.
+    """
     form = f"LO..HI or a comma list of integers, got {text!r}"
     if ".." in text:
         lo, hi = _flag_ints("--devices", text.split(".."), form, count=2)
-        counts = range(lo, hi + 1)
-    else:
-        counts = _flag_ints("--devices", (part for part in text.split(",") if part), form)
-    for n in counts:  # a range stops at its first bad count, however long it is
-        SegmentSpec(device_count=n)
-    return list(counts)
+        return range(lo, hi + 1)
+    return _flag_ints("--devices", (part for part in text.split(",") if part), form)
 
 
 def _cmd_sweep(args) -> int:
@@ -278,6 +278,9 @@ def _cmd_netctl(args) -> int:
                 continue
             command = json.loads(line)  # so does a line that is not JSON
             verb = command.get("verb") if isinstance(command, dict) else None
+            # echoed as a message quotes a value: at most 200 characters, and
+            # only a string (any other verb is unknown, and its error quotes it)
+            verb = verb[:200] if isinstance(verb, str) else None
             result = _netctl_execute(controller, command)
             print(json.dumps({"ok": True, "verb": verb, **result}, sort_keys=True))
         except (MeowError, ValueError, KeyError, RecursionError) as exc:

@@ -35,7 +35,7 @@ class FlowStats:
 
     def __post_init__(self):
         if self.rate_bps < 0:
-            raise ValueError(f"rate_bps must be >= 0, got {self.rate_bps}")
+            raise ValueError(f"rate_bps must be >= 0, got {self.rate_bps!s:.200}")
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,7 @@ class NetworkController:
         rule that matches the flow. stats may be a one-shot iterator.
         """
         if threshold_bps <= 0:
-            raise ValueError(f"threshold_bps must be positive, got {threshold_bps}")
+            raise ValueError(f"threshold_bps must be positive, got {threshold_bps!s:.200}")
         ordered = sorted(self.rules.values(), key=attrgetter("priority"), reverse=True)
         no_match = len(ordered)
         match_all = no_match  # rank in ordered of the first rule constraining nothing

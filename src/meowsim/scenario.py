@@ -36,7 +36,7 @@ class Scenario:
     def __post_init__(self):
         require_int("num_requests", self.num_requests)
         if self.num_requests < 1:
-            raise ValueError(f"num_requests must be >= 1, got {self.num_requests}")
+            raise ValueError(f"num_requests must be >= 1, got {self.num_requests!s:.200}")
         require_int("seed", self.seed)
         seg, dev = self.measurement
         require_int("measurement segment", seg)

@@ -72,14 +72,16 @@ def structural_worst_latency(timing: TimingParams, n_segments: int, device_rank:
                              phase_grid_ns: int) -> int:
     """Largest configuration time reachable by any arrival phase on the grid.
 
-    The PDO wait can reach cycle - grid (arrival phases are drawn on the
-    grid), and dispatch jitter can add its full bound on top. Assumes
-    grid-aligned timing constants, which all shipped presets satisfy.
+    Arrival phases and PDO boundaries lie on the grid, so a write staged
+    d = d_sb_ns + [d_mm_ns] + jitter after its request's arrival phase
+    waits at most cycle - grid + (-d mod grid). Jitter plus that wait only
+    grows with the jitter, so the worst draws the full jitter bound.
     """
-    worst_wait = timing.pdo_cycle_ns - phase_grid_ns
-    return analytic_latency(
-        timing, n_segments, device_rank, worst_wait, timing.d_jitter_max_ns
-    )
+    jitter = timing.d_jitter_max_ns
+    multi = timing.d_mm_ns if n_segments > 1 else 0
+    offset = -(timing.d_sb_ns + multi + jitter) % phase_grid_ns
+    worst_wait = timing.pdo_cycle_ns - phase_grid_ns + offset
+    return analytic_latency(timing, n_segments, device_rank, worst_wait, jitter)
 
 
 def repeated_image(word: int, device_count: int) -> int:

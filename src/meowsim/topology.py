@@ -75,11 +75,10 @@ class TimingParams:
             value = getattr(self, field.name)
             require_int(field.name, value)
             if value < 0:
-                raise NegativeTiming(f"{field.name} must be >= 0, got {value}")
+                raise NegativeTiming(f"{field.name} must be >= 0, got {value!s:.200}")
         if not 0 < self.pdo_cycle_ns <= MAX_PDO_CYCLE_NS:
-            raise ValueError(
-                f"pdo_cycle_ns must be in (0, {MAX_PDO_CYCLE_NS}], got {self.pdo_cycle_ns}"
-            )
+            raise ValueError(f"pdo_cycle_ns must be in (0, {MAX_PDO_CYCLE_NS}], "
+                             f"got {self.pdo_cycle_ns!s:.200}")
 
 
 @dataclass(frozen=True)
@@ -92,14 +91,17 @@ class SegmentSpec:
     def __post_init__(self):
         require_int("device_count", self.device_count)
         if self.device_count < 1:
-            raise EmptySegment(f"segment needs at least one device, got {self.device_count}")
+            raise EmptySegment(
+                f"segment needs at least one device, got {self.device_count!s:.200}"
+            )
         if self.device_count > MAX_SEGMENT_DEVICES:
             raise SegmentTooLong(
-                f"at most {MAX_SEGMENT_DEVICES} devices per segment, got {self.device_count}"
+                f"at most {MAX_SEGMENT_DEVICES} devices per segment, "
+                f"got {self.device_count!s:.200}"
             )
         require_int("phase_ns", self.phase_ns)
         if self.phase_ns < 0:
-            raise NegativeTiming(f"phase_ns must be >= 0, got {self.phase_ns}")
+            raise NegativeTiming(f"phase_ns must be >= 0, got {self.phase_ns!s:.200}")
 
 
 @dataclass(frozen=True)
@@ -122,7 +124,7 @@ class Topology:
             if seg.phase_ns >= self.timing.pdo_cycle_ns:
                 raise ValueError(
                     f"segment {i} phase_ns must be below pdo_cycle_ns "
-                    f"{self.timing.pdo_cycle_ns}, got {seg.phase_ns}"
+                    f"{self.timing.pdo_cycle_ns}, got {seg.phase_ns!s:.200}"
                 )
 
     @property

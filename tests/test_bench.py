@@ -5,6 +5,7 @@ import json
 import re
 import types
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,6 @@ from meowsim.bench import (
     CSV_COLUMNS,
     MIN_SPACING_CYCLES,
     WORD_PATTERNS,
-    RequestRow,
     SweepPoint,
     default_worst_base_ns,
     export_csv,
@@ -66,6 +66,12 @@ def deployment(masters, devices, **changes):
                              outputs=None, **changes)
 
 
+def config_times(result) -> list:
+    """Each request's configuration time at the run's measured device."""
+    seg, dev = result.scenario.measurement
+    return [latched(trace)[seg, dev] - trace.t_generated_ns for trace in result.traces]
+
+
 def reachable_objects(controller) -> int:
     """How many objects gc.get_referents reaches from a controller, past its traces.
 
@@ -87,14 +93,16 @@ def reachable_objects(controller) -> int:
 
 
 class TestRunScenario:
-    def test_rows_are_self_consistent(self):
-        result = run_scenario(exp1_small())
-        assert len(result.rows) == 40
-        for row in result.rows:
-            assert row.config_ns == row.t_complete_ns - row.t_gen_ns
-            assert row.t_gen_ns < row.t_emit_ns < row.t_complete_ns
-            assert (row.segment, row.device) == (0, 7)
-        assert [row.request_id for row in result.rows] == list(range(40))
+    def test_rows_are_self_consistent(self, tmp_path):
+        run_scenario(exp1_small().with_changes(outputs={"csv": "r.csv"}), out_dir=str(tmp_path))
+        rows = read_csv_rows(str(tmp_path / "r.csv"))
+        assert len(rows) == 40
+        for row in rows:
+            t_gen, t_emit, t_complete, config = map(us_str_to_ns, row[1:5])
+            assert config == t_complete - t_gen
+            assert t_gen < t_emit < t_complete
+            assert (row[5], row[6]) == ("0", "7")
+        assert [int(row[0]) for row in rows] == list(range(40))
 
     def test_oracle_holds_on_both_presets(self):
         # run_scenario raises if any simulated time deviates from the
@@ -119,10 +127,10 @@ class TestRunScenario:
         t_emit = traces[1].segments[0].emit_ns
         with pytest.raises(AssertionError,
                            match=f"^request 1: emit {t_emit} is not a PDO boundary$"):
-            bench._measure_rows(scenario.topology, traces, scenario.measurement, True)
+            bench._config_times(scenario.topology, traces, scenario.measurement, True)
 
     def test_oracle_mismatch_raises(self, monkeypatch):
-        config = run_scenario(exp1_small(3)).rows[0].config_ns
+        config = config_times(run_scenario(exp1_small(3)))[0]
         oracle = bench.analytic_latency
         monkeypatch.setattr(bench, "analytic_latency", lambda *args: oracle(*args) + 1)
         with pytest.raises(AssertionError, match=f"^request 0: simulated {config} ns "
@@ -192,18 +200,19 @@ class TestRunScenario:
     def test_oracle_check_can_be_skipped(self):
         a = run_scenario(exp1_small(10), check_oracle=True)
         b = run_scenario(exp1_small(10), check_oracle=False)
-        assert a.rows == b.rows
+        assert a.traces == b.traces
+        assert a.stats == b.stats
 
     def test_same_seed_same_rows(self):
         a = run_scenario(exp1_small())
         b = run_scenario(exp1_small())
-        assert a.rows == b.rows
+        assert a.traces == b.traces
         assert a.stats == b.stats
 
     def test_different_seed_different_waits(self):
         a = run_scenario(exp1_small())
         b = run_scenario(exp1_small(seed=12345))
-        assert [r.config_ns for r in a.rows] != [r.config_ns for r in b.rows]
+        assert config_times(a) != config_times(b)
 
     def test_single_request_has_zero_jitter(self):
         result = run_scenario(exp1_small(1))
@@ -223,6 +232,14 @@ class TestRunScenario:
         result = run_scenario(exp1_small())
         assert result.stats.min_ns >= 83_700  # rank-8 floor minus chain wait
         assert result.stats.max_ns <= 121_900
+
+    @pytest.mark.parametrize("d_sb_ns", [70_050, 70_099])
+    def test_off_grid_delay_run_reaches_structural_worst(self, d_sb_ns):
+        # the pickup wait rounds an off-grid arrival up to the next grid step
+        exp1 = load_preset("exp1")
+        topology = replace(exp1.topology, timing=replace(exp1.topology.timing, d_sb_ns=d_sb_ns))
+        scenario = exp1.with_changes(topology=topology, outputs=None)
+        assert run_scenario(scenario).stats.max_ns == structural_worst_ns(scenario) == 122_000
 
 
 @st.composite
@@ -275,25 +292,14 @@ class TestBatchPathEqualsPerRequestPath:
             ctrl.submit(k, patterns[k % len(patterns)], k * spacing + phase)
         engine.run_until((scenario.num_requests - 1) * spacing + ctrl.request_span_ns()
                          + 4 * cycle)
-        seg_m, dev_m = scenario.measurement
-        traces = [ctrl.traces[k] for k in range(scenario.num_requests)]
-        rows = [
-            RequestRow(request_id=t.request_id, t_gen_ns=t.t_generated_ns,
-                       t_emit_ns=t.segments[seg_m].emit_ns,
-                       t_complete_ns=t.latch_ns(seg_m, dev_m),
-                       config_ns=t.latch_ns(seg_m, dev_m) - t.t_generated_ns,
-                       segment=seg_m, device=dev_m)
-            for t in traces
-        ]
-        return traces, rows
+        return [ctrl.traces[k] for k in range(scenario.num_requests)]
 
     @pytest.mark.parametrize("scenario", [
         exp1_small(20), exp2_small(20), deployment(4, 250, num_requests=20),
     ], ids=["exp1", "exp2", "4x250"])
     def test_same_traces_and_rows(self, scenario):
         result = run_scenario(scenario)
-        traces, rows = self.replay(scenario)
-        assert result.rows == rows
+        traces = self.replay(scenario)
         assert len(result.traces) == len(traces) == 20
         for batch, whole in zip(result.traces, traces):
             assert batch.complete and batch.pending == whole.pending == 0
@@ -315,9 +321,10 @@ class TestBatchPathEqualsPerRequestPath:
         # of that instant's arrivals; a write that arrives on a boundary must
         # still ride that boundary's frame, as when every request was queued
         result = run_scenario(scenario)
-        traces, rows = self.replay(scenario)
-        assert result.rows == rows
+        traces = self.replay(scenario)
         assert result.traces == traces
+        assert result.stats == compute_stats(
+            [latched(t)[scenario.measurement] - t.t_generated_ns for t in traces])
 
     def test_zero_delays_ride_the_frame_of_their_own_instant(self):
         # a 100 ns cycle puts every generation on a boundary of every segment
@@ -326,8 +333,9 @@ class TestBatchPathEqualsPerRequestPath:
         topology = Topology(segments=(SegmentSpec(3), SegmentSpec(2)), timing=timing)
         scenario = Scenario(topology=topology, num_requests=30, seed=5, measurement=(1, 1))
         result = run_scenario(scenario)
-        assert all(row.t_emit_ns == row.t_gen_ns and row.config_ns == 0 for row in result.rows)
-        assert result.traces == self.replay(scenario)[0]
+        assert all(t.segments[1].emit_ns == t.t_generated_ns for t in result.traces)
+        assert config_times(result) == [0] * 30
+        assert result.traces == self.replay(scenario)
 
     @pytest.mark.parametrize("scenario", [exp2_small(20), deployment(4, 250, num_requests=20)],
                              ids=["4x2", "4x250"])
@@ -378,14 +386,14 @@ class TestExports:
         assert set(result.written) == {"csv", "trace", "stats"}
 
         parsed = read_csv_rows(str(tmp_path / "r.csv"))
-        assert len(parsed) == len(result.rows)
-        for text_row, row in zip(parsed, result.rows):
-            assert int(text_row[0]) == row.request_id
-            assert us_str_to_ns(text_row[1]) == row.t_gen_ns
-            assert us_str_to_ns(text_row[2]) == row.t_emit_ns
-            assert us_str_to_ns(text_row[3]) == row.t_complete_ns
-            assert us_str_to_ns(text_row[4]) == row.config_ns
-            assert us_str_to_ns(text_row[4]) == row.t_complete_ns - row.t_gen_ns
+        assert len(parsed) == len(result.traces)
+        for text_row, trace, config in zip(parsed, result.traces, config_times(result)):
+            assert int(text_row[0]) == trace.request_id
+            assert us_str_to_ns(text_row[1]) == trace.t_generated_ns
+            assert us_str_to_ns(text_row[2]) == trace.segments[0].emit_ns
+            assert us_str_to_ns(text_row[3]) == latched(trace)[0, 7]
+            assert us_str_to_ns(text_row[4]) == config
+            assert us_str_to_ns(text_row[4]) == latched(trace)[0, 7] - trace.t_generated_ns
             assert (int(text_row[5]), int(text_row[6])) == (0, 7)
 
     @pytest.mark.parametrize("outputs, kinds", [
@@ -440,7 +448,7 @@ class TestExports:
 
     def test_csv_write_failure(self):
         with pytest.raises(IoFailure):
-            export_csv([], "/nonexistent-dir/out.csv")
+            export_csv([], (0, 0), "/nonexistent-dir/out.csv")
 
     def test_csv_read_failure(self, tmp_path):
         with pytest.raises(IoFailure):
@@ -457,16 +465,6 @@ class TestExports:
             "request_id", "t_gen_us", "t_emit_us", "t_complete_us",
             "config_time_us", "segment", "device",
         )
-
-    def test_request_row_is_immutable_and_positional(self):
-        row = RequestRow(3, 1_000, 32_000, 114_400, 113_400, 0, 7)
-        assert row == RequestRow(request_id=3, t_gen_ns=1_000, t_emit_ns=32_000,
-                                 t_complete_ns=114_400, config_ns=113_400,
-                                 segment=0, device=7)
-        assert (row.request_id, row.config_ns, row.device) == (3, 113_400, 7)
-        with pytest.raises(AttributeError):
-            row.config_ns = 0
-        assert row.config_ns == 113_400
 
 
 def expected_trace_line(trace) -> str:

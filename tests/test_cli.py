@@ -43,9 +43,12 @@ def exp2_file(tmp_path):
 
 
 def test_parse_counts():
-    assert _parse_counts("1..8") == [1, 2, 3, 4, 5, 6, 7, 8]
+    # it only parses: a range stays a range, and sweep_devices checks each count
+    assert _parse_counts("1..8") == range(1, 9)
+    assert _parse_counts("1..100000000") == range(1, 100_000_001)
     assert _parse_counts("2,4,8") == [2, 4, 8]
     assert _parse_counts("5") == [5]
+    assert _parse_counts("0,744") == [0, 744]
 
 
 class TestRun:
@@ -165,6 +168,30 @@ class TestRun:
         assert err == f"error: IoFailure: cannot write trace {path}: it names a directory\n"
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["s.json", "sub"]
 
+    # JSON reads integers of up to 4300 digits; a message quotes 200 of them
+    @pytest.mark.parametrize("part, field, value, head", [
+        ("timing", "d_sb_ns", -10 ** 4000, "NegativeTiming: d_sb_ns must be >= 0, got "),
+        ("segment", "device_count", 10 ** 4000,
+         "SegmentTooLong: at most 743 devices per segment, got "),
+        ("timing", "pdo_cycle_ns", 10 ** 4000, "pdo_cycle_ns must be in (0, 100000], got "),
+        ("segment", "phase_ns", 10 ** 4000,
+         "segment 0 phase_ns must be below pdo_cycle_ns 32000, got "),
+        ("workload", "num_requests", -10 ** 4000, "num_requests must be >= 1, got "),
+    ], ids=["negative-timing", "segment-too-long", "cycle", "phase", "requests"])
+    def test_range_error_quotes_200_characters_of_an_integer(self, tmp_path, capsys,
+                                                             no_simulation, part, field,
+                                                             value, head):
+        doc = scenario_doc([8], 32_000)
+        parts = {"timing": doc["topology"]["timing"], "segment": doc["topology"]["segments"][0],
+                 "workload": doc["workload"]}
+        parts[part][field] = value
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["run", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {head}{str(value)[:200]}\n"
+
 
 class TestSweep:
     def test_slope_and_csv(self, exp1_file, tmp_path, capsys):
@@ -211,11 +238,13 @@ class TestSweep:
         assert err == f"error: IoFailure: cannot write sweep CSV {tmp_path}: it names a directory\n"
 
     def test_too_long_chain_rejected_before_sweep(self, exp1_file, capsys, no_simulation):
-        rc = main(["sweep", "--scenario", exp1_file, "--devices", "740..744"])
-        out, err = capsys.readouterr()
-        assert rc == 2
-        assert out == ""
-        assert err.startswith("error: SegmentTooLong:") and "744" in err
+        # a range is checked count by count, so a huge one stops at 744 unbuilt
+        for devices in ("740..744", "1..100000000"):
+            rc = main(["sweep", "--scenario", exp1_file, "--devices", devices])
+            out, err = capsys.readouterr()
+            assert rc == 2
+            assert out == ""
+            assert err == "error: SegmentTooLong: at most 743 devices per segment, got 744\n"
 
     @pytest.mark.parametrize("devices", ["a..b", "1..", "1..2..3", "2,x"])
     def test_malformed_devices_named(self, exp1_file, capsys, no_simulation, devices):
@@ -420,26 +449,35 @@ class TestNetctl:
 
     LONG = "x" * 100_000
 
-    # a command-file value is quoted to 200 characters in the error line; an
-    # unknown verb is also echoed whole in the line's "verb" field
-    @pytest.mark.parametrize("commands, error, message, short_line", [
+    # a command-file value is quoted to 200 characters in the error line, and
+    # so is the verb echoed in the line's "verb" field
+    @pytest.mark.parametrize("commands, error, message", [
         ([{"verb": "allocate", "src_tor": [LONG], "dst_tor": "b"}],
-         "WrongType", "src_tor has the wrong type: " + repr([LONG])[:200], True),
+         "WrongType", "src_tor has the wrong type: " + repr([LONG])[:200]),
         ([{"verb": "allocate", "src_tor": LONG, "dst_tor": LONG}],
-         "ValueError", "src and dst must differ, both " + repr(LONG)[:200], True),
+         "ValueError", "src and dst must differ, both " + repr(LONG)[:200]),
         ([{"verb": "add-rule", "rule_id": LONG, "priority": 1},
           {"verb": "add-rule", "rule_id": LONG, "priority": 2}],
-         "ValueError", "duplicate rule id " + repr(LONG)[:200], True),
-        ([{"verb": LONG}], "ValueError", "unknown verb " + repr(LONG)[:200], False),
+         "ValueError", "duplicate rule id " + repr(LONG)[:200]),
+        ([{"verb": LONG}], "ValueError", "unknown verb " + repr(LONG)[:200]),
     ], ids=["wrong-type", "same-tor", "duplicate-rule", "unknown-verb"])
     def test_error_quotes_at_most_200_characters(self, tmp_path, capsys, commands, error,
-                                                 message, short_line):
+                                                 message):
         rc = main(["netctl", "exp1", self.write_commands(tmp_path, commands)])
         last = capsys.readouterr().out.splitlines()[-1]
         assert rc == 1
         reply = json.loads(last)
         assert (reply["ok"], reply["error"], reply["message"]) == (False, error, message)
-        assert len(last) < 400 or not short_line
+        assert reply["verb"] == commands[-1]["verb"][:200]
+        assert len(last) < 700
+
+    @pytest.mark.parametrize("verb", [["x" * 100_000], 10 ** 4000], ids=["list", "integer"])
+    def test_verb_that_is_not_a_string_is_echoed_as_null(self, tmp_path, capsys, verb):
+        # it is never a known verb, and its error message quotes it
+        assert main(["netctl", "exp1", self.write_commands(tmp_path, [{"verb": verb}])]) == 1
+        out = capsys.readouterr().out
+        assert json.loads(out)["verb"] is None
+        assert len(out) < 400
 
     def test_failures_set_exit_code(self, tmp_path, capsys):
         commands = self.write_commands(tmp_path, [

@@ -176,6 +176,15 @@ class TestFlowDetection:
             nc.detect_flows(stats(), threshold)
         assert read == []
 
+    def test_range_errors_quote_200_characters_of_an_integer(self):
+        huge = -10 ** 4000
+        with pytest.raises(ValueError) as info:
+            FlowStats("f", "tor1", "tor2", rate_bps=huge)
+        assert str(info.value) == "rate_bps must be >= 0, got " + str(huge)[:200]
+        with pytest.raises(ValueError) as info:
+            network_controller().detect_flows([], huge)
+        assert str(info.value) == "threshold_bps must be positive, got " + str(huge)[:200]
+
     @pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0), (1, 2, 0)])
     def test_same_shape_and_key_highest_priority_wins(self, order):
         rules = [ProactiveRule("low", 1, src_tor="tor1", dst_tor="tor2"),

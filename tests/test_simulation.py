@@ -115,6 +115,29 @@ class TestAnalyticLatency:
         assert structural_worst_latency(exp2_timing(), 4, 2, 100) == 186_900
         assert structural_worst_latency(exp1_timing(), 1, 8, 100) == 121_900
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_structural_worst_is_the_enumerated_worst(self, seed):
+        # delays off the 100 ns grid: every generation instant and segment
+        # phase on the grid, every jitter draw, each pickup by the boundary rule
+        rng = random.Random(seed)
+        grid = 100
+        cycle = grid * rng.randint(1, 6)
+        timing = TimingParams(pdo_cycle_ns=cycle, d_sb_ns=rng.randint(0, 3_000),
+                              d_mm_ns=rng.randint(0, 500), d_jitter_max_ns=rng.randint(0, 150),
+                              d_frame_head_ns=rng.randint(0, 500), d_hop_ns=rng.randint(0, 90),
+                              d_latch_ns=rng.randint(0, 90))
+        rank = rng.randint(1, 4)
+        tail = timing.d_frame_head_ns + rank * timing.d_hop_ns + timing.d_latch_ns
+        for n_segments in (1, 2):
+            dispatch = timing.d_sb_ns + (timing.d_mm_ns if n_segments > 1 else 0)
+            worst = max(
+                boundary_at_or_after(t_gen + dispatch + jitter, phase, cycle) + tail - t_gen
+                for t_gen in range(0, cycle, grid)
+                for phase in range(0, cycle, grid)
+                for jitter in range(timing.d_jitter_max_ns + 1)
+            )
+            assert structural_worst_latency(timing, n_segments, rank, grid) == worst
+
 
 def write(*pairs):
     """The (mask, value) images of ((device, word), ...)."""

@@ -91,6 +91,78 @@ def test_no_unused_import_in_the_package():
     assert found == []
 
 
+def dead_symbols(sources: dict[str, str]) -> list[str]:
+    """Module-level functions, classes and constants that nothing else reads.
+
+    sources maps a module name to its text. A symbol counts as read where its
+    name is loaded, or named as an attribute, on a line outside its own
+    definition, in any of the modules, or where it is listed in __all__.
+    Dunder names (__version__, __all__) are not checked.
+    """
+    defined = []  # (module, name, first line, last line)
+    reads = []  # (module, name, line)
+    exported = set()
+    for module, source in sources.items():
+        tree = ast.parse(source, module)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            if "__all__" in names:
+                exported.update(ast.literal_eval(node.value))
+            defined.extend((module, name, node.lineno, node.end_lineno)
+                           for name in names if not name.startswith("__"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.append((module, node.id, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                reads.append((module, node.attr, node.lineno))
+    return [
+        f"{module}.{name}"
+        for module, name, first, last in defined
+        if name not in exported
+        and not any(n == name and (m != module or not first <= line <= last)
+                    for m, n, line in reads)
+    ]
+
+
+def test_dead_symbol_check_sees_each_form():
+    sources = {
+        "a": (
+            "LIMIT = 3\n"
+            "UNUSED: int = 4\n"
+            "_X, _Y = 1, 2\n"
+            "__all__ = ['Public']\n"
+            "class Public:\n"
+            "    pass\n"
+            "def recurse(n):\n"
+            "    return recurse(n - 1) if n else _X\n"
+            "def helper():\n"
+            "    return LIMIT\n"
+        ),
+        "b": "from .a import helper\nimport a\nprint(helper(), a.recurse)\n",
+    }
+    assert dead_symbols(sources) == ["a.UNUSED", "a._Y"]
+    del sources["b"]
+    assert dead_symbols(sources) == ["a.UNUSED", "a._Y", "a.recurse", "a.helper"]
+
+
+# read only outside the package: perfbench's tracer patches DeviceState.latch,
+# and conftest.LatchRecorder builds DeviceState
+DEAD_SYMBOL_ALLOWLIST = ["simulation.DeviceState"]
+
+
+def test_no_dead_symbol_in_the_package():
+    package = Path(meowsim.__file__).parent
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(package.glob("*.py"))}
+    assert dead_symbols(sources) == DEAD_SYMBOL_ALLOWLIST
+
+
 def text_writes(source: str) -> list[tuple[int, str | None, ast.Call]]:
     """(line, enclosing function, call) of each call opening a file to write text.
 
