@@ -16,7 +16,6 @@ every export read it, and every latch time through RequestTrace.latch_ns.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -189,57 +188,58 @@ def export_csv(traces, target, path: str) -> None:
     """Per-request results at target (segment, device), times in us with one exact decimal."""
     seg, dev = target
     with open_export(path, "CSV") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for trace in traces:
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        for trace in traces:  # no field holds a comma, a quote or a newline
             t_gen, t_complete = trace.t_generated_ns, trace.latch_ns(seg, dev)
-            writer.writerow((
-                trace.request_id,
-                ns_to_us_str(t_gen),
-                ns_to_us_str(trace.segments[seg].emit_ns),
-                ns_to_us_str(t_complete),
-                ns_to_us_str(t_complete - t_gen),
-                seg,
-                dev,
-            ))
+            fh.write(f"{trace.request_id},{ns_to_us_str(t_gen)},"
+                     f"{ns_to_us_str(trace.segments[seg].emit_ns)},{ns_to_us_str(t_complete)},"
+                     f"{ns_to_us_str(t_complete - t_gen)},{seg},{dev}\n")
 
 
-def _trace_line(trace: RequestTrace, positions: dict) -> str:
-    """One trace line; positions caches {mask: its device positions} across lines."""
-    segments, latch_ns = trace.segments, trace.latch_ns
-    parts = [f"req {trace.request_id:06d} ① {trace.t_generated_ns}"]
-    latches = []
+def _trace_line(trace: RequestTrace, templates: dict) -> str:
+    """One trace line; templates caches {shape: (%-format, latch segments, latch devices)}.
+
+    A shape is the line's segments, ascending, each with its write mask, or None while
+    its frame has not left, as t_latched_ns. Lines of one shape differ only in their ints.
+    """
+    segments, writes = trace.segments, trace.writes
+    shape, values = [], [trace.request_id, trace.t_generated_ns]
     for seg in sorted(segments):
         st = segments[seg]
-        parts.append(f"seg {seg}: x {st.jitter_ns} staged {st.staged_ns} ② {st.emit_ns}")
-        if st.emit_ns is not None:  # as t_latched_ns: only targets whose frame has left
-            mask = trace.writes[seg][0]
-            devices = positions.get(mask)
-            if devices is None:
-                devices = positions[mask] = tuple(word_positions(mask))
-            latches.extend(f"{seg}/{d} {latch_ns(seg, d)}" for d in devices)
-    parts.append(f"③ {', '.join(latches)}")
-    parts.append(f"config {trace.config_time_ns}")
-    return " | ".join(parts)
+        shape.append((seg, None if st.emit_ns is None else writes[seg][0]))
+        values += (st.jitter_ns, st.staged_ns, st.emit_ns)
+    shape = tuple(shape)
+    entry = templates.get(shape)
+    if entry is None:  # a new shape: its literal pieces and latch keys, once
+        heads, segs, devs = [], [], []
+        for seg, mask in shape:
+            heads.append(f"seg {seg}: x %s staged %s ② %s")
+            for d in (() if mask is None else word_positions(mask)):
+                segs.append(seg)
+                devs.append(d)
+        latches = ", ".join(f"{s}/{d} %s" for s, d in zip(segs, devs))
+        entry = templates[shape] = (
+            " | ".join(("req %06d ① %s", *heads, f"③ {latches}", "config %s")), segs, devs)
+    template, segs, devs = entry
+    values += map(trace.latch_ns, segs, devs)
+    values.append(trace.config_time_ns)
+    return template % tuple(values)
 
 
 def export_trace(traces, stats: RunStats, path: str) -> None:
     """Marker trace: one line per request, integer ns, jitter footer."""
-    positions = {}  # a pattern's requests share one mask per segment
+    templates = {}
     with open_export(path, "trace") as fh:
         fh.write("# request traces, times in integer ns\n")
         for trace in traces:
-            fh.write(_trace_line(trace, positions) + "\n")
-        fh.write(
-            f"# ④ jitter max-min {stats.jitter_ns} ns "
-            f"(min {stats.min_ns}, max {stats.max_ns})\n"
-        )
+            fh.write(_trace_line(trace, templates) + "\n")
+        fh.write(f"# ④ jitter max-min {stats.jitter_ns} ns "
+                 f"(min {stats.min_ns}, max {stats.max_ns})\n")
 
 
 def export_stats(stats: RunStats, path: str) -> None:
     with open_export(path, "stats") as fh:
-        json.dump(stats.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(stats.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
 # -- sweep and extrapolation -------------------------------------------------
@@ -282,7 +282,7 @@ def sweep_devices(base: Scenario, device_counts=range(1, 9)) -> SweepResult:
         counts.append(n)
     if len(set(counts)) < 2:
         raise ValueError(f"need at least two points to fit: two distinct device counts, "
-                         f"got {counts}")
+                         f"got {counts!s:.200}")
     phase = base.topology.segments[0].phase_ns
     longest = max(counts)
     topology = Topology(segments=(SegmentSpec(device_count=longest, phase_ns=phase),),

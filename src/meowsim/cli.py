@@ -70,7 +70,7 @@ def _parse_counts(text: str):
     sweep_devices checks each count before its run, and stops a range at its
     first bad count, however long the range is.
     """
-    form = f"LO..HI or a comma list of integers, got {text!r}"
+    form = f"LO..HI or a comma list of integers, got {text!r:.200}"
     if ".." in text:
         lo, hi = _flag_ints("--devices", text.split(".."), form, count=2)
         return range(lo, hi + 1)
@@ -130,7 +130,7 @@ def _cmd_extrapolate(args) -> int:
 
 
 def _cmd_pdo_compare(args) -> int:
-    form = f"two integers HI,LO in ns with HI >= LO, got {args.cycles!r}"
+    form = f"two integers HI,LO in ns with HI >= LO, got {args.cycles!r:.200}"
     cycle_hi, cycle_lo = _flag_ints("--cycles", args.cycles.split(","), form, count=2)
     if cycle_hi < cycle_lo:
         raise ValueError(f"--cycles must be {form}")

@@ -466,6 +466,40 @@ class TestExports:
             "config_time_us", "segment", "device",
         )
 
+    def test_deployment_exports_line_by_line(self, tmp_path):
+        # every line holds 1,000 latches: one per device of the 4x250 fabric
+        scenario = deployment(4, 250, num_requests=3).with_changes(
+            outputs={"csv": "d.csv", "trace": "d.trace", "stats": "d.json"})
+        result = run_scenario(scenario, out_dir=str(tmp_path))
+        lines = (tmp_path / "d.trace").read_text(encoding="utf-8").splitlines()
+        assert lines[1:-1] == [expected_trace_line(t) for t in result.traces]
+        seg, dev = scenario.measurement
+        rows = read_csv_rows(str(tmp_path / "d.csv"))
+        assert len(rows) == len(result.traces)
+        for row, trace in zip(rows, result.traces):
+            t_gen, t_latch = trace.t_generated_ns, latched(trace)[seg, dev]
+            assert [int(row[0]), *map(us_str_to_ns, row[1:5]), int(row[5]), int(row[6])] == [
+                trace.request_id, t_gen, trace.segments[seg].emit_ns, t_latch, t_latch - t_gen,
+                seg, dev]
+        doc = json.loads((tmp_path / "d.json").read_text(encoding="utf-8"))
+        assert doc == result.stats.to_dict()
+
+    @pytest.mark.parametrize("preset, distinct", [("exp1", 1), ("exp2", 4)])
+    def test_word_positions_at_most_once_per_segment_and_mask(self, monkeypatch, tmp_path,
+                                                              preset, distinct):
+        result = run_scenario(load_preset(preset).with_changes(outputs=None))
+        assert len({(s, t.writes[s][0]) for t in result.traces for s in t.writes}) == distinct
+        calls = []
+        positions = bench.word_positions
+
+        def counted(mask):
+            calls.append(mask)
+            return positions(mask)
+
+        monkeypatch.setattr(bench, "word_positions", counted)
+        export_trace(result.traces, result.stats, str(tmp_path / "t.trace"))
+        assert 1 <= len(calls) <= distinct
+
 
 def expected_trace_line(trace) -> str:
     """A trace line built from latched(trace), apart from format_trace_line's own route."""
@@ -522,6 +556,26 @@ class TestSparseTraceLines:
         assert traces[0].writes == traces[2].writes
         stats = compute_stats([t.config_time_ns for t in traces])
         path = tmp_path / "sparse.trace"
+        export_trace(traces, stats, str(path))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[1:-1] == [expected_trace_line(t) for t in traces]
+
+    def test_export_while_part_of_the_frames_are_gone(self, tmp_path):
+        # requests 0 and 2 write equal masks; the export holds request 0 with
+        # every frame gone and request 2 with only part of them, so a latch
+        # list cached for one line must not reach the other
+        ctrl = self.controller()
+        traces = list(ctrl.traces.values())
+
+        def gone(trace):
+            return {st.emit_ns is not None for st in trace.segments.values()}
+
+        while gone(traces[2]) != {True, False}:
+            ctrl.engine.step()
+        assert gone(traces[0]) == {True}
+        assert traces[0].writes == traces[2].writes
+        stats = compute_stats([t.config_time_ns for t in traces if t.complete])
+        path = tmp_path / "partial.trace"
         export_trace(traces, stats, str(path))
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[1:-1] == [expected_trace_line(t) for t in traces]

@@ -51,6 +51,22 @@ def test_parse_counts():
     assert _parse_counts("0,744") == [0, 744]
 
 
+@pytest.mark.parametrize("argv, head, quoted", [
+    (["sweep", "--devices", ",".join(["5"] * 50_000)],
+     "need at least two points to fit: two distinct device counts, got ", str([5] * 50_000)),
+    (["sweep", "--devices", "x" * 50_000],
+     "--devices must be LO..HI or a comma list of integers, got ", repr("x" * 50_000)),
+    (["pdo-compare", "--cycles", "x" * 50_000],
+     "--cycles must be two integers HI,LO in ns with HI >= LO, got ", repr("x" * 50_000)),
+], ids=["devices-one-count", "devices-malformed", "cycles-malformed"])
+def test_flag_error_quotes_at_most_200_characters(exp1_file, capsys, no_simulation, argv,
+                                                  head, quoted):
+    assert main([argv[0], "--scenario", exp1_file, *argv[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {head}{quoted[:200]}\n"
+
+
 class TestRun:
     def test_writes_outputs(self, tmp_path, capsys):
         doc = scenario_doc([8], 32_000)
