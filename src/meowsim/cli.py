@@ -164,16 +164,18 @@ def _cmd_codec(args) -> int:
 def _parse_address(text: str) -> tuple[str, int]:
     """HOST:PORT as a listen address; an empty host means 127.0.0.1."""
     host, _, port = text.rpartition(":")
-    if not (port.isascii() and port.isdigit() and int(port) <= 0xFFFF):
-        raise ValueError(f"--southbound port must be an integer in 0..65535, got {port!r}")
+    # int() refuses more than 4,300 digits, so the length is checked first
+    number = port.lstrip("0") or "0"
+    if not (port.isascii() and port.isdigit() and len(number) <= 5 and int(number) <= 0xFFFF):
+        raise ValueError(f"--southbound port must be an integer in 0..65535, got {port!r:.200}")
     if host.replace(".", "").isdigit():
         # a dotted number is an IPv4 address or nothing: check it here, by
         # the resolver's own rules, rather than let it go out as a DNS query
         try:
             socket.inet_aton(host)
         except OSError:
-            raise ValueError(f"--southbound host {host!r} is not an IPv4 address") from None
-    return host or "127.0.0.1", int(port)
+            raise ValueError(f"--southbound host {host!r:.200} is not an IPv4 address") from None
+    return host or "127.0.0.1", int(number)
 
 
 def _cmd_serve(args) -> int:
@@ -346,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("netctl", help="run northbound command file against a fresh sim")
     p.add_argument("scenario", help="scenario/preset supplying the topology")
     p.add_argument("commands", help="JSONL northbound command file")
-    p.add_argument("--words-per-device", type=int, default=16)
+    p.add_argument("--words-per-device", type=int, default=16,
+                   help="cross-connect words per switch device, 1..65535 (default: 16)")
     p.set_defaults(func=_cmd_netctl)
 
     return parser

@@ -15,7 +15,7 @@ from operator import attrgetter
 
 from .controller import DeviceController
 from .errors import NoCapacity, UnknownPath, WrongState
-from .topology import Topology
+from .topology import Topology, require_int
 
 
 class PathState(Enum):
@@ -69,30 +69,34 @@ class OpticalPathEntry:
 
 
 class OcsResourceModel:
-    """Free cross-connect words per switch device; word 0 stays idle."""
+    """The words taken on each switch device, in chain order; word 0 stays idle."""
 
     def __init__(self, topology: Topology, words_per_device: int = 16):
+        require_int("words_per_device", words_per_device)
         if not 1 <= words_per_device <= 0xFFFF:
             raise ValueError("words_per_device must be in [1, 65535]")
         self.words_per_device = words_per_device
-        self.free: dict[tuple[int, int], set[int]] = {}
-        for s, d in topology.all_targets():
-            self.free[(s, d)] = set(range(1, words_per_device + 1))
+        self.held: dict[tuple[int, int], set[int]] = {k: set() for k in topology.all_targets()}
 
     def first_fit(self):
-        """Lowest free (segment, device, word), or None; free is in chain order."""
-        for (segment, device), words in self.free.items():
-            if words:
-                return segment, device, min(words)
+        """Lowest free (segment, device, word), or None."""
+        for (segment, device), words in self.held.items():
+            if len(words) < self.words_per_device:
+                word = 1  # one of 1 .. len(words) + 1 is free
+                while word in words:
+                    word += 1
+                return segment, device, word
         return None
 
     def take(self, segment: int, device: int, word: int) -> None:
-        self.free[(segment, device)].remove(word)
+        if word in self.held[(segment, device)] or not 1 <= word <= self.words_per_device:
+            raise KeyError(word)
+        self.held[(segment, device)].add(word)
 
     def give_back(self, segment: int, device: int, word: int) -> None:
-        if word in self.free[(segment, device)]:
+        if word not in self.held[(segment, device)]:
             raise AssertionError("double free")
-        self.free[(segment, device)].add(word)
+        self.held[(segment, device)].remove(word)
 
 
 class NetworkController:
@@ -211,7 +215,7 @@ class NetworkController:
         return self.wait(path_id)
 
     def release(self, path_id: int) -> None:
-        """Active -> Released; the hops' words return to the free sets.
+        """Active -> Released; the hops' words are no longer held.
 
         No configure request is sent, so each device keeps its last word.
         """
@@ -236,21 +240,16 @@ class NetworkController:
         ]
 
     def check_conservation(self) -> None:
-        """Free words plus words held by non-Released entries == every word."""
+        """The words non-Released entries hold are exactly the words the model holds."""
         held: dict[tuple[int, int], set[int]] = {}
         for entry in self.table.values():
-            if entry.state is PathState.RELEASED:
-                continue
-            for s, d, w in entry.hops:
-                if w in held.setdefault((s, d), set()):
-                    raise AssertionError(f"word {w} on ({s},{d}) held twice")
-                held[(s, d)].add(w)
-        for key, free_words in self.resources.free.items():
-            held_words = held.get(key, set())
-            if free_words & held_words:
+            if entry.state is not PathState.RELEASED:
+                for s, d, w in entry.hops:
+                    if w in held.setdefault((s, d), set()):
+                        raise AssertionError(f"word {w} on ({s},{d}) held twice")
+                    held[(s, d)].add(w)
+        for key, taken in self.resources.held.items():
+            if not held.get(key, set()) <= taken:
                 raise AssertionError(f"{key}: words both free and held")
-            total = set(range(1, self.resources.words_per_device + 1))
-            if free_words | held_words != total:
-                raise AssertionError(
-                    f"{key}: words leaked ({sorted(total - free_words - held_words)})"
-                )
+            if leaked := taken - held.get(key, set()):
+                raise AssertionError(f"{key}: words leaked ({sorted(leaked)})")

@@ -268,6 +268,7 @@ def test_criterion_09_resource_bookkeeping(criterion):
         controller = NetworkController(OcsResourceModel(topology, words),
                                        DeviceController(Engine(seed=0), topology))
         free = {(0, d): set(range(1, words + 1)) for d in range(2)}
+        every_word = frozenset(range(1, words + 1))
         live = []
         for _ in range(400):
             ops += 1
@@ -291,8 +292,9 @@ def test_criterion_09_resource_bookkeeping(criterion):
                 hop = controller.table[path_id].hops[0]
                 controller.release(path_id)
                 free[hop[:2]].add(hop[2])
-            snapshot = {k: frozenset(v) for k, v in controller.resources.free.items()}
-            if snapshot != {k: frozenset(v) for k, v in free.items()}:
+            # the model records the words held: the complement of the free sets
+            snapshot = {k: frozenset(v) for k, v in controller.resources.held.items()}
+            if snapshot != {k: every_word - v for k, v in free.items()}:
                 mismatches += 1
             controller.check_conservation()
     ok = mismatches == 0 and ops == 10_000

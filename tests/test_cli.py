@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from meowsim import scenario
-from meowsim.cli import _parse_counts, main
+from meowsim.cli import _parse_address, _parse_counts, main
 from meowsim.errors import IoFailure
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data", "golden")
@@ -612,6 +612,28 @@ class TestServe:
         assert main(["serve", "--southbound", address]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("address, message", [
+        ("127.0.0.1:" + "p" * 50_000,
+         "--southbound port must be an integer in 0..65535, got '" + "p" * 199),
+        ("127.0.0.1:" + "9" * 5_000,  # past int()'s 4,300-digit limit
+         "--southbound port must be an integer in 0..65535, got '" + "9" * 199),
+        (".".join(["12"] * 25_000) + ":0",
+         "--southbound host '" + "12." * 66 + "1 is not an IPv4 address"),
+    ], ids=["long-port", "port-past-int-limit", "long-dotted-host"])
+    def test_long_address_quoted_in_part(self, capsys, monkeypatch, address, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the address reached the network")
+
+        monkeypatch.setattr("meowsim.cli.SouthboundServer", refuse)
+        monkeypatch.setattr(socket, "getaddrinfo", refuse)
+        monkeypatch.setattr(socket, "gethostbyname", refuse)
+        assert main(["serve", "--southbound", address]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_port_with_leading_zeros_accepted(self):
+        assert _parse_address("127.0.0.1:" + "0" * 5_000 + "80") == ("127.0.0.1", 80)
+        assert _parse_address(":00000") == ("127.0.0.1", 0)
 
     def test_port_in_use_rejected(self, capsys):
         with socket.socket() as busy:

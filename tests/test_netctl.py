@@ -1,5 +1,6 @@
 """Network controller: flow detection, OCS words, path lifecycle."""
 
+import random
 import subprocess
 import sys
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from meowsim.controller import DeviceController
 from meowsim.engine import Engine
-from meowsim.errors import DuplicateRequestId, NoCapacity, UnknownPath, WrongState
+from meowsim.errors import DuplicateRequestId, NoCapacity, UnknownPath, WrongState, WrongType
 from meowsim.netctl import (
     FlowStats,
     NetworkController,
@@ -17,7 +18,8 @@ from meowsim.netctl import (
     PathState,
     ProactiveRule,
 )
-from meowsim.topology import SegmentSpec, TimingParams, Topology
+from meowsim.scenario import load_preset
+from meowsim.topology import MAX_SEGMENTS, MAX_SEGMENT_DEVICES, SegmentSpec, TimingParams, Topology
 
 
 def mini_topology(devices=2):
@@ -231,21 +233,83 @@ class TestResourceModel:
 
     def test_word_zero_is_never_allocatable(self):
         res = OcsResourceModel(mini_topology(), words_per_device=16)
-        assert all(0 not in words for words in res.free.values())
-        assert res.words_per_device * len(res.free) == 32
+        hops = []
+        while (hop := res.first_fit()) is not None:
+            res.take(*hop)
+            hops.append(hop)
+        assert hops == [(0, d, w) for d in range(2) for w in range(1, 17)]
+        fresh = OcsResourceModel(mini_topology(), words_per_device=16)
+        for word in (0, 17):  # outside 1 .. words_per_device
+            with pytest.raises(KeyError):
+                fresh.take(0, 0, word)
+        assert fresh.held == {(0, 0): set(), (0, 1): set()}
 
     def test_double_free_caught(self):
         res = OcsResourceModel(mini_topology(), words_per_device=1)
         res.take(0, 0, 1)
         res.give_back(0, 0, 1)
-        with pytest.raises(AssertionError):
+        with pytest.raises(AssertionError, match="^double free$"):
             res.give_back(0, 0, 1)
+
+    def test_give_back_of_a_word_never_taken_caught(self):
+        res = OcsResourceModel(load_preset("exp1").topology)
+        for word in (99, 5):  # beyond words_per_device, and in range but free
+            with pytest.raises(AssertionError, match="^double free$"):
+                res.give_back(0, 0, word)
+        assert not any(res.held.values())
+
+    def test_take_of_a_held_word_refused(self):
+        res = OcsResourceModel(mini_topology(), words_per_device=4)
+        res.take(0, 1, 3)
+        with pytest.raises(KeyError):
+            res.take(0, 1, 3)
+        assert res.held == {(0, 0): set(), (0, 1): {3}}
 
     def test_words_per_device_bounds(self):
         with pytest.raises(ValueError):
             OcsResourceModel(mini_topology(), words_per_device=0)
         with pytest.raises(ValueError):
             OcsResourceModel(mini_topology(), words_per_device=0x10000)
+
+    @pytest.mark.parametrize("words", [True, 16.0, "16", None])
+    def test_words_per_device_must_be_an_int(self, words):
+        with pytest.raises(WrongType, match=r"^words_per_device must be an integer, got "):
+            OcsResourceModel(mini_topology(), words_per_device=words)
+
+
+class TestHeldWordCount:
+    """The model records the words it holds: state grows with live paths, not capacity."""
+
+    @staticmethod
+    def largest_topology():
+        return Topology(
+            segments=(SegmentSpec(device_count=MAX_SEGMENT_DEVICES),) * MAX_SEGMENTS,
+            timing=TimingParams(pdo_cycle_ns=32_000),
+        )
+
+    @pytest.mark.parametrize("words", [1, 0xFFFF])
+    def test_a_new_model_holds_no_word(self, words):
+        res = OcsResourceModel(self.largest_topology(), words_per_device=words)
+        assert len(res.held) == 6 * 743
+        assert sum(map(len, res.held.values())) == 0
+
+    @pytest.mark.parametrize("words", [1, 0xFFFF])
+    def test_held_words_equal_live_paths(self, words):
+        topology = self.largest_topology()
+        nc = NetworkController(OcsResourceModel(topology, words),
+                               DeviceController(Engine(seed=0), topology))
+        rng = random.Random(33)
+        live = []
+        for _ in range(2_000):
+            if rng.random() < 0.6 or not live:
+                entry = nc.allocate("a", "b")
+                entry.state = PathState.ACTIVE  # skip the simulated configure
+                live.append(entry.path_id)
+            else:
+                nc.release(live.pop(rng.randrange(len(live))))
+            assert sum(map(len, nc.resources.held.values())) == len(live)
+        assert 0 < len(live) < 2_000
+        nc.check_conservation()
 
 
 class TestPathFunctions:
@@ -404,14 +468,14 @@ class TestLifecycleWithSimulation:
     def test_word_both_free_and_held_caught(self):
         engine, dc, nc = self.make()
         entry = nc.allocate("a", "b")
-        nc.resources.free[(0, 0)].add(entry.hops[0][2])
+        nc.resources.held[(0, 0)].discard(entry.hops[0][2])
         with pytest.raises(AssertionError, match=r"^\(0, 0\): words both free and held$"):
             nc.check_conservation()
 
     def test_leaked_word_caught(self):
         engine, dc, nc = self.make()
         nc.allocate("a", "b")
-        nc.resources.free[(0, 1)].discard(3)
+        nc.resources.held[(0, 1)].add(3)
         with pytest.raises(AssertionError, match=r"^\(0, 1\): words leaked \(\[3\]\)$"):
             nc.check_conservation()
 
@@ -428,7 +492,7 @@ topo = Topology(segments=(SegmentSpec(device_count=2),),
 nc = NetworkController(OcsResourceModel(topo, words_per_device=4),
                        DeviceController(Engine(seed=0), topo))
 entry = nc.allocate("tor1", "tor2")
-nc.resources.free[(0, 0)].add(entry.hops[0][2])  # a held word also free
+nc.resources.held[(0, 0)].discard(entry.hops[0][2])  # a path's word, free in the model
 nc.check_conservation()
 """
         proc = subprocess.run([sys.executable, "-O", "-c", script],
@@ -517,6 +581,7 @@ def test_random_alloc_release_matches_reference(ops, rng):
     topo = mini_topology(devices)
     nc = network_controller(topo, words)
     ref = BookkeeperReference(devices, words)
+    every_word = frozenset(range(1, words + 1))  # held is the complement of ref.free
     live = []
     for op in ops:
         if op == "alloc":
@@ -535,6 +600,6 @@ def test_random_alloc_release_matches_reference(ops, rng):
             hop = nc.table[pid].hops[0]
             nc.release(pid)
             ref.give(hop)
-        snapshot = {k: frozenset(v) for k, v in nc.resources.free.items()}
-        assert snapshot == {k: frozenset(v) for k, v in ref.free.items()}
+        snapshot = {k: frozenset(v) for k, v in nc.resources.held.items()}
+        assert snapshot == {k: every_word - v for k, v in ref.free.items()}
         nc.check_conservation()
