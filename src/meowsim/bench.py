@@ -3,12 +3,12 @@
 Reproduces the two reference experiments (presets exp1 and exp2), sweeps
 chain length, extrapolates the worst case to 1000-rack fabrics, and writes
 per-request CSV, marker traces and summary statistics. A batch run builds
-its two word patterns' images once, in closed form, and makes no intake
-check: its targets, fresh ids and rising times are its own. It draws every
-arrival phase first, then hands the requests in one at a time, each at its
-generation instant, so the event queue holds only one request's events. A
-sweep is one batch run on its longest chain, read at the position of every
-requested length, with the oracle checked at each.
+its two word patterns' images once per chain length, in closed form, and
+makes no intake check: its targets, fresh ids and rising times are its
+own. It draws every arrival phase first, then hands the requests in one at
+a time, each at its generation instant, so the event queue holds only one
+request's events. A sweep is one batch run on its longest chain, read at
+the position of every requested length, with the oracle checked at each.
 
 A request's RequestTrace is its one record: the statistics, the sweep and
 every export read it, and every latch time through RequestTrace.latch_ns.
@@ -104,12 +104,12 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None,
     spacing = request_spacing_ns(controller)
     phase_slots = cycle // ARRIVAL_GRID_NS
 
-    # a pattern writes its word to every device; its requests share its images
+    # a pattern writes its word to every device; its requests share its
+    # images, and its segments of one chain length share one (mask, value)
     counts = [seg.device_count for seg in topology.segments]
-    patterns = [
-        {s: (repeated_image(0xFFFF, n), repeated_image(word, n)) for s, n in enumerate(counts)}
-        for word in WORD_PATTERNS
-    ]
+    by_length = [{n: (repeated_image(0xFFFF, n), repeated_image(word, n)) for n in set(counts)}
+                 for word in WORD_PATTERNS]
+    patterns = [{s: pairs[n] for s, n in enumerate(counts)} for pairs in by_length]
     draw = engine.rng.uniform_draw
     phases = [draw(0, phase_slots - 1) for _ in range(scenario.num_requests)]
     # stop short of the generation instant's arrivals and frames, so a

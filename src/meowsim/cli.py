@@ -64,6 +64,21 @@ def _flag_ints(flag: str, parts, form: str, count: int | None = None) -> list[in
     return values
 
 
+def _number(kind):
+    """A flag's type= for kind (int or float).
+
+    argparse's own message for a bad value quotes it whole; this one is the
+    same, with the quote cut to 200 characters.
+    """
+    def parse(text: str):
+        try:
+            return kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r:.200}") from None
+    return parse
+
+
 def _parse_counts(text: str):
     """--devices as chain lengths: a range for LO..HI, else a list.
 
@@ -319,11 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("extrapolate", help="predict worst case for 1000-rack fabrics")
-    p.add_argument("--racks", type=int, required=True)
-    p.add_argument("--masters", type=int, required=True)
-    p.add_argument("--worst-base-us", type=float, default=None,
+    p.add_argument("--racks", type=_number(int), required=True)
+    p.add_argument("--masters", type=_number(int), required=True)
+    p.add_argument("--worst-base-us", type=_number(float), default=None,
                    help="override the measured worst-case base (us)")
-    p.add_argument("--slope-ns", type=float, default=900.0,
+    p.add_argument("--slope-ns", type=_number(float), default=900.0,
                    help="per-device slope in ns (default: calibrated hop cost)")
     p.set_defaults(func=_cmd_extrapolate)
 
@@ -342,13 +357,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--southbound", required=True, metavar="HOST:PORT")
     p.add_argument("--scenario", default="exp1",
                    help="scenario/preset supplying topology and timing")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_number(int), default=None)
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser("netctl", help="run northbound command file against a fresh sim")
     p.add_argument("scenario", help="scenario/preset supplying the topology")
     p.add_argument("commands", help="JSONL northbound command file")
-    p.add_argument("--words-per-device", type=int, default=16,
+    p.add_argument("--words-per-device", type=_number(int), default=16,
                    help="cross-connect words per switch device, 1..65535 (default: 16)")
     p.set_defaults(func=_cmd_netctl)
 

@@ -109,9 +109,10 @@ class MasterState:
     The image is one int with device p's output word at bits 16p..16p+15;
     read as little-endian bytes, it is the payload of the chain's LWR
     datagram. A write is a (mask, value) pair of images: mask holds 0xFFFF
-    in each written word, value the new words. Writes are keyed by the
-    boundary whose frame picks them up and folded into the image when that
-    frame is built (last writer wins per word, in staging-time order), so
+    in each written word, value the new words, so value lies inside mask.
+    Writes are keyed by the boundary whose frame picks them up and folded
+    into the image as image ^ (image ^ value) & mask when that frame is
+    built (last writer wins per word, in staging-time order), so
     requests staged within one cycle coalesce into the same cyclic frame.
     The master emits only at boundaries with writes due; a frame at any
     other boundary would carry and change nothing.
@@ -128,7 +129,10 @@ class MasterState:
               built: bool = False) -> int | None:
         """Stage a (mask, value) write on the frame that picks it up.
 
-        The caller keeps the write inside the image. With built, a frame at
+        The caller keeps the write inside the image, and value inside mask
+        (value & ~mask == 0, as pack and repeated_image build them): the
+        fold image ^ (image ^ value) & mask equals image & ~mask | value
+        only then, and nothing checks it per write. With built, a frame at
         stage_ns is already on the wire, so the write rides the next.
         Returns the pickup boundary when this is the first write due there
         (the master must emit at it), else None.
@@ -155,11 +159,11 @@ class MasterState:
             raise AssertionError("staged write missed its boundary")
         if len(due) == 1:  # a batch run's every frame: nothing to order
             ((_, rid, mask, value),) = due
-            self.image = self.image & ~mask | value
+            self.image ^= (self.image ^ value) & mask
             return (rid,)
         image = self.image
         for _, _, mask, value in sorted(due, key=itemgetter(0)):
-            image = image & ~mask | value
+            image ^= (image ^ value) & mask
         self.image = image
         return tuple(rid for _, rid, _, _ in due)
 

@@ -357,17 +357,28 @@ class TestClosedFormPatterns:
     """A batch pattern's images, built in closed form, equal pack of every target."""
 
     @settings(max_examples=60, deadline=None)
-    @given(counts=st.lists(st.integers(1, MAX_SEGMENT_DEVICES), min_size=1,
-                           max_size=MAX_SEGMENTS),
+    @given(lengths=st.lists(st.integers(1, MAX_SEGMENT_DEVICES), min_size=1, max_size=3),
+           picks=st.lists(st.integers(0, 2), min_size=1, max_size=MAX_SEGMENTS),
            word=st.integers(0, 0xFFFF))
-    def test_repeated_image_equals_pack(self, counts, word):
+    def test_repeated_image_equals_pack(self, lengths, picks, word):
+        # segments drawn from at most three lengths, so lengths repeat often
+        counts = [lengths[i % len(lengths)] for i in picks]
         topology = Topology(segments=tuple(SegmentSpec(device_count=n) for n in counts),
                             timing=TimingParams(pdo_cycle_ns=80_000))
-        packed = DeviceController(Engine(), topology).pack(
-            (s, d, word) for s, d in topology.all_targets())
+        controller = DeviceController(Engine(), topology)
+        packed = controller.pack((s, d, word) for s, d in topology.all_targets())
         closed = {s: (repeated_image(0xFFFF, n), repeated_image(word, n))
                   for s, n in enumerate(counts)}
         assert list(packed.items()) == list(closed.items())
+        # a batch run's patterns, one per request: within a pattern, segments
+        # of one length share one pair, and it still equals a fresh pack
+        scenario = Scenario(topology=topology, num_requests=len(WORD_PATTERNS), seed=3,
+                            measurement=(0, 0))
+        for trace, pattern in zip(run_scenario(scenario).traces, WORD_PATTERNS):
+            fresh = controller.pack((s, d, pattern) for s, d in topology.all_targets())
+            assert list(trace.writes.items()) == list(fresh.items())
+            for s, n in enumerate(counts):
+                assert trace.writes[s] is trace.writes[counts.index(n)]
 
     def test_duplicate_last_device_of_a_full_chain_still_raises(self):
         topology = Topology(segments=(SegmentSpec(device_count=MAX_SEGMENT_DEVICES),),
@@ -593,6 +604,7 @@ class TestDeploymentScale:
     @pytest.mark.parametrize("masters, devices, best, worst, mean, structural", [
         (4, 250, 323_200, 409_200, 366_609.2, 410_100),
         (6, 167, 249_200, 335_000, 292_149.2, 335_400),
+        (6, 743, 767_600, 853_400, 810_549.2, 853_800),  # the largest legal topology
     ])
     def test_pinned_run(self, masters, devices, best, worst, mean, structural):
         scenario = deployment(masters, devices)
@@ -601,6 +613,25 @@ class TestDeploymentScale:
         assert (stats.min_ns, stats.max_ns, stats.mean_ns) == (best, worst, mean)
         assert structural_worst_ns(scenario) == structural
         assert stats.max_ns <= structural
+
+    @pytest.mark.parametrize("masters, devices, requests", [
+        (4, 250, 1000), (6, 743, 1000), (6, 743, 7),
+    ])
+    def test_images_end_on_the_last_pattern(self, monkeypatch, masters, devices, requests):
+        # every request writes every device, so after N requests each
+        # master's image is request N - 1's pattern on its whole chain
+        controllers = []
+        original = bench.DeviceController
+
+        def recorded(*args):
+            controllers.append(original(*args))
+            return controllers[-1]
+
+        monkeypatch.setattr(bench, "DeviceController", recorded)
+        run_scenario(deployment(masters, devices, num_requests=requests))
+        (controller,) = controllers
+        last = repeated_image(WORD_PATTERNS[(requests - 1) % 2], devices)
+        assert [master.image for master in controller.masters] == [last] * masters
 
 
 def per_length_points(base, counts):

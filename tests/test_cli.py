@@ -67,6 +67,35 @@ def test_flag_error_quotes_at_most_200_characters(exp1_file, capsys, no_simulati
     assert err == f"error: {head}{quoted[:200]}\n"
 
 
+NUMBER_FLAGS = [  # (argv before the flag, flag, argv after it, type name)
+    (["serve", "--southbound", "127.0.0.1:0"], "--seed", [], "int"),
+    (["extrapolate"], "--racks", ["--masters", "4"], "int"),
+    (["extrapolate", "--racks", "1000"], "--masters", [], "int"),
+    (["netctl", "exp1", "commands.jsonl"], "--words-per-device", [], "int"),
+    (["extrapolate", "--racks", "1000", "--masters", "4"], "--worst-base-us", [], "float"),
+    (["extrapolate", "--racks", "1000", "--masters", "4"], "--slope-ns", [], "float"),
+]
+# a short value, one past int()'s 4,300-digit limit, and a 50,000-character one
+BAD_NUMBERS = {"int": ["abc", "9" * 5_000, "x" * 50_000], "float": ["abc", "x" * 50_000]}
+
+
+@pytest.mark.parametrize("before, flag, after, kind, value", [
+    (*case, value) for case in NUMBER_FLAGS for value in BAD_NUMBERS[case[3]]
+], ids=[f"{case[1]}-{len(value)}" for case in NUMBER_FLAGS for value in BAD_NUMBERS[case[3]]])
+def test_number_flag_error_quotes_at_most_200_characters(capsys, before, flag, after, kind,
+                                                         value):
+    # argparse's usage error, with the value's quote cut to 200 characters;
+    # a short value's line is argparse's own
+    with pytest.raises(SystemExit) as exit_info:
+        main([*before, flag, value, *after])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: meowsim ") and err.endswith("\n")
+    assert err.splitlines()[-1] == (f"meowsim {before[0]}: error: argument {flag}: "
+                                    f"invalid {kind} value: {value!r:.200}")
+
+
 class TestRun:
     def test_writes_outputs(self, tmp_path, capsys):
         doc = scenario_doc([8], 32_000)

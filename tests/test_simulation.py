@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meowsim.simulation import (
     DeviceState,
@@ -11,7 +13,7 @@ from meowsim.simulation import (
     boundary_at_or_after,
     structural_worst_latency,
 )
-from meowsim.topology import TimingParams
+from meowsim.topology import MAX_SEGMENT_DEVICES, TimingParams
 
 from conftest import changed_words, image_words
 
@@ -148,6 +150,35 @@ def write(*pairs):
     return mask, value
 
 
+@st.composite
+def due_frames(draw):
+    """(chain length, image, writes) with 1-4 writes due at boundary 32_000 of a 32 us cycle.
+
+    Each write is (stage_ns, request_id, mask, value) with value inside mask.
+    Masks are the full chain, one word, a few words or an earlier write's
+    mask (so words overlap), and staging times repeat often.
+    """
+    n = draw(st.integers(1, MAX_SEGMENT_DEVICES))
+    full = (1 << 16 * n) - 1
+    image = draw(st.integers(0, full))
+    writes = []
+    for request_id in range(draw(st.integers(1, 4))):
+        shape = draw(st.sampled_from(["full", "one word", "some words", "earlier"]))
+        if shape == "full":
+            mask = full
+        elif shape == "one word":
+            mask = 0xFFFF << 16 * draw(st.integers(0, n - 1))
+        elif shape == "some words" or not writes:
+            positions = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=8))
+            mask = sum(0xFFFF << 16 * p for p in positions)
+        else:
+            mask = draw(st.sampled_from([w[2] for w in writes]))
+        value = draw(st.integers(0, full)) & mask
+        stage_ns = 32_000 - 10_000 * draw(st.integers(0, 3))  # all due at 32_000
+        writes.append((stage_ns, request_id, mask, value))
+    return n, image, writes
+
+
 class TestMasterState:
     def master(self):
         return MasterState(phase_ns=0, cycle_ns=32_000)
@@ -229,6 +260,23 @@ class TestMasterState:
             frame = build(m, boundary)
             assert frame == ((k,), before, fold(before, [(stage_ns, k, mask, value)]))
             assert riders(frame) == (k,) and m.image == frame[2]
+
+    @settings(max_examples=200, deadline=None)
+    @given(due_frames())
+    def test_fold_equals_the_complement_fold(self, frame):
+        # image ^ (image ^ value) & mask, against image & ~mask | value folded
+        # here in staging-time order, for one writer and for several
+        _, image, writes = frame
+        m = self.master()
+        m.image = image
+        for write_ in writes:
+            m.stage(*write_)
+        expected = image
+        for _, _, mask, value in sorted(writes, key=lambda w: w[0]):
+            expected = expected & ~mask | value
+        assert m.build_frame(32_000) == tuple(rid for _, rid, _, _ in writes)
+        assert m.image == expected
+        assert m.staged == {}
 
     @pytest.mark.parametrize("later_write", [False, True])
     def test_skipped_boundary_with_staged_write_asserts(self, later_write):
