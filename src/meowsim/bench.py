@@ -17,7 +17,6 @@ every export read it, and every latch time through RequestTrace.latch_ns.
 from __future__ import annotations
 
 import json
-import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 from .controller import DeviceController, RequestTrace
 from .engine import Engine, EventKind
 from .errors import IoFailure, SegmentCountExceeded
-from .scenario import ARRIVAL_GRID_NS, Scenario, load_preset
+from .scenario import ARRIVAL_GRID_NS, Scenario, arrival_phase_ns, load_preset
 from .simulation import analytic_latency, repeated_image, structural_worst_latency, word_positions
 from .stats import RunStats, compute_stats, ns_to_us_str
 from .topology import MAX_SEGMENTS, SegmentSpec, Topology
@@ -102,7 +101,6 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None,
 
     cycle = topology.timing.pdo_cycle_ns
     spacing = request_spacing_ns(controller)
-    phase_slots = cycle // ARRIVAL_GRID_NS
 
     # a pattern writes its word to every device; its requests share its
     # images, and its segments of one chain length share one (mask, value)
@@ -110,14 +108,13 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None,
     by_length = [{n: (repeated_image(0xFFFF, n), repeated_image(word, n)) for n in set(counts)}
                  for word in WORD_PATTERNS]
     patterns = [{s: pairs[n] for s, n in enumerate(counts)} for pairs in by_length]
-    draw = engine.rng.uniform_draw
-    phases = [draw(0, phase_slots - 1) for _ in range(scenario.num_requests)]
+    phases = [arrival_phase_ns(engine.rng, cycle) for _ in range(scenario.num_requests)]
     # stop short of the generation instant's arrivals and frames, so a
     # zero-delay write still rides the frame emitted at that instant; the
     # ids are fresh and the times rise, so nothing here needs submit's checks
     arrived = EventKind.SOUTHBOUND_ARRIVED
     for k, phase in enumerate(phases):
-        t_gen = k * spacing + ARRIVAL_GRID_NS * phase
+        t_gen = k * spacing + phase
         engine.run_until(t_gen, arrived)
         controller._submit_packed(k, patterns[k % len(patterns)], t_gen)
     traces = [controller.traces[k] for k in range(scenario.num_requests)]
@@ -320,9 +317,9 @@ def racks_to_devices_per_segment(racks: int, masters: int) -> int:
         raise ValueError("racks and masters must be positive")
     if masters > MAX_SEGMENTS:
         raise SegmentCountExceeded(
-            f"at most {MAX_SEGMENTS} masters per controller, got {masters}"
+            f"at most {MAX_SEGMENTS} masters per controller, got {masters!s:.200}"
         )
-    devices = math.ceil(racks / masters)
+    devices = -(-racks // masters)  # integer ceiling: exact for racks of any size
     SegmentSpec(device_count=devices)  # raises if one datagram cannot carry the chain
     return devices
 

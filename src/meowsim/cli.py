@@ -79,6 +79,23 @@ def _number(kind):
     return parse
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, with the quote in a choices error cut to 200 characters.
+
+    argparse words that error differently from version to version, and
+    quotes the value whole; only the quote is cut, so a short value's error
+    is argparse's own. Subparsers are built as this class too.
+    """
+
+    def _check_value(self, action, value):
+        try:
+            super()._check_value(action, value)
+        except argparse.ArgumentError as exc:
+            quote = repr(value)
+            raise argparse.ArgumentError(
+                action, exc.message.replace(quote, f"{quote:.200}", 1)) from None
+
+
 def _parse_counts(text: str):
     """--devices as chain lengths: a range for LO..HI, else a list.
 
@@ -313,7 +330,7 @@ def _cmd_netctl(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="meowsim",
         description="Deterministic simulator for a multi-master EtherCAT "
                     "control plane driving optical circuit switches",

@@ -6,7 +6,9 @@ what the simulator reads: every object's keys are checked by one rule,
 require_keys, so an unknown key (a typo, or a field an older format had)
 is a ValueError naming it. The two shipped presets, exp1 and exp2, are the
 calibration ledger: their timing constants and seeds reproduce the
-reference configuration-latency figures exactly.
+reference configuration-latency figures exactly. The module also holds the
+arrival law, arrival_phase_ns, and the grid it draws on, which a Scenario
+checks its cycle and phases against.
 """
 
 from __future__ import annotations
@@ -21,6 +23,18 @@ from .topology import Topology, build_topology, require_int, require_keys
 # Arrival phases are drawn on this grid so every exported tenth-of-us value
 # is exact and the calibrated best-case times are reachable by seeded runs.
 ARRIVAL_GRID_NS = 100
+
+
+def arrival_phase_ns(rng, cycle_ns: int) -> int:
+    """The arrival law: one request's phase within its PDO cycle, in ns.
+
+    The phase is one of the cycle's grid slots 0, ARRIVAL_GRID_NS, ...,
+    cycle_ns - ARRIVAL_GRID_NS, each equally likely, and takes exactly one
+    uniform_draw of rng. A Scenario's cycle is a multiple of the grid (it
+    checks this), so the slots tile the cycle and every phase lies in it.
+    """
+    return ARRIVAL_GRID_NS * rng.uniform_draw(0, cycle_ns // ARRIVAL_GRID_NS - 1)
+
 
 PRESET_NAMES = ("exp1", "exp2")
 

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import math
 import re
 import types
 from collections import Counter
@@ -31,9 +32,9 @@ from meowsim.bench import (
     with_pdo_cycle,
 )
 from meowsim.controller import DeviceController
-from meowsim.engine import Engine, EventKind
+from meowsim.engine import Engine, EventKind, SplitMix64
 from meowsim.errors import EmptySegment, IoFailure, MeowError, SegmentTooLong
-from meowsim.scenario import ARRIVAL_GRID_NS, Scenario, load_preset
+from meowsim.scenario import ARRIVAL_GRID_NS, Scenario, arrival_phase_ns, load_preset
 from meowsim.simulation import repeated_image
 from meowsim.stats import compute_stats
 from meowsim.topology import (
@@ -268,6 +269,31 @@ def small_scenarios(draw, max_segments=MAX_SEGMENTS):
                     measurement=(seg, draw(st.integers(0, counts[seg] - 1))))
 
 
+class TestGenerationTimes:
+    @pytest.mark.parametrize("scenario", [
+        load_preset("exp1").with_changes(outputs=None),
+        load_preset("exp2").with_changes(outputs=None),
+        deployment(4, 250, num_requests=20),
+    ], ids=["exp1", "exp2", "4x250"])
+    def test_request_k_is_generated_at_k_spacings_plus_its_phase(self, monkeypatch, scenario):
+        # every phase comes from the arrival law, all N of them before the
+        # first jitter: they are a fresh generator's first N law draws
+        cycles = []
+
+        def law(rng, cycle_ns):
+            cycles.append(cycle_ns)
+            return arrival_phase_ns(rng, cycle_ns)
+
+        monkeypatch.setattr(bench, "arrival_phase_ns", law)
+        traces = run_scenario(scenario).traces
+        n, cycle = scenario.num_requests, scenario.topology.timing.pdo_cycle_ns
+        assert cycles == [cycle] * n
+        rng = SplitMix64(scenario.seed)
+        phases = [arrival_phase_ns(rng, cycle) for _ in range(n)]
+        spacing = request_spacing_ns(DeviceController(Engine(), scenario.topology))
+        assert [t.t_generated_ns for t in traces] == [k * spacing + phases[k] for k in range(n)]
+
+
 class TestBatchPathEqualsPerRequestPath:
     """run_scenario builds each pattern's pairs once and hands them to every
     request; submitting each request whole, as its target triples, must give
@@ -288,7 +314,7 @@ class TestBatchPathEqualsPerRequestPath:
         spacing = request_spacing_ns(ctrl)
         patterns = self.pattern_targets(topology)
         for k in range(scenario.num_requests):
-            phase = ARRIVAL_GRID_NS * engine.rng.uniform_draw(0, cycle // ARRIVAL_GRID_NS - 1)
+            phase = arrival_phase_ns(engine.rng, cycle)
             ctrl.submit(k, patterns[k % len(patterns)], k * spacing + phase)
         engine.run_until((scenario.num_requests - 1) * spacing + ctrl.request_span_ns()
                          + 4 * cycle)
@@ -784,6 +810,17 @@ class TestExtrapolation:
             extrapolate_worst(187_000, -1.0, 10)
         with pytest.raises(ValueError):
             extrapolate_worst(187_000, 900.0, 0)
+
+    def test_devices_are_the_integer_ceiling(self):
+        # no float division: it equals math.ceil where a float is exact, and
+        # racks past a float's range fail at the chain length, not in division
+        for racks in range(1, 4_500):
+            for masters in range(1, MAX_SEGMENTS + 1):
+                if math.ceil(racks / masters) <= MAX_SEGMENT_DEVICES:
+                    assert racks_to_devices_per_segment(racks, masters) == math.ceil(
+                        racks / masters)
+        with pytest.raises(SegmentTooLong, match=f"got {'2' + '5' + '0' * 198}$"):
+            racks_to_devices_per_segment(10 ** 400, 4)
 
     def test_fabric_must_be_one_controller_can_drive(self):
         assert racks_to_devices_per_segment(743, 1) == 743

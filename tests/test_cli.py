@@ -1,5 +1,6 @@
 """Command-line verbs, exercised through main(argv)."""
 
+import argparse
 import json
 import os
 import socket
@@ -8,7 +9,7 @@ import sys
 
 import pytest
 
-from meowsim import scenario
+from meowsim import cli, scenario
 from meowsim.cli import _parse_address, _parse_counts, main
 from meowsim.errors import IoFailure
 
@@ -67,6 +68,20 @@ def test_flag_error_quotes_at_most_200_characters(exp1_file, capsys, no_simulati
     assert err == f"error: {head}{quoted[:200]}\n"
 
 
+@pytest.mark.parametrize("argv, head, quoted", [
+    (["--racks", "1" + "0" * 400, "--masters", "4"],
+     "SegmentTooLong: at most 743 devices per segment, got ", str(25 * 10 ** 399)),
+    (["--racks", "1000", "--masters", "1" + "0" * 400],
+     "SegmentCountExceeded: at most 6 masters per controller, got ", "1" + "0" * 400),
+], ids=["racks-400-zeros", "masters-401-digits"])
+def test_extrapolate_error_quotes_at_most_200_characters(capsys, argv, head, quoted):
+    # racks of any size divide exactly (no float overflow), and fail at the edge
+    assert main(["extrapolate", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {head}{quoted[:200]}\n"
+
+
 NUMBER_FLAGS = [  # (argv before the flag, flag, argv after it, type name)
     (["serve", "--southbound", "127.0.0.1:0"], "--seed", [], "int"),
     (["extrapolate"], "--racks", ["--masters", "4"], "int"),
@@ -94,6 +109,25 @@ def test_number_flag_error_quotes_at_most_200_characters(capsys, before, flag, a
     assert err.startswith("usage: meowsim ") and err.endswith("\n")
     assert err.splitlines()[-1] == (f"meowsim {before[0]}: error: argument {flag}: "
                                     f"invalid {kind} value: {value!r:.200}")
+
+
+@pytest.mark.parametrize("before, value", [
+    (before, value) for before in (["codec"], []) for value in ("abc", "x" * 50_000)
+], ids=["codec-3", "codec-50000", "verb-3", "verb-50000"])
+def test_choice_error_quotes_at_most_200_characters(capsys, monkeypatch, before, value):
+    # argparse words a choices error differently from version to version, so
+    # this checks the bound and that only the value's quote differs from
+    # argparse's own message: for a short value, not at all
+    with pytest.raises(SystemExit) as exit_info:
+        main([*before, value])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err) < 600 and f"{value!r:.200}" in err
+    monkeypatch.setattr(cli._Parser, "_check_value", argparse.ArgumentParser._check_value)
+    with pytest.raises(SystemExit):
+        main([*before, value])
+    assert capsys.readouterr().err == err.replace(f"{value!r:.200}", repr(value), 1)
 
 
 class TestRun:

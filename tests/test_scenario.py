@@ -5,18 +5,22 @@ from importlib.resources import files
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from meowsim.engine import SplitMix64
 from meowsim.errors import WrongType
 from meowsim.scenario import (
     ARRIVAL_GRID_NS,
     PRESET_NAMES,
     Scenario,
+    arrival_phase_ns,
     load_preset,
     load_scenario,
     load_scenario_text,
     resolve_scenario,
 )
-from meowsim.topology import SegmentSpec, TimingParams, Topology
+from meowsim.topology import MAX_PDO_CYCLE_NS, SegmentSpec, TimingParams, Topology
 
 
 def small_topology(cycle_ns=32_000, phase_ns=0):
@@ -24,6 +28,35 @@ def small_topology(cycle_ns=32_000, phase_ns=0):
         segments=(SegmentSpec(device_count=2, phase_ns=phase_ns),),
         timing=TimingParams(pdo_cycle_ns=cycle_ns),
     )
+
+
+class TestArrivalLaw:
+    @given(slots=st.integers(1, MAX_PDO_CYCLE_NS // ARRIVAL_GRID_NS),
+           seed=st.integers(0, (1 << 64) - 1), draws=st.integers(1, 20))
+    def test_phases_lie_on_the_grid_inside_the_cycle(self, slots, seed, draws):
+        cycle = slots * ARRIVAL_GRID_NS
+        rng = SplitMix64(seed)
+        for _ in range(draws):
+            phase = arrival_phase_ns(rng, cycle)
+            assert phase % ARRIVAL_GRID_NS == 0
+            assert 0 <= phase < cycle
+
+    @given(slots=st.integers(1, MAX_PDO_CYCLE_NS // ARRIVAL_GRID_NS),
+           seed=st.integers(0, (1 << 64) - 1))
+    def test_each_phase_takes_one_step_of_the_generator(self, slots, seed):
+        # a one-slot cycle too: its draw has one value, and still steps
+        rng, twin = SplitMix64(seed), SplitMix64(seed)
+        phase = arrival_phase_ns(rng, slots * ARRIVAL_GRID_NS)
+        assert phase == ARRIVAL_GRID_NS * twin.uniform_draw(0, slots - 1)
+        assert rng.state == twin.state
+        twin.next_u64()
+        arrival_phase_ns(rng, slots * ARRIVAL_GRID_NS)
+        assert rng.state == twin.state
+
+    def test_every_slot_is_reached(self):
+        rng = SplitMix64(7)
+        phases = {arrival_phase_ns(rng, 500) for _ in range(200)}
+        assert phases == {0, 100, 200, 300, 400}
 
 
 class TestPresets:

@@ -163,6 +163,33 @@ def test_no_dead_symbol_in_the_package():
     assert dead_symbols(sources) == DEAD_SYMBOL_ALLOWLIST
 
 
+def uniform_draw_readers(sources: dict[str, str]) -> list[str]:
+    """Modules, of sources {name: text}, that read an attribute named uniform_draw:
+    call it, or bind it to call later."""
+    return [module for module, source in sources.items()
+            if any(isinstance(node, ast.Attribute) and node.attr == "uniform_draw"
+                   for node in ast.walk(ast.parse(source, module)))]
+
+
+def test_uniform_draw_reader_check_sees_each_form():
+    sources = {
+        "a": "phase = 100 * rng.uniform_draw(0, 9)\n",
+        "b": "draw = engine.rng.uniform_draw\n",
+        "c": "def uniform_draw(lo, hi):\n    return lo  # rng.uniform_draw\n",
+        "d": "text = 'rng.uniform_draw'\n",
+    }
+    assert uniform_draw_readers(sources) == ["a", "b"]
+
+
+def test_only_the_arrival_law_and_the_jitter_draw_use_the_generator():
+    # scenario.arrival_phase_ns draws every arrival phase and the controller
+    # every dispatch jitter; any other module that draws writes a second law
+    package = Path(meowsim.__file__).parent
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(package.glob("*.py"))}
+    assert uniform_draw_readers(sources) == ["controller", "scenario"]
+
+
 def text_writes(source: str) -> list[tuple[int, str | None, ast.Call]]:
     """(line, enclosing function, call) of each call opening a file to write text.
 
